@@ -16,6 +16,22 @@ metric) and an exact McNemar-style sign test on disagreeing predictions
 (error rate only). Every randomized step derives from one master seed via
 counter-based seed splitting, so reports are byte-identical across runs
 and worker counts.
+
+Margins are evaluated once per (model, dataset) into a `MarginTable`: one
+column per reported value (WITHHELD and every cell) over all rows, the
+truthful column, and the row indices of each group. The misreport
+matrices, both test routes, the identical-prediction check, and the
+population and generalization rows all read slices of it; a slice equals
+the margins computed on the group's rows alone.
+
+Bootstrap replicates are never materialized. Each test draws its
+(reps, n) resample index from its own seed, in chunks of at most
+`_INDEX_CHUNK_ENTRIES` entries, which reproduce the one-shot draw. Error
+rate gains are exact integer sums of per-row loss differences divided by
+n. For AUC and ECE each chunk becomes a count matrix (how often each row
+appears in each replicate) and `metrics.resampled_values` evaluates all
+its replicates at once: a count-weighted Mann-Whitney U over scores sorted
+once, and per-bin count, hit and confidence sums from one matrix product.
 """
 
 import dataclasses
@@ -34,8 +50,11 @@ from scipy.special import expit
 from . import theory
 from .dataset import tally
 from .groups import ALL, TRUTHFUL, WITHHELD, GroupId, GroupSpace
-from .metrics import (ERROR_RATE, ERROR_RATE_TAG, MetricKind, RiskEstimate,
-                      group_risk, metric_value)
+# group_risk stays importable from this module for callers that look it
+# up here.
+from .metrics import (ERROR_RATE, ERROR_RATE_TAG, MetricKind,  # noqa: F401
+                      RiskEstimate, group_risk, metric_value, orient,
+                      resample_counts, resampled_values, risk_from_margins)
 from .models import Strategy, TrainConfig, as_strategy, build_feature_map, \
     train_personalized
 
@@ -47,7 +66,7 @@ __all__ = [
     "check_fair_use_point", "HypothesisResult", "bootstrap_test",
     "mcnemar_test", "bonferroni", "AuditConfig", "PopulationRow",
     "GeneralizationRow", "FairUseReport", "audit",
-    "identical_prediction_pairs",
+    "identical_prediction_pairs", "MarginTable",
 ]
 
 RATIONALITY = "rationality"
@@ -63,13 +82,9 @@ NOT_TESTABLE = "NotTestable"
 _MIN_BOOTSTRAP_REPS = 100
 _MAX_UNDEFINED_FRACTION = 0.10
 _IDENTICAL_ATOL = 1e-9
-
-
-def _orient(metric, value):
-    """Raw metric value in lower-is-better orientation."""
-    if metric.lower_is_better:
-        return value
-    return 1.0 - value
+# Most bootstrap index entries (replicates x group rows) drawn at once;
+# bounds the index, count and gathered arrays of one test.
+_INDEX_CHUNK_ENTRIES = 1 << 20
 
 
 def _f(value):
@@ -115,14 +130,67 @@ class MisreportMatrix:
         return {"metric": self.metric.tag, "rows": rows}
 
 
-def misreport_matrix(model, data, metric):
-    """Evaluate every (true group, reported) risk of `model` on `data`."""
+class MarginTable:
+    """Margins of one model on every row of one dataset.
+
+    One column per reported value (a cell, WITHHELD or TRUTHFUL), each
+    computed over all rows on first use and then kept, plus the row
+    indices of each true group. `margins(g, reported)` slices a column to
+    group g's rows.
+    """
+
+    def __init__(self, model, data):
+        self.model = model
+        self.data = data
+        self._columns = {}
+        self._rows = {}
+
+    def column(self, reported):
+        """Margins of every row when each reports `reported`."""
+        col = self._columns.get(reported)
+        if col is None:
+            if reported is TRUTHFUL:
+                col = self.model.margins_truthful(self.data.features,
+                                                  self.data.cell_indices)
+            else:
+                col = self.model.margins(self.data.features, reported)
+            self._columns[reported] = col
+        return col
+
+    def rows(self, g):
+        """Row indices of true group g."""
+        rows = self._rows.get(g)
+        if rows is None:
+            rows = self._rows[g] = self.data.rows_for(g)
+        return rows
+
+    def margins(self, g, reported):
+        """Margins of group g's rows when they report `reported`."""
+        return self.column(reported)[self.rows(g)]
+
+    def fill(self):
+        """Compute every cell and WITHHELD column and every group's rows."""
+        cells = self.data.space.cells()
+        for r in (WITHHELD,) + cells:
+            self.column(r)
+        for g in cells:
+            self.rows(g)
+        return self
+
+
+def misreport_matrix(model, data, metric, table=None):
+    """Evaluate every (true group, reported) risk of `model` on `data`.
+
+    table, when given, is the MarginTable of (model, data) to read.
+    """
+    table = table if table is not None else MarginTable(model, data)
     space = data.space
     entries = {}
     for g in space.cells():
+        y = data.labels[table.rows(g)]
         for reported in (WITHHELD,) + space.cells():
-            entries[(g, reported)] = group_risk(model, data, g, reported,
-                                                metric)
+            entries[(g, reported)] = risk_from_margins(
+                metric, table.margins(g, reported), y, g, reported)
     return MisreportMatrix(metric, space, entries)
 
 
@@ -199,10 +267,10 @@ def check_fair_use_point(matrix):
     for g in matrix.space.cells():
         own = matrix.entry(g, g)
         n = own.n_effective
-        own_val = _orient(matrix.metric, own.value) if own.defined else None
+        own_val = orient(matrix.metric, own.value) if own.defined else None
         generic = matrix.entry(g, WITHHELD)
         if own_val is not None and generic.defined:
-            rat = _orient(matrix.metric, generic.value) - own_val
+            rat = orient(matrix.metric, generic.value) - own_val
         else:
             rat = float("nan")
         envy = {}
@@ -211,7 +279,7 @@ def check_fair_use_point(matrix):
                 continue
             mis = matrix.entry(g, other)
             if own_val is not None and mis.defined:
-                envy[other] = _orient(matrix.metric, mis.value) - own_val
+                envy[other] = orient(matrix.metric, mis.value) - own_val
             else:
                 envy[other] = float("nan")
         finite = {o: v for o, v in envy.items() if not math.isnan(v)}
@@ -294,7 +362,7 @@ def _not_testable(kind, test, metric_tag, g, comparator, n, alpha, reason):
 
 
 def bootstrap_test(model, g, comparator, data, metric, *, reps=2000,
-                   alpha=0.10, seed=0):
+                   alpha=0.10, seed=0, table=None):
     """Recentered percentile bootstrap of group g's gain over a comparator.
 
     comparator WITHHELD tests rationality against the paired generic
@@ -313,6 +381,7 @@ def bootstrap_test(model, g, comparator, data, metric, *, reps=2000,
         reps: bootstrap replicates (at least 100).
         alpha: significance level echoed into the result.
         seed: int or numpy SeedSequence for the replicate index draw.
+        table: the MarginTable of (model, data), if one is at hand.
 
     Returns:
         HypothesisResult with p_adjusted unset (see bonferroni).
@@ -321,41 +390,23 @@ def bootstrap_test(model, g, comparator, data, metric, *, reps=2000,
         raise ValueError(f"bootstrap needs >= {_MIN_BOOTSTRAP_REPS} "
                          f"replicates, got {reps}")
     kind = RATIONALITY if comparator is WITHHELD else ENVY
-    rows = data.rows_for(g)
+    table = table if table is not None else MarginTable(model, data)
+    rows = table.rows(g)
     n = int(rows.size)
     if n < 2:
         return _not_testable(kind, BOOTSTRAP, metric.tag, g, comparator, n,
                              alpha, "fewer than 2 rows in the group")
-    x = data.features[rows]
     y = data.labels[rows]
-    self_m = model.margins(x, g)
-    comp_m = model.margins(x, comparator)
-    self_s = expit(self_m)
-    comp_s = expit(comp_m)
-    obs_self = metric_value(metric, self_s, self_m, y)
-    obs_comp = metric_value(metric, comp_s, comp_m, y)
+    self_m = table.margins(g, g)
+    comp_m = table.margins(g, comparator)
+    obs_self = metric_value(metric, expit(self_m), self_m, y)
+    obs_comp = metric_value(metric, expit(comp_m), comp_m, y)
     if math.isnan(obs_self) or math.isnan(obs_comp):
         return _not_testable(kind, BOOTSTRAP, metric.tag, g, comparator, n,
                              alpha, "metric undefined on the observed rows")
-    est = _orient(metric, obs_comp) - _orient(metric, obs_self)
-    rng = np.random.default_rng(seed)
-    idx = rng.integers(0, n, size=(reps, n))
-    if metric.tag == ERROR_RATE_TAG:
-        wrong_self = (np.where(self_m >= 0.0, 1, -1) != y).astype(float)
-        wrong_comp = (np.where(comp_m >= 0.0, 1, -1) != y).astype(float)
-        diffs = wrong_comp - wrong_self
-        gains = diffs[idx].mean(axis=1)
-    else:
-        gains = np.empty(reps)
-        for b in range(reps):
-            take = idx[b]
-            yb = y[take]
-            v_self = metric_value(metric, self_s[take], self_m[take], yb)
-            v_comp = metric_value(metric, comp_s[take], comp_m[take], yb)
-            if math.isnan(v_self) or math.isnan(v_comp):
-                gains[b] = float("nan")
-            else:
-                gains[b] = _orient(metric, v_comp) - _orient(metric, v_self)
+    est = orient(metric, obs_comp) - orient(metric, obs_self)
+    gains = _bootstrap_gains(metric, np.random.default_rng(seed), reps,
+                             self_m, comp_m, y)
     valid = gains[~np.isnan(gains)]
     n_undefined = reps - valid.size
     if n_undefined > _MAX_UNDEFINED_FRACTION * reps:
@@ -379,35 +430,71 @@ def bootstrap_test(model, g, comparator, data, metric, *, reps=2000,
         detail={"reps": int(reps), "undefined_reps": int(n_undefined)})
 
 
+def _bootstrap_gains(metric, rng, reps, self_m, comp_m, y):
+    """Replicate gains of comparator over self; NaN where undefined.
+
+    The (reps, n) index is drawn in chunks of whole replicates; successive
+    draws continue rng's stream, so the chunks reproduce the one-shot draw.
+    """
+    n = y.size
+    step = max(1, _INDEX_CHUNK_ENTRIES // n)
+    if metric.tag == ERROR_RATE_TAG:
+        wrong_self = (np.where(self_m >= 0.0, 1, -1) != y).astype(float)
+        wrong_comp = (np.where(comp_m >= 0.0, 1, -1) != y).astype(float)
+        diffs = wrong_comp - wrong_self
+    else:
+        self_s = expit(self_m)
+        comp_s = expit(comp_m)
+    parts = []
+    for start in range(0, reps, step):
+        idx = rng.integers(0, n, size=(min(step, reps - start), n))
+        if metric.tag == ERROR_RATE_TAG:
+            parts.append(diffs[idx].mean(axis=1))
+            continue
+        counts = resample_counts(idx)
+        v_self = resampled_values(metric, counts, self_s, self_m, y)
+        v_comp = resampled_values(metric, counts, comp_s, comp_m, y)
+        parts.append(orient(metric, v_comp) - orient(metric, v_self))
+    return np.concatenate(parts)
+
+
 def _binom_tail_at_least(n, k):
-    """Exact Pr[Binomial(n, 1/2) >= k] by integer summation."""
+    """Exact Pr[Binomial(n, 1/2) >= k] by integer summation.
+
+    The terms C(n, j), j = k..n, come from the exact integer recurrence
+    C(n, j+1) = C(n, j) * (n - j) / (j + 1).
+    """
     if k <= 0:
         return 1.0
     if k > n:
         return 0.0
-    total = sum(math.comb(n, j) for j in range(k, n + 1))
+    term = total = math.comb(n, k)
+    for j in range(k, n):
+        term = term * (n - j) // (j + 1)
+        total += term
     return float(Fraction(total, 2 ** n))
 
 
-def mcnemar_test(model, g, comparator, data, *, alpha=0.10):
+def mcnemar_test(model, g, comparator, data, *, alpha=0.10, table=None):
     """Exact sign test on rows where the two predictions disagree.
 
     Counts b = rows group g's truthful model gets wrong while the
     comparator gets right, c = the converse; under the null of equal error
     rates the b-vs-c split is Binomial(b + c, 1/2). Applies to the error
     rate only; the estimate is (c - b) / n, matching the bootstrap's gain
-    orientation. b + c = 0 gives p = 1 (no evidence either way).
+    orientation. b + c = 0 gives p = 1 (no evidence either way). table,
+    when given, is the MarginTable of (model, data) to read.
     """
     kind = RATIONALITY if comparator is WITHHELD else ENVY
-    rows = data.rows_for(g)
+    table = table if table is not None else MarginTable(model, data)
+    rows = table.rows(g)
     n = int(rows.size)
     if n < 2:
         return _not_testable(kind, MCNEMAR, ERROR_RATE_TAG, g, comparator,
                              n, alpha, "fewer than 2 rows in the group")
-    x = data.features[rows]
     y = data.labels[rows]
-    wrong_self = np.where(model.margins(x, g) >= 0.0, 1, -1) != y
-    wrong_comp = np.where(model.margins(x, comparator) >= 0.0, 1, -1) != y
+    wrong_self = np.where(table.margins(g, g) >= 0.0, 1, -1) != y
+    wrong_comp = np.where(table.margins(g, comparator) >= 0.0, 1, -1) != y
     b = int(np.count_nonzero(wrong_self & ~wrong_comp))
     c = int(np.count_nonzero(~wrong_self & wrong_comp))
     est = (c - b) / n
@@ -580,15 +667,18 @@ class GeneralizationRow:
         }
 
 
-def identical_prediction_pairs(model, data, atol=_IDENTICAL_ATOL):
+def identical_prediction_pairs(model, data, atol=_IDENTICAL_ATOL,
+                               table=None):
     """Ordered pairs of cells whose reported predictions always agree.
 
     Compares the margin functions over all rows of `data` for every pair
     of reportable groups; agreeing pairs signal that personalization
-    distinguishes the two groups in name only.
+    distinguishes the two groups in name only. table, when given, is the
+    MarginTable of (model, data) to read.
     """
+    table = table if table is not None else MarginTable(model, data)
     cells = model.space.cells()
-    margins = [model.margins(data.features, r) for r in cells]
+    margins = [table.column(r) for r in cells]
     pairs = []
     for i in range(len(cells)):
         for j in range(i + 1, len(cells)):
@@ -818,12 +908,15 @@ def _datasets_equal(a, b):
             and np.array_equal(a.cell_indices, b.cell_indices))
 
 
-def _population_row(metric, matrix, point, results, model, data):
-    generic = group_risk(model, data, ALL, WITHHELD, metric)
-    personal = group_risk(model, data, ALL, TRUTHFUL, metric)
+def _population_row(metric, point, results, table):
+    y = table.data.labels
+    generic = risk_from_margins(metric, table.column(WITHHELD), y, ALL,
+                                WITHHELD)
+    personal = risk_from_margins(metric, table.column(TRUTHFUL), y, ALL,
+                                 TRUTHFUL)
     if generic.defined and personal.defined:
-        overall = _orient(metric, generic.value) - _orient(metric,
-                                                           personal.value)
+        overall = orient(metric, generic.value) - orient(metric,
+                                                         personal.value)
     else:
         overall = float("nan")
     rat = {g: pg.rationality_gain for g, pg in point.gains.items()
@@ -862,7 +955,7 @@ def _population_row(metric, matrix, point, results, model, data):
         significant_envy_violations=subjects(ENVY, SIGNIFICANT_VIOLATION))
 
 
-def _generalization_rows(model, train, cfg):
+def _generalization_rows(model, train, cfg, table):
     """Bound verdicts from the training-split error-rate gains."""
     space = train.space
     fmap = build_feature_map(model.strategy, space,
@@ -871,7 +964,7 @@ def _generalization_rows(model, train, cfg):
         vc = cfg.vc_override
     else:
         vc = theory.vc_linear(max(1, len(fmap.encoded_features)))
-    matrix = misreport_matrix(model, train, ERROR_RATE)
+    matrix = misreport_matrix(model, train, ERROR_RATE, table=table)
     point = check_fair_use_point(matrix)
     m = space.m
     rows = []
@@ -922,11 +1015,13 @@ def audit(train, test, strategy=Strategy.ONEHOT, metrics=(ERROR_RATE,),
     model = train_personalized(train, strategy, cfg.train_config)
     cells = train.space.cells()
     m = len(cells)
+    table = MarginTable(model, test).fill()
+    train_table = table if train is test else MarginTable(model, train)
     matrices = {}
     points = {}
     specs = []
     for mi, metric in enumerate(metrics):
-        matrix = misreport_matrix(model, test, metric)
+        matrix = misreport_matrix(model, test, metric, table=table)
         matrices[metric.tag] = matrix
         points[metric.tag] = check_fair_use_point(matrix)
         routes = []
@@ -946,11 +1041,12 @@ def audit(train, test, strategy=Strategy.ONEHOT, metrics=(ERROR_RATE,),
     def run(spec):
         mi, metric, route, kind_code, gi, ci, g, comp = spec
         if route == MCNEMAR:
-            return mcnemar_test(model, g, comp, test, alpha=cfg.alpha)
+            return mcnemar_test(model, g, comp, test, alpha=cfg.alpha,
+                                table=table)
         seed = np.random.SeedSequence([cfg.seed, mi, kind_code, gi, ci])
         return bootstrap_test(model, g, comp, test, metric,
                               reps=cfg.bootstrap_reps, alpha=cfg.alpha,
-                              seed=seed)
+                              seed=seed, table=table)
 
     workers = _worker_count()
     if workers > 1 and len(specs) > 1:
@@ -962,8 +1058,7 @@ def audit(train, test, strategy=Strategy.ONEHOT, metrics=(ERROR_RATE,),
     populations = {}
     for metric in metrics:
         populations[metric.tag] = _population_row(
-            metric, matrices[metric.tag], points[metric.tag], results,
-            model, test)
+            metric, points[metric.tag], results, table)
     report = FairUseReport(
         strategy=strategy, space=train.space, config=cfg,
         metrics=tuple(metrics), model=model, train_tally=tally(train),
@@ -971,8 +1066,8 @@ def audit(train, test, strategy=Strategy.ONEHOT, metrics=(ERROR_RATE,),
         train_equals_test=_datasets_equal(train, test),
         matrices=matrices, points=points, populations=populations,
         results=results,
-        generalization=_generalization_rows(model, train, cfg),
-        identical_pairs=identical_prediction_pairs(model, test))
+        generalization=_generalization_rows(model, train, cfg, train_table),
+        identical_pairs=identical_prediction_pairs(model, test, table=table))
     from .interventions import data_minimization
     report.suggestions = tuple(data_minimization(report))
     return report

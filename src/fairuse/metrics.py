@@ -2,8 +2,12 @@
 
 All risks are reported in their natural units (error rate, AUC, expected
 calibration error). Gains always use a lower-is-better orientation: AUC is
-internally flipped to 1 - AUC when differencing, so a positive gain always
-means the first model is preferred by the group.
+internally flipped to 1 - AUC when differencing (see `orient`), so a
+positive gain always means the first model is preferred by the group.
+
+`resampled_values` is the count-weighted form of `metric_value`: one
+metric value per row of a (replicates, rows) count matrix, with no
+resample ever materialized. Bootstrap replicates are evaluated this way.
 """
 
 import math
@@ -90,13 +94,19 @@ class RiskEstimate:
             object.__setattr__(self, "value", float("nan"))
 
 
+def orient(metric, value):
+    """Raw metric value (a float or an array) in lower-is-better
+    orientation: AUC becomes 1 - AUC."""
+    if metric.lower_is_better:
+        return value
+    return 1.0 - value
+
+
 def oriented(estimate):
-    """Risk in lower-is-better orientation (AUC becomes 1 - AUC)."""
+    """A RiskEstimate's value in lower-is-better orientation."""
     if not estimate.defined:
         return float("nan")
-    if estimate.metric.lower_is_better:
-        return estimate.value
-    return 1.0 - estimate.value
+    return orient(estimate.metric, estimate.value)
 
 
 def error_rate_value(margins, labels):
@@ -126,16 +136,9 @@ def ece_value(scores, margins, labels, bins=10):
     n = labels.size
     if n == 0:
         return float("nan")
-    conf = np.maximum(scores, 1.0 - scores)
-    correct = (np.where(margins >= 0.0, 1, -1) == labels)
+    conf, correct = _confidence(scores, margins, labels)
     total = 0.0
-    for k in range(1, bins + 1):
-        lo = (k - 1) / bins
-        hi = k / bins
-        if k == 1:
-            mask = (conf >= 0.0) & (conf <= hi)
-        else:
-            mask = (conf > lo) & (conf <= hi)
+    for mask in _ece_bin_masks(conf, bins):
         cnt = int(mask.sum())
         if cnt == 0:
             continue
@@ -145,6 +148,23 @@ def ece_value(scores, margins, labels, bins=10):
     return float(total)
 
 
+def _confidence(scores, margins, labels):
+    """Per-row confidence max(s, 1-s) and whether the hard label is right."""
+    conf = np.maximum(scores, 1.0 - scores)
+    correct = np.where(margins >= 0.0, 1, -1) == labels
+    return conf, correct
+
+
+def _ece_bin_masks(conf, bins):
+    """Row masks of the equal-width bins ((k-1)/B, k/B], first closed at 0."""
+    for k in range(1, bins + 1):
+        hi = k / bins
+        if k == 1:
+            yield (conf >= 0.0) & (conf <= hi)
+        else:
+            yield (conf > (k - 1) / bins) & (conf <= hi)
+
+
 def metric_value(metric, scores, margins, labels):
     """Dispatch a metric over aligned scores, margins, and labels."""
     if metric.tag == ERROR_RATE_TAG:
@@ -152,6 +172,85 @@ def metric_value(metric, scores, margins, labels):
     if metric.tag == AUC_TAG:
         return auc_value(scores, labels)
     return ece_value(scores, margins, labels, metric.ece_bins)
+
+
+def resample_counts(idx):
+    """(replicates, n) count matrix of a bootstrap index of the same shape:
+    entry [b, i] is how often row i appears in replicate b."""
+    reps, n = idx.shape
+    flat = idx + (n * np.arange(reps))[:, None]
+    return np.bincount(flat.ravel(), minlength=reps * n).reshape(reps, n)
+
+
+def resampled_values(metric, counts, scores, margins, labels):
+    """AUC or ECE (`metric_value`) on each count-weighted resample of
+    aligned rows.
+
+    counts is a (replicates, n) matrix of row multiplicities. Returns one
+    value per replicate, NaN where the metric is undefined (no rows; AUC
+    with one class absent). AUC equals `metric_value` on the materialized
+    resample bit for bit; ECE agrees to float summation order. Error-rate
+    replicates need no counts: they are sums over a gathered index.
+    """
+    if metric.tag == AUC_TAG:
+        return _auc_counts(counts, scores, labels)
+    return _ece_counts(counts, scores, margins, labels, metric.ece_bins)
+
+
+def _auc_counts(counts, scores, labels):
+    """Count-weighted Mann-Whitney AUC over scores sorted once.
+
+    Tied scores form blocks; a positive row beats every negative in lower
+    blocks and ties the negatives in its own. Twice U is then an exact
+    integer, as auc_value's half-integer rank sums are exact in float64,
+    so both end in the same division.
+    """
+    order = np.argsort(scores, kind="stable")
+    ranked = scores[order]
+    starts = np.flatnonzero(np.r_[True, ranked[1:] != ranked[:-1]])
+    c = counts[:, order]
+    pos = np.add.reduceat(c * (labels[order] == 1), starts, axis=1)
+    neg = np.add.reduceat(c, starts, axis=1) - pos
+    below = np.cumsum(neg, axis=1) - neg
+    twice_u = (pos * (2 * below + neg)).sum(axis=1)
+    n_pos = pos.sum(axis=1)
+    n_neg = neg.sum(axis=1)
+    out = np.full(counts.shape[0], np.nan)
+    ok = (n_pos > 0) & (n_neg > 0)
+    out[ok] = (0.5 * twice_u[ok]) / (n_pos[ok] * n_neg[ok])
+    return out
+
+
+def _ece_counts(counts, scores, margins, labels, bins):
+    """Count-weighted ECE: confidence bins are fixed per row, so each
+    replicate's bin count, hits and confidence sum are one matrix product."""
+    conf, correct = _confidence(scores, margins, labels)
+    masks = [mask for mask in _ece_bin_masks(conf, bins) if mask.any()]
+    if not masks:
+        return np.full(counts.shape[0], np.nan)
+    onehot = np.stack(masks, axis=1).astype(float)
+    sums = counts.astype(float) @ np.hstack(
+        [onehot, onehot * correct[:, None], onehot * conf[:, None]])
+    k = len(masks)
+    n = counts.sum(axis=1)
+    total = np.zeros(counts.shape[0])
+    with np.errstate(invalid="ignore", divide="ignore"):
+        for j in range(k):
+            cnt = sums[:, j]
+            gap = np.abs(sums[:, k + j] / cnt - sums[:, 2 * k + j] / cnt)
+            total += np.where(cnt > 0, (cnt / n) * gap, 0.0)
+    total[n == 0] = np.nan
+    return total
+
+
+def risk_from_margins(metric, margins, labels, g, reported):
+    """RiskEstimate of `metric` on rows with these margins and labels."""
+    if labels.size == 0:
+        value = float("nan")
+    else:
+        value = metric_value(metric, expit(margins), margins, labels)
+    return RiskEstimate(value, int(labels.size), metric, g, reported,
+                        defined=not math.isnan(value))
 
 
 def group_risk(model, data, g, reported, metric):
@@ -166,17 +265,12 @@ def group_risk(model, data, g, reported, metric):
         return RiskEstimate(float("nan"), 0, metric, g, reported,
                             defined=False)
     x = data.features[rows]
-    y = data.labels[rows]
     if reported is TRUTHFUL:
         margins = model.margins_truthful(x, data.cell_indices[rows])
     else:
         margins = model.margins(x, reported)
-    scores = expit(margins)
-    value = metric_value(metric, scores, margins, y)
-    if math.isnan(value):
-        return RiskEstimate(value, int(rows.size), metric, g, reported,
-                            defined=False)
-    return RiskEstimate(value, int(rows.size), metric, g, reported)
+    return risk_from_margins(metric, margins, data.labels[rows], g,
+                             reported)
 
 
 def gain(g, h, h_prime, data, metric):
