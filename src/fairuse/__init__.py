@@ -24,7 +24,7 @@ from .interventions import (Advice, AssignmentPlan,
                             assign_generic_on_violation,
                             data_minimization)
 from .metrics import (AUC, ECE, ERROR_RATE, MetricKind, RiskEstimate,
-                      gain, group_risk, metric_from_name, oriented)
+                      group_risk, metric_from_name, oriented)
 from .models import (ConvergenceError, ExhaustiveSizeError, LinearModel,
                      PersonalizedModel, Strategy, TrainConfig,
                      as_strategy, predict, train_generic,
@@ -42,7 +42,7 @@ __all__ = [
     "GroupSpace",
     "CsvSchema", "Dataset", "GroupTally", "load_csv", "loads_csv",
     "save_csv", "split", "tally",
-    "AUC", "ECE", "ERROR_RATE", "MetricKind", "RiskEstimate", "gain",
+    "AUC", "ECE", "ERROR_RATE", "MetricKind", "RiskEstimate",
     "group_risk", "metric_from_name", "oriented",
     "ConvergenceError", "ExhaustiveSizeError", "LinearModel",
     "PersonalizedModel", "Strategy", "TrainConfig", "as_strategy",

@@ -1,15 +1,15 @@
 """Exact minimization of training 0-1 loss for linear classifiers.
 
-The trainer collapses rows to distinct encoded points, then follows one of
-three routes:
+The trainer is exact or refuses. It collapses rows to distinct encoded
+points, then follows one of two routes:
 
-  * one encoded feature: enumerate every threshold labeling (exact);
+  * one encoded feature: enumerate every threshold labeling;
   * at most 14 distinct points: enumerate all labelings in ascending cost
-    order and keep the cheapest linearly realizable one (exact);
-  * otherwise: search a documented candidate set (constant rules, single
-    coordinate thresholds, and thresholds along difference directions
-    between pairs of distinct points). This route is exact over that
-    candidate set, not over all linear rules.
+    order and keep the cheapest linearly realizable one.
+
+With two or more encoded features and more than 14 distinct points it
+raises ExhaustiveSizeError: exact search there is exponential in the
+number of points, and no heuristic stands in for it.
 
 Realizability uses the prediction convention margin >= 0 -> +1: a labeling
 is realizable when some (w, b) gives margin >= 1 on its positive points and
@@ -27,7 +27,6 @@ import numpy as np
 from scipy.optimize import linprog
 
 _EXACT_POINT_LIMIT = 14
-_PAIR_POINT_LIMIT = 80
 _NORM_TIE_TOL = 1e-9
 
 
@@ -140,62 +139,6 @@ def _exact_route(points, neg, pos):
     raise RuntimeError("no labeling was realizable")
 
 
-def _direction_labelings(z, neg, pos, best_cost, winners):
-    """Threshold labelings along projection z; updates (best_cost, winners).
-
-    For each cutoff t over the distinct projected values, considers the
-    rule +1 iff z >= t and its complement-direction rule +1 iff z <= t.
-    """
-    order = np.argsort(z, kind="stable")
-    zs = z[order]
-    distinct = np.nonzero(np.diff(zs) > 0)[0]
-    # Group boundaries: labelings constant on equal projections.
-    cuts = [0] + [int(k) + 1 for k in distinct] + [zs.size]
-    d = z.size
-    for c in cuts:
-        for flipped in (False, True):
-            lab_sorted = np.zeros(d, dtype=bool)
-            if flipped:
-                lab_sorted[:c] = True
-            else:
-                lab_sorted[c:] = True
-            lab = np.zeros(d, dtype=bool)
-            lab[order] = lab_sorted
-            cost = _labeling_cost(lab, neg, pos)
-            if best_cost is None or cost < best_cost:
-                best_cost = cost
-                winners = [lab]
-            elif cost == best_cost:
-                winners.append(lab)
-    return best_cost, winners
-
-
-def _candidate_route(points, neg, pos):
-    """Candidate search for large point sets; exact over the candidate set."""
-    d, p = points.shape
-    best_cost = None
-    winners = []
-    for j in range(p):
-        best_cost, winners = _direction_labelings(
-            points[:, j], neg, pos, best_cost, winners)
-    if d <= _PAIR_POINT_LIMIT:
-        pool = np.arange(d)
-    else:
-        pool = np.arange(_PAIR_POINT_LIMIT)
-    for a_i in range(pool.size):
-        for b_i in range(a_i + 1, pool.size):
-            w = points[pool[a_i]] - points[pool[b_i]]
-            if not np.any(w != 0.0):
-                continue
-            z = points @ w
-            best_cost, winners = _direction_labelings(
-                z, neg, pos, best_cost, winners)
-    fit = _pick(points, winners)
-    if fit is None:
-        raise RuntimeError("no candidate labeling was realizable")
-    return fit[0], best_cost
-
-
 def train_zero_one(x_enc, y):
     """Minimize the count of training misclassifications over linear rules.
 
@@ -205,9 +148,12 @@ def train_zero_one(x_enc, y):
 
     Returns:
         (weights, errors): weights of length p + 1 with the intercept last,
-        and the achieved number of misclassified training rows. Exact when
-        there is one encoded feature or at most 14 distinct encoded points;
-        otherwise minimal over the documented candidate set.
+        and the achieved number of misclassified training rows. Always
+        exact.
+
+    Raises:
+        ExhaustiveSizeError: two or more encoded features and more than
+            14 distinct encoded points.
     """
     x_enc = np.asarray(x_enc, dtype=float)
     y = np.asarray(y)
@@ -221,5 +167,9 @@ def train_zero_one(x_enc, y):
     elif points.shape[0] <= _EXACT_POINT_LIMIT:
         w, cost = _exact_route(points, neg, pos)
     else:
-        w, cost = _candidate_route(points, neg, pos)
+        raise ExhaustiveSizeError(
+            f"exact 0-1 training handles at most {_EXACT_POINT_LIMIT} "
+            f"distinct points with two or more features; got "
+            f"{points.shape[0]} distinct points with {x_enc.shape[1]} "
+            "encoded features")
     return w, int(round(cost))

@@ -8,6 +8,7 @@ program.
 """
 
 import numpy as np
+from scipy import sparse
 from scipy.optimize import linprog
 from scipy.special import expit
 
@@ -131,10 +132,11 @@ def train_hinge(x1, y, lam):
     # Columns: w_plus (p), w_minus (p), xi (n).
     c = np.concatenate([np.zeros(2 * p), np.ones(n) / n])
     signed = x1 * y[:, None]
-    a_ub = np.hstack([-signed, signed, -np.eye(n)])
+    # The slack block is an identity; sparse keeps the LP linear in n.
+    a_ub = sparse.hstack([sparse.csr_array(np.hstack([-signed, signed])),
+                          -sparse.identity(n, format="csr")], format="csr")
     b_ub = -np.ones(n)
-    bounds = [(0, None)] * (2 * p + n)
-    res = linprog(c, A_ub=a_ub, b_ub=b_ub, bounds=bounds, method="highs")
+    res = linprog(c, A_ub=a_ub, b_ub=b_ub, bounds=(0, None), method="highs")
     if not res.success:
         raise RuntimeError(f"hinge linear program failed: {res.message}")
     sol = res.x

@@ -17,12 +17,13 @@ metric) and an exact McNemar-style sign test on disagreeing predictions
 counter-based seed splitting, so reports are byte-identical across runs
 and worker counts.
 
-Margins are evaluated once per (model, dataset) into a `MarginTable`: one
-column per reported value (WITHHELD and every cell) over all rows, the
-truthful column, and the row indices of each group. The misreport
-matrices, both test routes, the identical-prediction check, and the
-population and generalization rows all read slices of it; a slice equals
-the margins computed on the group's rows alone.
+Margins are evaluated once per (model, dataset) into a `MarginTable`
+(defined in `metrics`, importable from here as well): one column per
+reported value (WITHHELD and every cell) over all rows, the truthful
+column, and the row indices of each group. The misreport matrices, both
+test routes, the identical-prediction check, and the population and
+generalization rows all read slices of it; a slice equals the margins
+computed on the group's rows alone.
 
 Bootstrap replicates are never materialized. Each test draws its
 (reps, n) resample index from its own seed, in chunks of at most
@@ -50,11 +51,11 @@ from scipy.special import expit
 from . import theory
 from .dataset import tally
 from .groups import ALL, TRUTHFUL, WITHHELD, GroupId, GroupSpace
-# group_risk stays importable from this module for callers that look it
-# up here.
-from .metrics import (ERROR_RATE, ERROR_RATE_TAG, MetricKind,  # noqa: F401
-                      RiskEstimate, group_risk, metric_value, orient,
-                      resample_counts, resampled_values, risk_from_margins)
+# group_risk and MarginTable stay importable from this module for callers
+# that look them up here.
+from .metrics import (ERROR_RATE, ERROR_RATE_TAG, MarginTable,  # noqa: F401
+                      MetricKind, RiskEstimate, group_risk, metric_value,
+                      orient, resample_counts, resampled_values)
 from .models import Strategy, TrainConfig, as_strategy, build_feature_map, \
     train_personalized
 
@@ -130,54 +131,6 @@ class MisreportMatrix:
         return {"metric": self.metric.tag, "rows": rows}
 
 
-class MarginTable:
-    """Margins of one model on every row of one dataset.
-
-    One column per reported value (a cell, WITHHELD or TRUTHFUL), each
-    computed over all rows on first use and then kept, plus the row
-    indices of each true group. `margins(g, reported)` slices a column to
-    group g's rows.
-    """
-
-    def __init__(self, model, data):
-        self.model = model
-        self.data = data
-        self._columns = {}
-        self._rows = {}
-
-    def column(self, reported):
-        """Margins of every row when each reports `reported`."""
-        col = self._columns.get(reported)
-        if col is None:
-            if reported is TRUTHFUL:
-                col = self.model.margins_truthful(self.data.features,
-                                                  self.data.cell_indices)
-            else:
-                col = self.model.margins(self.data.features, reported)
-            self._columns[reported] = col
-        return col
-
-    def rows(self, g):
-        """Row indices of true group g."""
-        rows = self._rows.get(g)
-        if rows is None:
-            rows = self._rows[g] = self.data.rows_for(g)
-        return rows
-
-    def margins(self, g, reported):
-        """Margins of group g's rows when they report `reported`."""
-        return self.column(reported)[self.rows(g)]
-
-    def fill(self):
-        """Compute every cell and WITHHELD column and every group's rows."""
-        cells = self.data.space.cells()
-        for r in (WITHHELD,) + cells:
-            self.column(r)
-        for g in cells:
-            self.rows(g)
-        return self
-
-
 def misreport_matrix(model, data, metric, table=None):
     """Evaluate every (true group, reported) risk of `model` on `data`.
 
@@ -187,10 +140,8 @@ def misreport_matrix(model, data, metric, table=None):
     space = data.space
     entries = {}
     for g in space.cells():
-        y = data.labels[table.rows(g)]
         for reported in (WITHHELD,) + space.cells():
-            entries[(g, reported)] = risk_from_margins(
-                metric, table.margins(g, reported), y, g, reported)
+            entries[(g, reported)] = table.risk(metric, g, reported)
     return MisreportMatrix(metric, space, entries)
 
 
@@ -909,11 +860,8 @@ def _datasets_equal(a, b):
 
 
 def _population_row(metric, point, results, table):
-    y = table.data.labels
-    generic = risk_from_margins(metric, table.column(WITHHELD), y, ALL,
-                                WITHHELD)
-    personal = risk_from_margins(metric, table.column(TRUTHFUL), y, ALL,
-                                 TRUTHFUL)
+    generic = table.risk(metric, ALL, WITHHELD)
+    personal = table.risk(metric, ALL, TRUTHFUL)
     if generic.defined and personal.defined:
         overall = orient(metric, generic.value) - orient(metric,
                                                          personal.value)

@@ -59,7 +59,9 @@ def _add_model_flags(p, strategy_flag="--strategy"):
                    help="personalization strategy (default onehot)")
     p.add_argument("--loss", default="logistic",
                    help="training loss: logistic, hinge, or zero-one "
-                        "(default logistic)")
+                        "(default logistic); zero-one is exact and "
+                        "refuses fits with two or more encoded features "
+                        "and more than 14 distinct points")
     p.add_argument("--l2", type=float, default=1e-4,
                    help="ridge penalty on base feature weights "
                         "(default 1e-4; surrogate losses need 0)")
@@ -141,9 +143,9 @@ def _load_train_test(args, seed):
         raise _UsageError("provide either --data or both --train and "
                           "--test")
     if args.data:
-        ds = load_csv(args.data)
         if not 0.0 < args.train_fraction <= 1.0:
             raise _UsageError("--train-fraction must lie in (0, 1]")
+        ds = load_csv(args.data)
         if args.train_fraction == 1.0:
             return ds, ds
         return split(ds, args.train_fraction, seed)

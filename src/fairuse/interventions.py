@@ -21,8 +21,10 @@ import json
 import math
 from dataclasses import dataclass
 
-from .groups import WITHHELD
-from .metrics import ERROR_RATE, group_risk
+from .groups import TRUTHFUL, WITHHELD
+# group_risk stays importable from this module for callers that look it
+# up here.
+from .metrics import ERROR_RATE, MarginTable, group_risk  # noqa: F401
 from .models import Strategy
 
 __all__ = [
@@ -238,15 +240,16 @@ def assign_best_of_three(report, decoupled, validation,
         raise ValueError("assign_best_of_three needs a decoupled model")
     if metric != ERROR_RATE.tag:
         raise ValueError("best-of-three selection uses the error rate")
-    model = report.model
     space = report.space
     skip_cells = set(decoupled.empty_cells)
+    personal = MarginTable(report.model, validation)
+    separate = MarginTable(decoupled, validation)
     assignments = {}
     baseline = {}
     projected = {}
     sizes = {}
     for g in space.cells():
-        own = group_risk(model, validation, g, g, ERROR_RATE)
+        own = personal.risk(ERROR_RATE, g, TRUTHFUL)
         sizes[g] = own.n_effective
         baseline[g] = own.value if own.defined else float("nan")
         if not own.defined:
@@ -254,14 +257,12 @@ def assign_best_of_three(report, decoupled, validation,
             projected[g] = float("nan")
             continue
         candidates = [
-            (GENERIC,
-             group_risk(model, validation, g, WITHHELD, ERROR_RATE)),
+            (GENERIC, personal.risk(ERROR_RATE, g, WITHHELD)),
             (PERSONALIZED, own),
         ]
         if g not in skip_cells:
             candidates.append(
-                (DECOUPLED_SOURCE,
-                 group_risk(decoupled, validation, g, g, ERROR_RATE)))
+                (DECOUPLED_SOURCE, separate.risk(ERROR_RATE, g, TRUTHFUL)))
         usable = [(src, est.value) for src, est in candidates
                   if est.defined]
         best = min(v for _, v in usable)

@@ -1,9 +1,14 @@
-"""Group-conditional performance metrics and the pairwise gain measure.
+"""Group-conditional performance metrics and the margin table they read.
 
 All risks are reported in their natural units (error rate, AUC, expected
 calibration error). Gains always use a lower-is-better orientation: AUC is
 internally flipped to 1 - AUC when differencing (see `orient`), so a
-positive gain always means the first model is preferred by the group.
+positive gain always means the group prefers truthful personalized use.
+
+`MarginTable` holds one model's margins over every row of one dataset,
+one column per reported value. It lives here, below `audit`, `theory`
+and `interventions`, so that each of them reads group margins from one
+table instead of recomputing them group by group; `audit` re-exports it.
 
 `resampled_values` is the count-weighted form of `metric_value`: one
 metric value per row of a (replicates, rows) count matrix, with no
@@ -17,7 +22,7 @@ import numpy as np
 from scipy.special import expit
 from scipy.stats import rankdata
 
-from .groups import TRUTHFUL
+from .groups import TRUTHFUL, WITHHELD
 
 ERROR_RATE_TAG = "error_rate"
 AUC_TAG = "auc"
@@ -253,36 +258,66 @@ def risk_from_margins(metric, margins, labels, g, reported):
                         defined=not math.isnan(value))
 
 
+class MarginTable:
+    """Margins of one model on every row of one dataset.
+
+    One column per reported value (a cell, WITHHELD or TRUTHFUL), each
+    computed over all rows on first use and then kept, plus the row
+    indices of each true group. `margins(g, reported)` slices a column to
+    group g's rows.
+    """
+
+    def __init__(self, model, data):
+        self.model = model
+        self.data = data
+        self._columns = {}
+        self._rows = {}
+
+    def column(self, reported):
+        """Margins of every row when each reports `reported`."""
+        col = self._columns.get(reported)
+        if col is None:
+            if reported is TRUTHFUL:
+                col = self.model.margins_truthful(self.data.features,
+                                                  self.data.cell_indices)
+            else:
+                col = self.model.margins(self.data.features, reported)
+            self._columns[reported] = col
+        return col
+
+    def rows(self, g):
+        """Row indices of true group g."""
+        rows = self._rows.get(g)
+        if rows is None:
+            rows = self._rows[g] = self.data.rows_for(g)
+        return rows
+
+    def margins(self, g, reported):
+        """Margins of group g's rows when they report `reported`."""
+        return self.column(reported)[self.rows(g)]
+
+    def risk(self, metric, g, reported):
+        """RiskEstimate of `metric` on group g's rows under `reported`."""
+        return risk_from_margins(metric, self.margins(g, reported),
+                                 self.data.labels[self.rows(g)], g,
+                                 reported)
+
+    def fill(self):
+        """Compute every cell and WITHHELD column and every group's rows."""
+        cells = self.data.space.cells()
+        for r in (WITHHELD,) + cells:
+            self.column(r)
+        for g in cells:
+            self.rows(g)
+        return self
+
+
 def group_risk(model, data, g, reported, metric):
     """Empirical risk of `model` on group g's rows under a reported group.
 
     reported may be a GroupId (possibly a misreport), WITHHELD (paired
     generic model), or TRUTHFUL (each row reports its own group). g may be
-    the ALL sentinel for a population-level estimate.
+    the ALL sentinel for a population-level estimate. A one-off slice of
+    a MarginTable; callers with many groups should keep the table.
     """
-    rows = data.rows_for(g)
-    if rows.size == 0:
-        return RiskEstimate(float("nan"), 0, metric, g, reported,
-                            defined=False)
-    x = data.features[rows]
-    if reported is TRUTHFUL:
-        margins = model.margins_truthful(x, data.cell_indices[rows])
-    else:
-        margins = model.margins(x, reported)
-    return risk_from_margins(metric, margins, data.labels[rows], g,
-                             reported)
-
-
-def gain(g, h, h_prime, data, metric):
-    """Gain of h over h_prime for group g: oriented risk difference.
-
-    h and h_prime are (model, reported) pairs. Positive means group g
-    prefers h. Returns NaN when either risk is undefined.
-    """
-    model_a, rep_a = h
-    model_b, rep_b = h_prime
-    r_a = group_risk(model_a, data, g, rep_a, metric)
-    r_b = group_risk(model_b, data, g, rep_b, metric)
-    if not (r_a.defined and r_b.defined):
-        return float("nan")
-    return oriented(r_b) - oriented(r_a)
+    return MarginTable(model, data).risk(metric, g, reported)

@@ -76,7 +76,8 @@ class TrainConfig:
 
     gradient_tolerance is the contracted max-norm of the penalized
     logistic gradient at the returned weights. hinge and zero_one losses
-    are exact and require l2_penalty == 0.
+    are exact and require l2_penalty == 0; zero_one raises
+    ExhaustiveSizeError past its size limit rather than approximate.
     """
 
     loss: str = "logistic"
@@ -405,7 +406,9 @@ def train_personalized(train, strategy, cfg=None):
 def train_zero_one_exhaustive(train, strategy):
     """Exactly minimize training 0-1 error; desk-scale sizes only.
 
-    Refuses datasets with encoded dimension above 4 or more than 500 rows.
+    Refuses datasets with encoded dimension above 4 or more than 500 rows,
+    and (via the trainer) any fit with two or more encoded features and
+    more than 14 distinct encoded points.
     """
     strategy = as_strategy(strategy)
     fmap = build_feature_map(strategy, train.space, train.feature_names)

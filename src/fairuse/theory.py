@@ -23,7 +23,8 @@ from typing import Optional
 
 import numpy as np
 
-from .groups import WITHHELD
+from .groups import TRUTHFUL, WITHHELD
+from .metrics import MarginTable
 from .models import LinearModel, PersonalizedModel, Strategy, TrainConfig, \
     as_strategy, build_feature_map
 
@@ -275,24 +276,18 @@ def trained_loss_matrix(personalized, data, loss=None):
 
     Rows follow the space's cell order; column 0 is the paired generic
     model (group withheld), column j+1 is every row reporting cell j.
-    Empty groups yield NaN rows.
+    Empty groups yield NaN rows. Reads one MarginTable of (model, data).
     """
     if loss is None:
         loss = personalized.train_config.loss
-    space = data.space
-    cells = space.cells()
+    table = MarginTable(personalized, data)
+    cells = data.space.cells()
     out = np.full((len(cells), len(cells) + 1), float("nan"))
     for gi, g in enumerate(cells):
-        rows = data.rows_for(g)
-        if rows.size == 0:
-            continue
-        x = data.features[rows]
-        y = data.labels[rows]
-        out[gi, 0] = trained_loss(loss, personalized.margins(x, WITHHELD),
-                                  y)
-        for ci, reported in enumerate(cells):
-            out[gi, ci + 1] = trained_loss(
-                loss, personalized.margins(x, reported), y)
+        y = data.labels[table.rows(g)]
+        if y.size:
+            out[gi] = [trained_loss(loss, table.margins(g, reported), y)
+                       for reported in (WITHHELD,) + cells]
     return out
 
 
@@ -357,19 +352,17 @@ def check_prop2_premise(personalized, decoupled_minimizers, train,
     if loss is None:
         loss = personalized.train_config.loss
     tol = 10.0 * personalized.train_config.gradient_tolerance
-    space = train.space
+    matrix = trained_loss_matrix(personalized, train, loss)
+    decoupled = MarginTable(decoupled_minimizers, train)
     premise = {}
-    for g in space.cells():
-        rows = train.rows_for(g)
+    for gi, g in enumerate(train.space.cells()):
+        rows = decoupled.rows(g)
         if rows.size == 0:
             premise[g] = True
             continue
-        x = train.features[rows]
-        y = train.labels[rows]
-        own = trained_loss(loss, personalized.margins(x, g), y)
-        dec = trained_loss(loss, decoupled_minimizers.margins(x, g), y)
-        premise[g] = abs(own - dec) <= tol
-    matrix = trained_loss_matrix(personalized, train, loss)
+        dec = trained_loss(loss, decoupled.margins(g, TRUTHFUL),
+                           train.labels[rows])
+        premise[g] = bool(abs(matrix[gi, gi + 1] - dec) <= tol)
     worst = 0.0
     for gi in range(matrix.shape[0]):
         own = matrix[gi, gi + 1]

@@ -116,6 +116,26 @@ def test_audit_rejects_bad_train_fraction(mis_csv, capsys):
     assert "(0, 1]" in capsys.readouterr().err
 
 
+def test_bad_train_fraction_is_reported_before_reading_data(tmp_path,
+                                                            capsys):
+    missing = str(tmp_path / "nope.csv")
+    assert main(["audit", "--data", missing,
+                 "--train-fraction", "0"]) == 1
+    assert "--train-fraction must lie in (0, 1]" in capsys.readouterr().err
+
+
+def test_audit_zero_one_refuses_beyond_exact_size(tmp_path, capsys):
+    path = str(tmp_path / "planted.csv")
+    assert main(["synth", "planted", "--n-per-group", "20",
+                 "--out", path]) == 0
+    capsys.readouterr()
+    code = main(["audit", "--data", path, "--train-fraction", "1.0",
+                 "--loss", "zero-one", "--l2", "0", "--bootstrap", "100"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: exact 0-1 training handles at most 14")
+
+
 def test_audit_point_mode_flags_reference_violation(mis_csv, capsys):
     code = main(["audit", "--data", mis_csv, "--train-fraction", "1.0",
                  "--mode", "point", "--bootstrap", "200"])

@@ -114,6 +114,10 @@ def test_margin_table_slices_equal_per_group_margins(strategy):
         assert np.array_equal(
             table.margins(g, TRUTHFUL),
             model.margins_truthful(x, ds.cell_indices[rows]))
+        # assign_best_of_three and check_prop2_premise read each group's
+        # own report from the truthful column.
+        assert np.array_equal(table.margins(g, TRUTHFUL),
+                              model.margins(x, g))
 
 
 def _stub_dataset(y):

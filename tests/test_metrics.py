@@ -1,4 +1,4 @@
-"""Metric values, orientation, group risks, and the gain measure."""
+"""Metric values, orientation, and group risks."""
 
 import math
 
@@ -8,10 +8,11 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 from scipy.special import expit
 
+from fairuse.audit import check_fair_use_point, misreport_matrix
 from fairuse.dataset import Dataset
 from fairuse.groups import ALL, TRUTHFUL, WITHHELD, GroupSpace
 from fairuse.metrics import (AUC, ECE, ERROR_RATE, MetricKind, RiskEstimate,
-                             auc_value, ece_value, error_rate_value, gain,
+                             auc_value, ece_value, error_rate_value,
                              group_risk, metric_from_name, metric_value,
                              oriented)
 from fairuse.models import Strategy, TrainConfig, train_personalized, \
@@ -191,37 +192,6 @@ def test_group_risk_empty_group_is_undefined():
     assert not est.defined and est.n_effective == 0
 
 
-def test_gain_identity_and_antisymmetry():
-    ds = grouped_dataset()
-    model = train_personalized(ds, Strategy.ONEHOT,
-                               TrainConfig(l2_penalty=1e-3))
-    a = AB.group("a")
-    b = AB.group("b")
-    h_truth = (model, a)
-    h_mis = (model, b)
-    h_gen = (model, WITHHELD)
-    assert gain(a, h_truth, h_truth, ds, ERROR_RATE) == 0.0
-    forward = gain(a, h_truth, h_mis, ds, ERROR_RATE)
-    backward = gain(a, h_mis, h_truth, ds, ERROR_RATE)
-    assert forward == pytest.approx(-backward, abs=1e-12)
-    for metric in (ERROR_RATE, AUC, ECE):
-        f = gain(a, h_truth, h_gen, ds, metric)
-        r = gain(a, h_gen, h_truth, ds, metric)
-        assert f == pytest.approx(-r, abs=1e-12)
-
-
-def test_gain_is_nan_when_a_risk_is_undefined():
-    x = np.array([[0.0], [1.0], [2.0], [3.0]])
-    y = np.array([1, 1, 1, -1])
-    groups = (AB.group("a"), AB.group("a"), AB.group("b"), AB.group("b"))
-    ds = Dataset(x, y, groups, AB)
-    with np.errstate(all="ignore"):
-        model = train_personalized(ds, Strategy.ONEHOT,
-                                   TrainConfig(l2_penalty=1e-2))
-    a = AB.group("a")
-    assert math.isnan(gain(a, (model, a), (model, WITHHELD), ds, AUC))
-
-
 def test_reference_model_misreport_risks():
     ds = gen_misspecification()
     model = train_zero_one_exhaustive(ds, Strategy.ONEHOT)
@@ -229,8 +199,8 @@ def test_reference_model_misreport_risks():
     fy = ds.space.group("f", "y")
     assert group_risk(model, ds, my, my, ERROR_RATE).value == 0.0
     assert group_risk(model, ds, my, WITHHELD, ERROR_RATE).value == 1.0
-    fy_gain = gain(fy, (model, fy), (model, WITHHELD), ds, ERROR_RATE)
-    assert fy_gain == pytest.approx(-1.0)
+    point = check_fair_use_point(misreport_matrix(model, ds, ERROR_RATE))
+    assert point.gains[fy].rationality_gain == pytest.approx(-1.0)
 
 
 def test_metric_value_dispatch():

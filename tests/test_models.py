@@ -1,5 +1,7 @@
 """Encodings, trainers, and personalized model plumbing."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import assume, given
@@ -172,6 +174,22 @@ def test_hinge_training_is_exact_on_separable_data():
     assert np.all(np.where(margins >= 0, 1, -1) == y)
 
 
+def test_hinge_training_memory_is_linear_in_rows():
+    # A dense slack identity made the LP take about 600 MB at this size.
+    rng = np.random.default_rng(0)
+    n = 5000
+    x = rng.normal(size=(n, 3))
+    y = np.where(x[:, 0] + rng.normal(size=n) > 0, 1, -1)
+    ds = make_dataset(x, y, ["a", "b"] * (n // 2))
+    tracemalloc.start()
+    try:
+        train_generic(ds, TrainConfig(loss="hinge"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 50e6
+
+
 @given(st.lists(st.tuples(st.integers(-10, 10),
                           st.sampled_from([-1, 1])),
                 min_size=2, max_size=12))
@@ -238,6 +256,13 @@ def test_exhaustive_size_limits():
                    tuple(AB.cells()[i % 2] for i in range(n)), AB)
     with pytest.raises(ExhaustiveSizeError):
         train_zero_one_exhaustive(tall, Strategy.GENERIC)
+    # Two features, 15 distinct points: within the row and dimension
+    # limits, but past what exact search over labelings handles.
+    x = np.column_stack([np.arange(15.0), np.arange(15.0) % 4])
+    many = Dataset(x, np.array([1, -1] * 7 + [1]),
+                   tuple(AB.cells()[i % 2] for i in range(15)), AB)
+    with pytest.raises(ExhaustiveSizeError, match="15 distinct points"):
+        train_zero_one_exhaustive(many, Strategy.GENERIC)
 
 
 def test_decoupled_empty_cell_inherits_generic():
