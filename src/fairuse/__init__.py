@@ -12,9 +12,9 @@ reassignment when violations appear.
 
 from .audit import (AuditConfig, FairUseReport, HypothesisResult,
                     MisreportMatrix, PointSummary, audit, bonferroni,
-                    bootstrap_test, check_fair_use_point,
-                    identical_prediction_pairs, mcnemar_test,
-                    misreport_matrix)
+                    bootstrap_replicates, bootstrap_test,
+                    check_fair_use_point, identical_prediction_pairs,
+                    mcnemar_test, misreport_matrix)
 from .dataset import (CsvSchema, Dataset, GroupTally, load_csv,
                       loads_csv, save_csv, split, tally)
 from .groups import (ALL, TRUTHFUL, WITHHELD, DomainError, GroupId,
@@ -50,7 +50,7 @@ __all__ = [
     "train_zero_one_exhaustive",
     "AuditConfig", "FairUseReport", "HypothesisResult",
     "MisreportMatrix", "PointSummary", "audit", "bonferroni",
-    "bootstrap_test", "check_fair_use_point",
+    "bootstrap_replicates", "bootstrap_test", "check_fair_use_point",
     "identical_prediction_pairs", "mcnemar_test", "misreport_matrix",
     "BoundInputs", "BoundVerdict", "Prop2Check", "check_optout",
     "check_prop2_premise", "envy_bound", "rationality_bound",

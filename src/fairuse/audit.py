@@ -14,8 +14,7 @@ tests with a per-family Bonferroni correction:
 Two test routes are provided: a recentered percentile bootstrap (any
 metric) and an exact McNemar-style sign test on disagreeing predictions
 (error rate only). Every randomized step derives from one master seed via
-counter-based seed splitting, so reports are byte-identical across runs
-and worker counts.
+counter-based seed splitting, so reports are byte-identical across runs.
 
 Margins are evaluated once per (model, dataset) into a `MarginTable`
 (defined in `metrics`, importable from here as well): one column per
@@ -25,22 +24,22 @@ test routes, the identical-prediction check, and the population and
 generalization rows all read slices of it; a slice equals the margins
 computed on the group's rows alone.
 
-Bootstrap replicates are never materialized. Each test draws its
-(reps, n) resample index from its own seed, in chunks of at most
-`_INDEX_CHUNK_ENTRIES` entries, which reproduce the one-shot draw. Error
-rate gains are exact integer sums of per-row loss differences divided by
-n. For AUC and ECE each chunk becomes a count matrix (how often each row
-appears in each replicate) and `metrics.resampled_values` evaluates all
-its replicates at once: a count-weighted Mann-Whitney U over scores sorted
-once, and per-bin count, hit and confidence sums from one matrix product.
+Bootstrap replicates are never materialized. Each (metric, group) draws
+one (reps, n) resample index from its own seed, in chunks of at most
+`_INDEX_CHUNK_ENTRIES` entries (which reproduce the one-shot draw), and
+all its comparators share it, so one group's tests are dependent; each
+keeps its null distribution and Bonferroni needs no independence. Each
+chunk becomes a count matrix (how often each row appears in each
+replicate): error-rate gains are its product with per-row loss
+differences over n, and `metrics.resampled_values` gives AUC (a
+count-weighted Mann-Whitney U over scores sorted once) and ECE (per-bin
+sums from one matrix product) for all its replicates at once.
 """
 
 import dataclasses
 import json
 import math
-import os
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
@@ -64,9 +63,9 @@ __all__ = [
     "SIGNIFICANT_GAIN", "SIGNIFICANT_VIOLATION", "INCONCLUSIVE",
     "NOT_TESTABLE",
     "MisreportMatrix", "misreport_matrix", "PointGains", "PointSummary",
-    "check_fair_use_point", "HypothesisResult", "bootstrap_test",
-    "mcnemar_test", "bonferroni", "AuditConfig", "PopulationRow",
-    "GeneralizationRow", "FairUseReport", "audit",
+    "check_fair_use_point", "HypothesisResult", "bootstrap_replicates",
+    "bootstrap_test", "mcnemar_test", "bonferroni", "AuditConfig",
+    "PopulationRow", "GeneralizationRow", "FairUseReport", "audit",
     "identical_prediction_pairs", "MarginTable",
 ]
 
@@ -83,9 +82,11 @@ NOT_TESTABLE = "NotTestable"
 _MIN_BOOTSTRAP_REPS = 100
 _MAX_UNDEFINED_FRACTION = 0.10
 _IDENTICAL_ATOL = 1e-9
-# Most bootstrap index entries (replicates x group rows) drawn at once;
-# bounds the index, count and gathered arrays of one test.
-_INDEX_CHUNK_ENTRIES = 1 << 20
+# Most bootstrap index entries (replicates x group rows) drawn at once.
+# A chunk holds up to three int64 arrays of this size at once (index,
+# offset index, counts), so its peak stays below that of a 2^20-entry
+# index and its gather.
+_INDEX_CHUNK_ENTRIES = 1 << 19
 
 
 def _f(value):
@@ -312,16 +313,66 @@ def _not_testable(kind, test, metric_tag, g, comparator, n, alpha, reason):
         verdict=NOT_TESTABLE, detail={"reason": reason})
 
 
-def bootstrap_test(model, g, comparator, data, metric, *, reps=2000,
-                   alpha=0.10, seed=0, table=None):
+def bootstrap_replicates(model, g, comparators, data, metric, *,
+                         reps=2000, seed=0, table=None):
+    """Replicate gains of group g over each comparator, from one draw.
+
+    g's rows are resampled once: a (reps, n) index drawn from `seed` (an
+    int or SeedSequence) in chunks of whole replicates, which continue the
+    generator's stream and so reproduce the one-shot draw. Every
+    comparator (WITHHELD or a GroupId) is evaluated on the same resamples
+    through each chunk's count matrix. reps must be at least 100; table
+    is the MarginTable of (model, data), if one is at hand.
+
+    Returns:
+        (reps, k) array: column j holds comparators[j]'s gain on each
+        replicate, NaN where undefined, equal bit for bit to a call with
+        comparators[j] alone and the same seed. A group with fewer than 2
+        rows draws nothing and gets no rows.
+    """
+    if reps < _MIN_BOOTSTRAP_REPS:
+        raise ValueError(f"bootstrap needs >= {_MIN_BOOTSTRAP_REPS} "
+                         f"replicates, got {reps}")
+    table = table if table is not None else MarginTable(model, data)
+    rows = table.rows(g)
+    n = int(rows.size)
+    if n < 2:
+        return np.empty((0, len(comparators)))
+    y = data.labels[rows]
+    self_m = table.margins(g, g)
+    comp_m = [table.margins(g, c) for c in comparators]
+    if metric.tag == ERROR_RATE_TAG:
+        wrong_self = np.where(self_m >= 0.0, 1, -1) != y
+        diffs = np.stack([(np.where(m >= 0.0, 1, -1) != y).astype(float)
+                          - wrong_self for m in comp_m], axis=1)
+    rng = np.random.default_rng(seed)
+    step = max(1, _INDEX_CHUNK_ENTRIES // n)
+    parts = []
+    for start in range(0, reps, step):
+        counts = resample_counts(
+            rng.integers(0, n, size=(min(step, reps - start), n)))
+        if metric.tag == ERROR_RATE_TAG:
+            parts.append(counts @ diffs / n)  # exact integer sums over n
+        else:
+            v_self = orient(metric, resampled_values(
+                metric, counts, expit(self_m), self_m, y))
+            parts.append(np.stack(
+                [orient(metric, resampled_values(metric, counts, expit(m),
+                                                 m, y)) - v_self
+                 for m in comp_m], axis=1))
+        del counts  # free this chunk's counts before the next draw
+    return np.concatenate(parts)
+
+
+def bootstrap_test(model, g, comparator, data, metric, gains, *,
+                   alpha=0.10, table=None):
     """Recentered percentile bootstrap of group g's gain over a comparator.
 
     comparator WITHHELD tests rationality against the paired generic
-    model; a GroupId tests envy against misreporting as that group. Only
-    group g's rows are resampled; both models stay fixed. Replicate gains
-    are shifted by the observed gain to simulate the zero-gain null, and
-    each one-sided p is (1 + #{null draws at least as extreme as the
-    observed gain}) / (#valid draws + 1).
+    model; a GroupId tests envy against misreporting as that group. The
+    replicate gains are shifted by the observed gain to simulate the
+    zero-gain null, and each one-sided p is (1 + #{null draws at least as
+    extreme as the observed gain}) / (#valid draws + 1).
 
     Args:
         model: trained PersonalizedModel.
@@ -329,17 +380,13 @@ def bootstrap_test(model, g, comparator, data, metric, *, reps=2000,
         comparator: WITHHELD or a GroupId to misreport as.
         data: evaluation Dataset.
         metric: MetricKind to difference.
-        reps: bootstrap replicates (at least 100).
+        gains: the comparator's column of `bootstrap_replicates`.
         alpha: significance level echoed into the result.
-        seed: int or numpy SeedSequence for the replicate index draw.
         table: the MarginTable of (model, data), if one is at hand.
 
     Returns:
         HypothesisResult with p_adjusted unset (see bonferroni).
     """
-    if reps < _MIN_BOOTSTRAP_REPS:
-        raise ValueError(f"bootstrap needs >= {_MIN_BOOTSTRAP_REPS} "
-                         f"replicates, got {reps}")
     kind = RATIONALITY if comparator is WITHHELD else ENVY
     table = table if table is not None else MarginTable(model, data)
     rows = table.rows(g)
@@ -356,8 +403,7 @@ def bootstrap_test(model, g, comparator, data, metric, *, reps=2000,
         return _not_testable(kind, BOOTSTRAP, metric.tag, g, comparator, n,
                              alpha, "metric undefined on the observed rows")
     est = orient(metric, obs_comp) - orient(metric, obs_self)
-    gains = _bootstrap_gains(metric, np.random.default_rng(seed), reps,
-                             self_m, comp_m, y)
+    reps = gains.size
     valid = gains[~np.isnan(gains)]
     n_undefined = reps - valid.size
     if n_undefined > _MAX_UNDEFINED_FRACTION * reps:
@@ -379,34 +425,6 @@ def bootstrap_test(model, g, comparator, data, metric, *, reps=2000,
         comparator=comparator, n=n, estimate=est, p_violation=p_violation,
         p_gain=p_gain, p_raw=p_raw, alpha=alpha,
         detail={"reps": int(reps), "undefined_reps": int(n_undefined)})
-
-
-def _bootstrap_gains(metric, rng, reps, self_m, comp_m, y):
-    """Replicate gains of comparator over self; NaN where undefined.
-
-    The (reps, n) index is drawn in chunks of whole replicates; successive
-    draws continue rng's stream, so the chunks reproduce the one-shot draw.
-    """
-    n = y.size
-    step = max(1, _INDEX_CHUNK_ENTRIES // n)
-    if metric.tag == ERROR_RATE_TAG:
-        wrong_self = (np.where(self_m >= 0.0, 1, -1) != y).astype(float)
-        wrong_comp = (np.where(comp_m >= 0.0, 1, -1) != y).astype(float)
-        diffs = wrong_comp - wrong_self
-    else:
-        self_s = expit(self_m)
-        comp_s = expit(comp_m)
-    parts = []
-    for start in range(0, reps, step):
-        idx = rng.integers(0, n, size=(min(step, reps - start), n))
-        if metric.tag == ERROR_RATE_TAG:
-            parts.append(diffs[idx].mean(axis=1))
-            continue
-        counts = resample_counts(idx)
-        v_self = resampled_values(metric, counts, self_s, self_m, y)
-        v_comp = resampled_values(metric, counts, comp_s, comp_m, y)
-        parts.append(orient(metric, v_comp) - orient(metric, v_self))
-    return np.concatenate(parts)
 
 
 def _binom_tail_at_least(n, k):
@@ -510,8 +528,6 @@ class AuditConfig:
     bootstrap_reps: int = 2000
     seed: int = 0
     delta: float = 0.10
-    run_bootstrap: bool = True
-    run_mcnemar: bool = True
     vc_override: Optional[int] = None
     train_config: TrainConfig = field(default_factory=_default_train_config)
 
@@ -534,8 +550,6 @@ class AuditConfig:
             "bootstrap_reps": self.bootstrap_reps,
             "seed": self.seed,
             "delta": self.delta,
-            "run_bootstrap": self.run_bootstrap,
-            "run_mcnemar": self.run_mcnemar,
             "vc_override": self.vc_override,
             "train_config": self.train_config.to_jsonable(),
         }
@@ -839,16 +853,6 @@ def render_markdown(report):
     return "\n".join(lines) + "\n"
 
 
-def _worker_count():
-    raw = os.environ.get("FAIRUSE_THREADS", "").strip()
-    if not raw:
-        return 1
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def _datasets_equal(a, b):
     if a is b:
         return True
@@ -962,46 +966,31 @@ def audit(train, test, strategy=Strategy.ONEHOT, metrics=(ERROR_RATE,),
         raise ValueError("audit needs at least one metric")
     model = train_personalized(train, strategy, cfg.train_config)
     cells = train.space.cells()
-    m = len(cells)
     table = MarginTable(model, test).fill()
     train_table = table if train is test else MarginTable(model, train)
     matrices = {}
     points = {}
-    specs = []
+    raw_results = []
     for mi, metric in enumerate(metrics):
         matrix = misreport_matrix(model, test, metric, table=table)
         matrices[metric.tag] = matrix
         points[metric.tag] = check_fair_use_point(matrix)
-        routes = []
-        if cfg.run_bootstrap:
-            routes.append(BOOTSTRAP)
-        if cfg.run_mcnemar and metric.tag == ERROR_RATE_TAG:
-            routes.append(MCNEMAR)
-        for route in routes:
-            for gi, g in enumerate(cells):
-                specs.append((mi, metric, route, 0, gi, m, g, WITHHELD))
-            for gi, g in enumerate(cells):
-                for ci, comp in enumerate(cells):
-                    if ci != gi:
-                        specs.append((mi, metric, route, 1, gi, ci, g,
-                                      comp))
-
-    def run(spec):
-        mi, metric, route, kind_code, gi, ci, g, comp = spec
-        if route == MCNEMAR:
-            return mcnemar_test(model, g, comp, test, alpha=cfg.alpha,
-                                table=table)
-        seed = np.random.SeedSequence([cfg.seed, mi, kind_code, gi, ci])
-        return bootstrap_test(model, g, comp, test, metric,
-                              reps=cfg.bootstrap_reps, alpha=cfg.alpha,
-                              seed=seed, table=table)
-
-    workers = _worker_count()
-    if workers > 1 and len(specs) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            raw_results = list(pool.map(run, specs))
-    else:
-        raw_results = [run(s) for s in specs]
+        boot, exact = [], []
+        for gi, g in enumerate(cells):
+            comps = (WITHHELD,) + tuple(c for c in cells if c != g)
+            gains = bootstrap_replicates(
+                model, g, comps, test, metric, reps=cfg.bootstrap_reps,
+                seed=np.random.SeedSequence([cfg.seed, mi, gi]),
+                table=table)
+            boot += [bootstrap_test(model, g, comp, test, metric,
+                                    gains[:, j], alpha=cfg.alpha, table=table)
+                     for j, comp in enumerate(comps)]
+            if metric.tag == ERROR_RATE_TAG:
+                exact += [mcnemar_test(model, g, comp, test, alpha=cfg.alpha,
+                                       table=table) for comp in comps]
+        # Each route lists every rationality test, then every envy test.
+        for route in (boot, exact):
+            raw_results += sorted(route, key=lambda r: r.kind == ENVY)
     results = tuple(bonferroni(raw_results, cfg.alpha))
     populations = {}
     for metric in metrics:

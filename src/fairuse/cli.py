@@ -3,8 +3,8 @@
 Exit codes: 0 success (audit: no flagged violation), 1 usage or data
 error, 3 audit found a violation under the chosen mode, 4 reference-table
 mismatch from replicate-paper. Every randomized step derives from the
-single --seed flag, and FAIRUSE_THREADS caps bootstrap workers, so
-identical invocations produce byte-identical outputs.
+single --seed flag, so identical invocations produce byte-identical
+outputs.
 """
 
 import argparse
@@ -240,7 +240,9 @@ def _cmd_intervene(args):
         train, test = _load_train_test(args, args.seed)
         core, validation = split(train, 1.0 - args.validation_fraction,
                                  args.seed + 1)
-        report = audit(core, test, as_strategy(args.encoding), cfg=cfg)
+        # In-sample, test holds the validation rows: audit core alone.
+        report = audit(core, core if test is train else test,
+                       as_strategy(args.encoding), cfg=cfg)
         decoupled = train_personalized(core, Strategy.DECOUPLED,
                                        cfg.train_config)
         plan = assign_best_of_three(report, decoupled, validation)

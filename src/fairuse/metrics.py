@@ -194,8 +194,8 @@ def resampled_values(metric, counts, scores, margins, labels):
     counts is a (replicates, n) matrix of row multiplicities. Returns one
     value per replicate, NaN where the metric is undefined (no rows; AUC
     with one class absent). AUC equals `metric_value` on the materialized
-    resample bit for bit; ECE agrees to float summation order. Error-rate
-    replicates need no counts: they are sums over a gathered index.
+    resample bit for bit; ECE agrees to float summation order. The audit
+    computes error-rate replicates from the counts itself.
     """
     if metric.tag == AUC_TAG:
         return _auc_counts(counts, scores, labels)

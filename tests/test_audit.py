@@ -11,9 +11,10 @@ from fairuse.audit import (BOOTSTRAP, ENVY, INCONCLUSIVE, MCNEMAR,
                            NOT_TESTABLE, RATIONALITY, SIGNIFICANT_GAIN,
                            SIGNIFICANT_VIOLATION, AuditConfig,
                            FairUseReport, HypothesisResult, MisreportMatrix,
-                           audit, bonferroni, bootstrap_test,
-                           check_fair_use_point, identical_prediction_pairs,
-                           mcnemar_test, misreport_matrix)
+                           audit, bonferroni, bootstrap_replicates,
+                           bootstrap_test, check_fair_use_point,
+                           identical_prediction_pairs, mcnemar_test,
+                           misreport_matrix)
 from fairuse.dataset import Dataset, split
 from fairuse.groups import ALL, WITHHELD, GroupSpace
 from fairuse.metrics import (AUC, ECE, ERROR_RATE, RiskEstimate,
@@ -46,6 +47,13 @@ class _StubModel:
 
     def margins(self, x, reported):
         return self._margins[reported][:x.shape[0]]
+
+
+def _bootstrap_one(model, g, comparator, data, metric, *, reps, seed):
+    """One bootstrap test in two steps: draw the replicates, then test."""
+    gains = bootstrap_replicates(model, g, (comparator,), data, metric,
+                                 reps=reps, seed=seed)
+    return bootstrap_test(model, g, comparator, data, metric, gains[:, 0])
 
 
 def test_misreport_matrix_matches_manual_loop():
@@ -148,13 +156,13 @@ def test_bootstrap_is_deterministic_in_the_seed():
     model = train_personalized(ds, Strategy.ONEHOT,
                                TrainConfig(l2_penalty=1e-3))
     a = AB.group("a")
-    r1 = bootstrap_test(model, a, WITHHELD, ds, ERROR_RATE, reps=300,
+    r1 = _bootstrap_one(model, a, WITHHELD, ds, ERROR_RATE, reps=300,
                         seed=5)
-    r2 = bootstrap_test(model, a, WITHHELD, ds, ERROR_RATE, reps=300,
+    r2 = _bootstrap_one(model, a, WITHHELD, ds, ERROR_RATE, reps=300,
                         seed=5)
     assert (r1.estimate, r1.p_violation, r1.p_gain, r1.p_raw) == \
         (r2.estimate, r2.p_violation, r2.p_gain, r2.p_raw)
-    r3 = bootstrap_test(model, a, WITHHELD, ds, ERROR_RATE, reps=300,
+    r3 = _bootstrap_one(model, a, WITHHELD, ds, ERROR_RATE, reps=300,
                         seed=6)
     assert (r1.p_violation, r1.p_gain) != (r3.p_violation, r3.p_gain)
 
@@ -169,7 +177,7 @@ def test_bootstrap_error_rate_matches_recomputed_resamples():
     ds = Dataset(np.zeros((n, 1)), y, (a,) * n, space)
     model = _StubModel(space, {a: self_m, WITHHELD: comp_m})
     reps = 500
-    res = bootstrap_test(model, a, WITHHELD, ds, ERROR_RATE, reps=reps,
+    res = _bootstrap_one(model, a, WITHHELD, ds, ERROR_RATE, reps=reps,
                          seed=11)
     assert res.kind == RATIONALITY
     assert res.estimate == pytest.approx((9 - 4) / n)
@@ -196,15 +204,15 @@ def test_bootstrap_sign_conventions():
     a = AB.group("a")
     ds = Dataset(np.zeros((n, 1)), y, (a,) * n, AB)
     worse_self = _StubModel(AB, {a: bad, WITHHELD: good})
-    res = bootstrap_test(worse_self, a, WITHHELD, ds, ERROR_RATE,
+    res = _bootstrap_one(worse_self, a, WITHHELD, ds, ERROR_RATE,
                          reps=200, seed=0)
     assert res.estimate < 0 and res.p_raw == res.p_violation
     better_self = _StubModel(AB, {a: good, WITHHELD: bad})
-    res = bootstrap_test(better_self, a, WITHHELD, ds, ERROR_RATE,
+    res = _bootstrap_one(better_self, a, WITHHELD, ds, ERROR_RATE,
                          reps=200, seed=0)
     assert res.estimate > 0 and res.p_raw == res.p_gain
     tied = _StubModel(AB, {a: bad, WITHHELD: bad.copy()})
-    res = bootstrap_test(tied, a, WITHHELD, ds, ERROR_RATE,
+    res = _bootstrap_one(tied, a, WITHHELD, ds, ERROR_RATE,
                          reps=200, seed=0)
     assert res.estimate == 0.0 and res.p_raw == 1.0
     adjusted, = bonferroni([res])
@@ -216,10 +224,10 @@ def test_bootstrap_envy_kind_and_comparator():
     model = train_personalized(ds, Strategy.ONEHOT,
                                TrainConfig(l2_penalty=1e-3))
     a, b = AB.cells()
-    res = bootstrap_test(model, a, b, ds, ERROR_RATE, reps=200, seed=0)
+    res = _bootstrap_one(model, a, b, ds, ERROR_RATE, reps=200, seed=0)
     assert res.kind == ENVY and res.comparator == b
     assert res.comparator_label == "b"
-    rat = bootstrap_test(model, a, WITHHELD, ds, ERROR_RATE, reps=200,
+    rat = _bootstrap_one(model, a, WITHHELD, ds, ERROR_RATE, reps=200,
                          seed=0)
     assert rat.comparator_label == "generic"
 
@@ -232,7 +240,7 @@ def test_bootstrap_not_testable_paths():
     ds = Dataset(x, y, (a, a, b), AB)
     model = _StubModel(AB, {a: np.ones(3), b: np.ones(3),
                             WITHHELD: np.ones(3)})
-    res = bootstrap_test(model, b, WITHHELD, ds, ERROR_RATE, reps=200,
+    res = _bootstrap_one(model, b, WITHHELD, ds, ERROR_RATE, reps=200,
                          seed=0)
     assert res.verdict == NOT_TESTABLE and not res.testable
     assert "fewer than 2" in res.detail["reason"]
@@ -240,7 +248,7 @@ def test_bootstrap_not_testable_paths():
     # AUC undefined on a single-class group.
     ds2 = Dataset(np.zeros((4, 1)), np.array([1, 1, 1, 1]), (a,) * 4, AB)
     model2 = _StubModel(AB, {a: np.ones(4), WITHHELD: -np.ones(4)})
-    res2 = bootstrap_test(model2, a, WITHHELD, ds2, AUC, reps=200, seed=0)
+    res2 = _bootstrap_one(model2, a, WITHHELD, ds2, AUC, reps=200, seed=0)
     assert res2.verdict == NOT_TESTABLE
     assert "undefined on the observed rows" in res2.detail["reason"]
     # Single positive row: many resamples lose the positive class.
@@ -248,7 +256,7 @@ def test_bootstrap_not_testable_paths():
     scores = np.array([2.0, 1.0, -1.0, -2.0, 0.5, -0.5])
     ds3 = Dataset(np.zeros((6, 1)), y3, (a,) * 6, AB)
     model3 = _StubModel(AB, {a: scores, WITHHELD: scores[::-1].copy()})
-    res3 = bootstrap_test(model3, a, WITHHELD, ds3, AUC, reps=200, seed=0)
+    res3 = _bootstrap_one(model3, a, WITHHELD, ds3, AUC, reps=200, seed=0)
     assert res3.verdict == NOT_TESTABLE
     assert "left the metric undefined" in res3.detail["reason"]
 
@@ -258,8 +266,8 @@ def test_bootstrap_rejects_too_few_reps():
     model = train_personalized(ds, Strategy.ONEHOT,
                                TrainConfig(l2_penalty=1e-3))
     with pytest.raises(ValueError, match="100"):
-        bootstrap_test(model, AB.group("a"), WITHHELD, ds, ERROR_RATE,
-                       reps=99, seed=0)
+        bootstrap_replicates(model, AB.group("a"), (WITHHELD,), ds,
+                             ERROR_RATE, reps=99, seed=0)
 
 
 def _mcnemar_setup(b, c, n=30):
@@ -388,7 +396,7 @@ def small_cfg(seed=0, **kw):
     return AuditConfig(seed=seed, bootstrap_reps=200, **kw)
 
 
-def test_audit_end_to_end_result_count_and_determinism(monkeypatch):
+def test_audit_end_to_end_result_count_and_determinism():
     ds = gen_misspecification()
     metrics = (ERROR_RATE, AUC, ECE)
     rep1 = audit(ds, ds, Strategy.ONEHOT, metrics, small_cfg())
@@ -399,12 +407,8 @@ def test_audit_end_to_end_result_count_and_determinism(monkeypatch):
     text1 = rep1.to_json_str()
     rep2 = audit(ds, ds, Strategy.ONEHOT, metrics, small_cfg())
     assert rep2.to_json_str() == text1
-    monkeypatch.setenv("FAIRUSE_THREADS", "4")
-    rep3 = audit(ds, ds, Strategy.ONEHOT, metrics, small_cfg())
-    assert rep3.to_json_str() == text1
-    monkeypatch.delenv("FAIRUSE_THREADS")
-    rep4 = audit(ds, ds, Strategy.ONEHOT, metrics, small_cfg(seed=1))
-    assert rep4.to_json_str() != text1
+    rep3 = audit(ds, ds, Strategy.ONEHOT, metrics, small_cfg(seed=1))
+    assert rep3.to_json_str() != text1
 
 
 def test_audit_input_validation():

@@ -247,6 +247,39 @@ def test_intervene_best_of_three_smoke(tmp_path, capsys):
         "generic", "personalized", "decoupled"}
 
 
+def test_intervene_best_of_three_in_sample_never_audits_validation_rows(
+        tmp_path, capsys, monkeypatch):
+    data = tmp_path / "null.csv"
+    assert main(["synth", "exchangeable", "--out", str(data),
+                 "--n-per-group", "60", "--seed", "1"]) == 0
+    import fairuse.cli as cli
+    audited = []
+    validated = []
+    real_audit = cli.audit
+    real_assign = cli.assign_best_of_three
+
+    def capture_audit(train, test, *args, **kwargs):
+        audited.append((train, test))
+        return real_audit(train, test, *args, **kwargs)
+
+    def capture_assign(report, decoupled, validation, *args, **kwargs):
+        validated.append(validation)
+        return real_assign(report, decoupled, validation, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "audit", capture_audit)
+    monkeypatch.setattr(cli, "assign_best_of_three", capture_assign)
+    code = main(["intervene", "--data", str(data), "--train-fraction",
+                 "1.0", "--strategy", "best3",
+                 "--validation-fraction", "0.25", "--bootstrap", "200",
+                 "--out", str(tmp_path / "plan.json")])
+    assert code == 0
+    capsys.readouterr()
+    (train, test), = audited
+    validation, = validated
+    assert test.n + validation.n == load_csv(str(data)).n
+    assert train.n == test.n
+
+
 def test_intervene_rejects_bad_validation_fraction(mis_csv, capsys):
     code = main(["intervene", "--data", mis_csv, "--strategy", "best3",
                  "--validation-fraction", "1.0"])

@@ -1,9 +1,11 @@
 """The evaluation kernel: margin tables, count-weighted replicates, the
-chunked bootstrap draw and the exact binomial tail."""
+chunked bootstrap draw shared by a group's comparators and the exact
+binomial tail."""
 
 import importlib
 import math
 import time
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -12,7 +14,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.special import expit
 
-from fairuse.audit import (NOT_TESTABLE, MarginTable, _binom_tail_at_least,
+from fairuse.audit import (BOOTSTRAP, NOT_TESTABLE, AuditConfig, MarginTable,
+                           _binom_tail_at_least, audit, bootstrap_replicates,
                            bootstrap_test)
 from fairuse.dataset import Dataset
 from fairuse.groups import TRUTHFUL, WITHHELD, GroupSpace
@@ -20,6 +23,7 @@ from fairuse.metrics import (AUC, ECE, ERROR_RATE, auc_value, ece_value,
                              metric_value, orient, resample_counts,
                              resampled_values)
 from fairuse.models import Strategy, TrainConfig, train_personalized
+from fairuse.synth import gen_planted_violation
 
 # The package re-exports the audit() function under the module's name.
 audit_module = importlib.import_module("fairuse.audit")
@@ -135,6 +139,13 @@ class _StubModel:
         return self._margins[reported][:x.shape[0]]
 
 
+def _bootstrap_one(model, g, comparator, data, metric, *, reps, seed):
+    """One bootstrap test in two steps: draw the replicates, then test."""
+    gains = bootstrap_replicates(model, g, (comparator,), data, metric,
+                                 reps=reps, seed=seed)
+    return bootstrap_test(model, g, comparator, data, metric, gains[:, 0])
+
+
 def _looped_bootstrap(metric, seed, reps, self_m, comp_m, y):
     """Replicate gains by materializing every resample: the reference."""
     idx = np.random.default_rng(seed).integers(0, y.size,
@@ -161,7 +172,7 @@ def test_bootstrap_auc_and_ece_match_materialized_resamples(metric):
     ds, a = _stub_dataset(y)
     model = _StubModel({a: self_m, WITHHELD: comp_m})
     reps = 300
-    res = bootstrap_test(model, a, WITHHELD, ds, metric, reps=reps, seed=9)
+    res = _bootstrap_one(model, a, WITHHELD, ds, metric, reps=reps, seed=9)
     gains = _looped_bootstrap(metric, 9, reps, self_m, comp_m, y)
     est = res.estimate
     shifted = gains - est
@@ -180,7 +191,7 @@ def test_bootstrap_undefined_fraction_counts_lost_classes():
     ds, a = _stub_dataset(y)
     model = _StubModel({a: self_m, WITHHELD: comp_m})
     reps = 400
-    res = bootstrap_test(model, a, WITHHELD, ds, AUC, reps=reps, seed=2)
+    res = _bootstrap_one(model, a, WITHHELD, ds, AUC, reps=reps, seed=2)
     gains = _looped_bootstrap(AUC, 2, reps, self_m, comp_m, y)
     undefined = int(np.isnan(gains).sum())
     assert 0 < undefined <= 0.10 * reps
@@ -189,7 +200,7 @@ def test_bootstrap_undefined_fraction_counts_lost_classes():
     # One positive: most resamples lose it, so the test is not run.
     y1 = np.array([1] + [-1] * 13)
     ds1, _ = _stub_dataset(y1)
-    res1 = bootstrap_test(model, a, WITHHELD, ds1, AUC, reps=reps, seed=2)
+    res1 = _bootstrap_one(model, a, WITHHELD, ds1, AUC, reps=reps, seed=2)
     gains1 = _looped_bootstrap(AUC, 2, reps, self_m, comp_m, y1)
     assert res1.verdict == NOT_TESTABLE
     assert res1.detail["reason"] == (
@@ -217,13 +228,96 @@ def test_chunked_bootstrap_draw_matches_one_shot(monkeypatch, metric):
     comp_m = rng.normal(size=n) + 0.3 * y
     ds, a = _stub_dataset(y)
     model = _StubModel({a: self_m, WITHHELD: comp_m})
-    one_shot = bootstrap_test(model, a, WITHHELD, ds, metric, reps=250,
+    one_shot = _bootstrap_one(model, a, WITHHELD, ds, metric, reps=250,
                               seed=4)
     # 7 replicates per chunk: 35 full chunks and a last one of 5.
     monkeypatch.setattr(audit_module, "_INDEX_CHUNK_ENTRIES", 7 * n + 3)
-    chunked = bootstrap_test(model, a, WITHHELD, ds, metric, reps=250,
+    chunked = _bootstrap_one(model, a, WITHHELD, ds, metric, reps=250,
                              seed=4)
     assert chunked == one_shot
+
+
+def test_audit_bootstrap_results_equal_one_comparator_draws():
+    ds = gen_planted_violation(m=4, n_per_group=40, seed=3)
+    metrics = (ERROR_RATE, AUC, ECE)
+    cfg = AuditConfig(seed=5, bootstrap_reps=200)
+    report = audit(ds, ds, Strategy.ONEHOT, metrics, cfg)
+    cells = ds.space.cells()
+    skip = ("p_adjusted", "family_size", "verdict")
+    boot = [r for r in report.results if r.test == BOOTSTRAP]
+    assert len(boot) == len(metrics) * len(cells) ** 2
+    for r in boot:
+        mi = [mk.tag for mk in metrics].index(r.metric)
+        gi = cells.index(r.group)
+        seed = np.random.SeedSequence([cfg.seed, mi, gi])
+        gains = bootstrap_replicates(report.model, r.group, (r.comparator,),
+                                     ds, metrics[mi], reps=200, seed=seed)
+        alone = bootstrap_test(report.model, r.group, r.comparator, ds,
+                               metrics[mi], gains[:, 0], alpha=cfg.alpha)
+        want = {k: v for k, v in alone.to_jsonable().items()
+                if k not in skip}
+        got = {k: v for k, v in r.to_jsonable().items() if k not in skip}
+        assert got == want
+
+
+@pytest.mark.parametrize("metric", [ERROR_RATE, AUC, ECE])
+def test_shared_draw_columns_equal_one_comparator_draws(monkeypatch,
+                                                         metric):
+    ds = gen_planted_violation(m=4, n_per_group=30, seed=1)
+    model = train_personalized(ds, Strategy.ONEHOT,
+                               TrainConfig(l2_penalty=1e-3))
+    g = ds.space.cells()[1]
+    comps = (WITHHELD,) + tuple(c for c in ds.space.cells() if c != g)
+    n = ds.rows_for(g).size
+    # 7 replicates per chunk: 35 full chunks and a last one of 5.
+    monkeypatch.setattr(audit_module, "_INDEX_CHUNK_ENTRIES", 7 * n + 3)
+    shared = bootstrap_replicates(model, g, comps, ds, metric, reps=250,
+                                  seed=8)
+    assert shared.shape == (250, len(comps))
+    for j, comp in enumerate(comps):
+        alone = bootstrap_replicates(model, g, (comp,), ds, metric,
+                                     reps=250, seed=8)
+        assert np.array_equal(shared[:, j], alone[:, 0], equal_nan=True)
+
+
+def test_audit_draws_once_per_group_and_metric(monkeypatch):
+    ds = gen_planted_violation(m=4, n_per_group=30, seed=2)
+    calls = {"bootstrap_replicates": 0, "bootstrap_test": 0,
+             "mcnemar_test": 0}
+    for name in calls:
+        real = getattr(audit_module, name)
+
+        def counted(*args, _real=real, _name=name, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(audit_module, name, counted)
+    m = ds.space.m
+    audit(ds, ds, Strategy.ONEHOT, (ERROR_RATE, AUC),
+          AuditConfig(bootstrap_reps=100))
+    assert calls == {"bootstrap_replicates": 2 * m,
+                     "bootstrap_test": 2 * m * m, "mcnemar_test": m * m}
+
+
+def test_shared_draw_memory_is_bounded_in_comparators():
+    # 32 comparators over 2500 rows: gathering every comparator's losses
+    # for a whole index chunk at once would take about 270 MB.
+    space = GroupSpace((("g", tuple(f"c{i}" for i in range(33))),))
+    cells = space.cells()
+    n = 2500
+    rng = np.random.default_rng(0)
+    y = np.where(rng.random(n) < 0.5, 1, -1)
+    ds = Dataset(np.zeros((n, 1)), y, (cells[0],) * n, space)
+    model = _StubModel({c: rng.normal(size=n) for c in cells})
+    tracemalloc.start()
+    try:
+        gains = bootstrap_replicates(model, cells[0], cells[1:], ds,
+                                     ERROR_RATE, reps=2000, seed=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert gains.shape == (2000, 32)
+    assert peak < 64 * 2 ** 20
 
 
 def test_binom_tail_recurrence_equals_comb_sum():
