@@ -41,7 +41,6 @@ import json
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Optional
 
 import numpy as np
@@ -50,11 +49,11 @@ from scipy.special import expit
 from . import theory
 from .dataset import tally
 from .groups import ALL, TRUTHFUL, WITHHELD, GroupId, GroupSpace
-# group_risk and MarginTable stay importable from this module for callers
-# that look them up here.
+# group_risk, metric_value and MarginTable stay importable from this
+# module for callers that look them up here.
 from .metrics import (ERROR_RATE, ERROR_RATE_TAG, MarginTable,  # noqa: F401
                       MetricKind, RiskEstimate, group_risk, metric_value,
-                      orient, resample_counts, resampled_values)
+                      orient, oriented, resample_counts, resampled_values)
 from .models import Strategy, TrainConfig, as_strategy, build_feature_map, \
     train_personalized
 
@@ -83,9 +82,8 @@ _MIN_BOOTSTRAP_REPS = 100
 _MAX_UNDEFINED_FRACTION = 0.10
 _IDENTICAL_ATOL = 1e-9
 # Most bootstrap index entries (replicates x group rows) drawn at once.
-# A chunk holds up to three int64 arrays of this size at once (index,
-# offset index, counts), so its peak stays below that of a 2^20-entry
-# index and its gather.
+# A chunk holds two int64 arrays of this size at once (the index, offset
+# in place by resample_counts, and the counts).
 _INDEX_CHUNK_ENTRIES = 1 << 19
 
 
@@ -394,15 +392,12 @@ def bootstrap_test(model, g, comparator, data, metric, gains, *,
     if n < 2:
         return _not_testable(kind, BOOTSTRAP, metric.tag, g, comparator, n,
                              alpha, "fewer than 2 rows in the group")
-    y = data.labels[rows]
-    self_m = table.margins(g, g)
-    comp_m = table.margins(g, comparator)
-    obs_self = metric_value(metric, expit(self_m), self_m, y)
-    obs_comp = metric_value(metric, expit(comp_m), comp_m, y)
-    if math.isnan(obs_self) or math.isnan(obs_comp):
+    obs_self = table.risk(metric, g, g)
+    obs_comp = table.risk(metric, g, comparator)
+    if not (obs_self.defined and obs_comp.defined):
         return _not_testable(kind, BOOTSTRAP, metric.tag, g, comparator, n,
                              alpha, "metric undefined on the observed rows")
-    est = orient(metric, obs_comp) - orient(metric, obs_self)
+    est = oriented(obs_comp) - oriented(obs_self)
     reps = gains.size
     valid = gains[~np.isnan(gains)]
     n_undefined = reps - valid.size
@@ -428,20 +423,46 @@ def bootstrap_test(model, g, comparator, data, metric, gains, *,
 
 
 def _binom_tail_at_least(n, k):
-    """Exact Pr[Binomial(n, 1/2) >= k] by integer summation.
+    """Exact Pr[Binomial(n, 1/2) >= k], correctly rounded to a float.
 
-    The terms C(n, j), j = k..n, come from the exact integer recurrence
-    C(n, j+1) = C(n, j) * (n - j) / (j + 1).
+    Sums the integer terms C(n, j) away from the mode, where they shrink:
+    from j = k upward when k > n/2, else from j = k - 1 downward over the
+    complement. Each term comes from its neighbour by the exact recurrence
+    C(n, j+1) * (j + 1) = C(n, j) * (n - j). The term ratio keeps falling
+    away from the mode, so the terms not yet added sum to at most the
+    next term over (1 - its ratio). The sum stops once both ends of that
+    interval round to the same float, which the exact tail, lying between
+    them, then rounds to as well.
     """
     if k <= 0:
         return 1.0
     if k > n:
         return 0.0
-    term = total = math.comb(n, k)
-    for j in range(k, n):
-        term = term * (n - j) // (j + 1)
+    whole = 1 << n
+    up = 2 * k > n
+    j = k if up else k - 1
+    term = math.comb(n, j)
+    total = 0
+    while True:
         total += term
-    return float(Fraction(total, 2 ** n))
+        if up:
+            if j == n:
+                break
+            term = term * (n - j) // (j + 1)
+            j += 1
+            rest = -(-term * (j + 1) // (2 * j + 1 - n))
+        else:
+            if j == 0:
+                break
+            term = term * j // (n - j + 1)
+            j -= 1
+            rest = -(-term * (n - j + 1) // (n - 2 * j + 1))
+        low = total if up else whole - total - rest
+        if low > 0 and rest.bit_length() < low.bit_length() - 53:
+            high = low + rest
+            if low / whole == high / whole:  # int division rounds exactly
+                break
+    return (total if up else whole - total) / whole
 
 
 def mcnemar_test(model, g, comparator, data, *, alpha=0.10, table=None):

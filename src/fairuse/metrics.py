@@ -181,10 +181,12 @@ def metric_value(metric, scores, margins, labels):
 
 def resample_counts(idx):
     """(replicates, n) count matrix of a bootstrap index of the same shape:
-    entry [b, i] is how often row i appears in replicate b."""
+    entry [b, i] is how often row i appears in replicate b.
+
+    Consumes idx: its rows are offset in place, so pass a fresh draw."""
     reps, n = idx.shape
-    flat = idx + (n * np.arange(reps))[:, None]
-    return np.bincount(flat.ravel(), minlength=reps * n).reshape(reps, n)
+    idx += (n * np.arange(reps))[:, None]
+    return np.bincount(idx.ravel(), minlength=reps * n).reshape(reps, n)
 
 
 def resampled_values(metric, counts, scores, margins, labels):
@@ -264,7 +266,8 @@ class MarginTable:
     One column per reported value (a cell, WITHHELD or TRUTHFUL), each
     computed over all rows on first use and then kept, plus the row
     indices of each true group. `margins(g, reported)` slices a column to
-    group g's rows.
+    group g's rows; `risk(metric, g, reported)` is evaluated once per key
+    and then kept.
     """
 
     def __init__(self, model, data):
@@ -272,6 +275,7 @@ class MarginTable:
         self.data = data
         self._columns = {}
         self._rows = {}
+        self._risks = {}
 
     def column(self, reported):
         """Margins of every row when each reports `reported`."""
@@ -298,9 +302,13 @@ class MarginTable:
 
     def risk(self, metric, g, reported):
         """RiskEstimate of `metric` on group g's rows under `reported`."""
-        return risk_from_margins(metric, self.margins(g, reported),
-                                 self.data.labels[self.rows(g)], g,
-                                 reported)
+        key = (metric, g, reported)
+        est = self._risks.get(key)
+        if est is None:
+            est = self._risks[key] = risk_from_margins(
+                metric, self.margins(g, reported),
+                self.data.labels[self.rows(g)], g, reported)
+        return est
 
     def fill(self):
         """Compute every cell and WITHHELD column and every group's rows."""

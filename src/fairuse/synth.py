@@ -15,7 +15,7 @@ tally entry [a, b] means a positive rows and b negative rows.
 import numpy as np
 
 from .dataset import Dataset
-from .groups import GroupSpace
+from .groups import GroupId, GroupSpace
 
 REFERENCE_RATE = 0.1
 _PLANTED_FEATURE_DIM = 2
@@ -24,18 +24,14 @@ _PLANTED_FEATURE_DIM = 2
 def _dataset(rows, attributes, feature_names):
     """Build a Dataset from (count, features, group_values, label) blocks."""
     space = GroupSpace(attributes)
-    feats = []
-    labels = []
-    groups = []
-    for count, point, values, label in rows:
-        g = space.group(*values)
-        for _ in range(count):
-            feats.append(point)
-            labels.append(label)
-            groups.append(g)
-    return Dataset(features=np.array(feats, dtype=float),
-                   labels=np.array(labels), groups=tuple(groups),
-                   space=space, feature_names=tuple(feature_names))
+    counts = [count for count, _, _, _ in rows]
+    points = np.array([point for _, point, _, _ in rows], dtype=float)
+    codes = [space.index_of(GroupId(values)) for _, _, values, _ in rows]
+    labels = [label for _, _, _, label in rows]
+    return Dataset._from_codes(np.repeat(points, counts, axis=0),
+                               np.repeat(labels, counts),
+                               np.repeat(codes, counts), space,
+                               tuple(feature_names))
 
 
 # Misspecification: two base points (x2 = 0 for old, 1 for young) and four
@@ -196,21 +192,11 @@ def planted_rates(m, gap):
 
 def _draw_cells(space, n_per_group, rates, seed):
     rng = np.random.default_rng(seed)
-    cells = space.cells()
-    n = n_per_group * len(cells)
-    x = rng.normal(size=(n, _PLANTED_FEATURE_DIM))
-    labels = np.empty(n, dtype=int)
-    groups = []
-    rates_arr = np.asarray(rates, dtype=float)
-    u = rng.random(n)
-    row = 0
-    for idx, cell in enumerate(cells):
-        for _ in range(n_per_group):
-            labels[row] = 1 if u[row] < rates_arr[idx] else -1
-            groups.append(cell)
-            row += 1
-    return Dataset(features=x, labels=labels, groups=tuple(groups),
-                   space=space, feature_names=("x1", "x2"))
+    codes = np.repeat(np.arange(space.m), n_per_group)
+    x = rng.normal(size=(codes.size, _PLANTED_FEATURE_DIM))
+    u = rng.random(codes.size)
+    labels = np.where(u < np.asarray(rates, dtype=float)[codes], 1, -1)
+    return Dataset._from_codes(x, labels, codes, space, ("x1", "x2"))
 
 
 def gen_planted_violation(m=4, n_per_group=500, gap=-0.15, seed=0):
@@ -253,14 +239,11 @@ def gen_exchangeable_null(m=4, n_per_group=250, seed=0):
         raise ValueError("n_per_group must be at least 1")
     space = space_for_m(m)
     rng = np.random.default_rng(seed)
-    cells = space.cells()
-    n = n_per_group * m
-    x = rng.normal(size=(n, _PLANTED_FEATURE_DIM))
+    codes = np.repeat(np.arange(m), n_per_group)
+    x = rng.normal(size=(codes.size, _PLANTED_FEATURE_DIM))
     p = 1.0 / (1.0 + np.exp(-2.0 * x[:, 0]))
-    labels = np.where(rng.random(n) < p, 1, -1)
-    groups = tuple(cells[i // n_per_group] for i in range(n))
-    return Dataset(features=x, labels=labels, groups=groups, space=space,
-                   feature_names=("x1", "x2"))
+    labels = np.where(rng.random(codes.size) < p, 1, -1)
+    return Dataset._from_codes(x, labels, codes, space, ("x1", "x2"))
 
 
 def evaluate_rule(rule, ds):

@@ -1,13 +1,18 @@
 """Datasets: validation, tallies, CSV round-trips, stratified splits."""
 
+import csv
+import io
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from fairuse import dataset as dataset_module
 from fairuse.dataset import (CsvSchema, Dataset, ParseError, SchemaError,
                              load_csv, loads_csv, save_csv, split, tally)
-from fairuse.groups import ALL, DomainError, GroupSpace
+from fairuse.groups import ALL, DomainError, GroupId, GroupSpace
 from fairuse.synth import gen_misspecification, gen_planted_violation
 
 SPACE = GroupSpace((("g", ("a", "b")),))
@@ -212,3 +217,140 @@ def test_split_errors_and_singleton_warning():
     # The lone negative row lands on the training side.
     assert (train.labels == -1).sum() == 1
     assert (test.labels == -1).sum() == 0
+
+
+def test_load_csv_ignores_a_utf8_byte_order_mark(tmp_path):
+    text = "x1,g:g,y\n0.5,a,1\n1.5,b,-1\n"
+    plain, marked = tmp_path / "plain.csv", tmp_path / "bom.csv"
+    plain.write_text(text, encoding="utf-8")
+    marked.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+    want, got = load_csv(plain), load_csv(marked)
+    assert got.feature_names == want.feature_names == ("x1",)
+    assert np.array_equal(got.features, want.features)
+    assert np.array_equal(got.labels, want.labels)
+    assert got.groups == want.groups
+    # A label column first is still found behind the mark.
+    marked.write_bytes(b"\xef\xbb\xbfy,g:g,x1\n1,a,0.5\n-1,b,1.5\n")
+    assert list(load_csv(marked).labels) == [1, -1]
+
+
+def test_rows_are_stored_as_cell_codes_and_groups_are_derived():
+    space = GroupSpace((("s", ("f", "m")), ("t", ("o", "y"))))
+    cells = space.cells()
+    picks = [3, 0, 2, 2, 1, 3]
+    ds = Dataset(np.zeros((6, 1)), np.ones(6, dtype=int),
+                 [cells[i] for i in picks], space)
+    assert ds.cell_indices.tolist() == picks
+    assert ds.groups == tuple(cells[i] for i in picks)
+    assert not ds.cell_indices.flags.writeable
+    sub = ds.subset([5, 1])
+    assert sub.cell_indices.tolist() == [3, 0]
+    assert sub.groups == (cells[3], cells[0])
+    with pytest.raises(AttributeError):
+        ds.space = space
+
+
+def test_load_csv_errors_keep_row_numbers_across_blocks(monkeypatch):
+    monkeypatch.setattr(dataset_module, "_BLOCK_ROWS", 3)
+    good = "1.0,a,1\n2.0,b,-1\n"
+    head = "x1,g:g,y\n" + good * 3  # rows 1-6 fill two blocks
+    ds = loads_csv(head + "\n" + good)  # a blank row 7 is skipped
+    assert ds.n == 8
+    assert [str(g) for g in ds.groups] == ["a", "b"] * 4
+    cases = [("oops,a,1\n", "row 7: feature 'x1' value 'oops'"),
+             ("1.0,a\n", "row 7: 2 cells for 3 columns"),
+             ("1.0,a,7\n", "row 7: label '7'"),
+             ("1.0,a,yes\n", "row 7: label 'yes' is not numeric")]
+    for bad, message in cases:
+        with pytest.raises(ParseError) as err:
+            loads_csv(head + bad + good)
+        assert str(err.value).startswith(message)
+    with pytest.raises(ParseError) as err:
+        loads_csv(head + "\n" + "zap,b,1\n")
+    assert str(err.value).startswith("row 8:")
+    # The dataset check counts rows from 0, as Dataset does.
+    with pytest.raises(ValueError, match="non-finite feature value at row 6"):
+        loads_csv(head + "inf,a,1\n" + good)
+    with pytest.raises(DomainError, match=r"\['c'\]"):
+        loads_csv(head + "1.0,c,1\n", CsvSchema(domains={"g": ("a", "b")}))
+
+
+def test_load_and_split_200k_rows_is_fast(tmp_path):
+    # 200k planted rows (m = 4). Reading, splitting and the cell codes of
+    # both parts took 2.8 s when every row's GroupId was built and
+    # validated; columnar ingest takes about 0.6 s. Best of three.
+    path = tmp_path / "tall.csv"
+    save_csv(gen_planted_violation(m=4, n_per_group=50000, seed=0), path)
+    best = float("inf")
+    for _ in range(3):
+        start = time.perf_counter()
+        train, test = split(load_csv(path), 0.8, seed=0)
+        train.cell_indices, test.cell_indices
+        best = min(best, time.perf_counter() - start)
+    assert train.n + test.n == 200000
+    assert best < 1.6
+
+
+def _loop_split(ds, train_fraction, seed):
+    """Row-by-row reference for split: the same RNG calls in the same
+    order (cells in order, label -1 then +1)."""
+    rng = np.random.default_rng(seed)
+    train_rows = []
+    for g in ds.space.cells():
+        rows = np.array([i for i in range(ds.n) if ds.groups[i] == g],
+                        dtype=int)
+        if rows.size == 0:
+            continue
+        for label in (-1, 1):
+            stratum = rows[ds.labels[rows] == label]
+            if stratum.size == 1:
+                train_rows.append(stratum)
+                continue
+            k = min(max(int(round(train_fraction * stratum.size)), 1),
+                    stratum.size)
+            train_rows.append(rng.permutation(stratum)[:k])
+    train = np.sort(np.concatenate(train_rows))
+    return train, np.setdiff1d(np.arange(ds.n), train)
+
+
+def test_split_equals_the_row_by_row_reference():
+    space = GroupSpace((("s", ("f", "m")), ("t", ("o", "x", "y"))))
+    cells = space.cells()
+    rng = np.random.default_rng(11)
+    n = 300
+    picks = rng.choice([0, 1, 2, 4, 5], size=n)  # cell 3 stays empty
+    labels = np.where(rng.random(n) < 0.5, 1, -1)
+    ds = Dataset(np.arange(n, dtype=float).reshape(-1, 1), labels,
+                 [cells[i] for i in picks], space)
+    for fraction, seed in ((0.8, 0), (0.5, 3), (0.3, 9)):
+        train, test = split(ds, fraction, seed)
+        want_train, want_test = _loop_split(ds, fraction, seed)
+        assert train.features[:, 0].astype(int).tolist() == \
+            want_train.tolist()
+        assert test.features[:, 0].astype(int).tolist() == \
+            want_test.tolist()
+        assert train.groups == tuple(ds.groups[i] for i in want_train)
+
+
+def test_load_csv_codes_equal_a_row_by_row_parse(monkeypatch):
+    monkeypatch.setattr(dataset_module, "_BLOCK_ROWS", 4)
+    rng = np.random.default_rng(5)
+    # Later blocks bring new values of both attributes, in unsorted order.
+    ages = ["old", "mid", "young", "teen"]
+    sexes = ["m", "f", "x"]
+    lines = ["y,g:age,x1,g:sex,x2"]
+    for i in range(40):
+        age = ages[rng.integers(0, 1 + i // 10)]
+        sex = sexes[rng.integers(0, 2 + i // 20)]
+        lines.append(f"{rng.choice([0, 1])},{age},{rng.normal()!r},{sex},"
+                     f"{rng.normal()!r}")
+    text = "\n".join(lines) + "\n"
+    ds = loads_csv(text)
+    rows = list(csv.reader(io.StringIO(text)))[1:]
+    assert ds.space.attributes == (("age", tuple(sorted(set(ages)))),
+                                   ("sex", tuple(sorted(set(sexes)))))
+    assert ds.feature_names == ("x1", "x2")
+    want = [ds.space.index_of(GroupId((r[1], r[3]))) for r in rows]
+    assert ds.cell_indices.tolist() == want
+    assert ds.features.tolist() == [[float(r[2]), float(r[4])] for r in rows]
+    assert ds.labels.tolist() == [1 if r[0] == "1" else -1 for r in rows]

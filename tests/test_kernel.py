@@ -299,6 +299,46 @@ def test_audit_draws_once_per_group_and_metric(monkeypatch):
                      "bootstrap_test": 2 * m * m, "mcnemar_test": m * m}
 
 
+def test_audit_evaluates_each_observed_risk_once(monkeypatch):
+    # The misreport matrix, the bootstrap tests, the population row and the
+    # in-sample generalization rows read one memoized risk per (metric,
+    # group, reported): m * (m + 1) matrix entries plus two population
+    # risks per metric, and no extra self evaluation per comparator.
+    ds = gen_planted_violation(m=4, n_per_group=30, seed=2)
+    metrics_module = importlib.import_module("fairuse.metrics")
+    calls = []
+    real = metrics_module.metric_value
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(metrics_module, "metric_value", counted)
+    monkeypatch.setattr(audit_module, "metric_value", counted)
+    m = ds.space.m
+    metrics = (ERROR_RATE, AUC, ECE)
+    audit(ds, ds, Strategy.ONEHOT, metrics, AuditConfig(bootstrap_reps=100))
+    assert len(calls) == len(metrics) * (m * (m + 1) + 2)
+    assert all(calls.count(k) == m * (m + 1) + 2 for k in metrics)
+
+
+def test_margin_table_risk_is_memoized():
+    ds = gen_planted_violation(m=4, n_per_group=30, seed=2)
+    model = train_personalized(ds, Strategy.ONEHOT, TrainConfig())
+    table = MarginTable(model, ds)
+    g = ds.space.cells()[1]
+    first = table.risk(AUC, g, WITHHELD)
+    assert table.risk(AUC, g, WITHHELD) is first
+    assert table.risk(ERROR_RATE, g, WITHHELD) is not first
+
+
+def test_resample_counts_offsets_the_index_in_place():
+    idx = np.array([[0, 0, 2], [1, 2, 1]])
+    counts = resample_counts(idx)
+    assert counts.tolist() == [[2, 0, 1], [0, 2, 1]]
+    assert idx.tolist() == [[0, 0, 2], [4, 5, 4]]
+
+
 def test_shared_draw_memory_is_bounded_in_comparators():
     # 32 comparators over 2500 rows: gathering every comparator's losses
     # for a whole index chunk at once would take about 270 MB.
@@ -339,3 +379,26 @@ def test_binom_tail_is_fast_at_twenty_thousand():
     p = _binom_tail_at_least(20000, 10100)
     assert time.perf_counter() - start < 5.0
     assert 0.0 < p < 0.5
+
+
+def _exact_tail(n, k):
+    total = sum(math.comb(n, j) for j in range(max(k, 0), n + 1))
+    return float(Fraction(total, 2 ** n))
+
+
+@given(st.integers(1, 3000).flatmap(
+    lambda n: st.tuples(st.just(n), st.integers(-1, n + 1)
+                        | st.integers(n // 2 - 40, n // 2 + 40))))
+def test_binom_tail_stops_early_without_changing_the_float(nk):
+    n, k = nk
+    assert _binom_tail_at_least(n, k) == _exact_tail(n, k)
+
+
+def test_binom_tail_far_from_the_mode_is_fast():
+    # A 1M-row audit meets tails like these (50000 discordant rows); the
+    # full sum took 0.2-0.7 s each.
+    start = time.perf_counter()
+    assert _binom_tail_at_least(50000, 4937) == 1.0
+    assert 0.0 < _binom_tail_at_least(50000, 28738) < 1e-240
+    assert _binom_tail_at_least(50000, 45063) == 0.0
+    assert time.perf_counter() - start < 0.5
