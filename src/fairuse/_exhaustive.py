@@ -24,7 +24,6 @@ lexicographically earlier points.
 """
 
 import numpy as np
-from scipy.optimize import linprog
 
 _EXACT_POINT_LIMIT = 14
 _NORM_TIE_TOL = 1e-9
@@ -51,6 +50,7 @@ def _collapse(x_enc, y):
 
 def _canonical_lp(points, labeling):
     """Minimal-L1 (w, b) realizing the labeling, or None if unrealizable."""
+    from scipy.optimize import linprog
     d, p = points.shape
     n_var = 2 * p + 2
     rows = np.hstack([points, -points, np.ones((d, 1)), -np.ones((d, 1))])

@@ -8,8 +8,6 @@ program.
 """
 
 import numpy as np
-from scipy import sparse
-from scipy.optimize import linprog
 from scipy.special import expit
 
 
@@ -126,6 +124,8 @@ def train_hinge(x1, y, lam):
     """
     if lam != 0.0:
         raise ValueError("hinge training requires l2_penalty == 0")
+    from scipy import sparse
+    from scipy.optimize import linprog
     x1 = np.asarray(x1, dtype=float)
     y = np.asarray(y, dtype=float)
     n, p = x1.shape

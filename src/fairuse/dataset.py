@@ -314,7 +314,6 @@ def _read(reader, schema, empty_message):
         position = {v: i for i, v in enumerate(domain)}
         remap = np.array([position[v] for v in ids], dtype=int)
         codes = codes * len(domain) + remap[per_row]
-    _check_values(features, labels)
     return Dataset._from_codes(features, labels, codes, space,
                                tuple(feat_cols))
 
@@ -339,6 +338,8 @@ def _read_blocks(reader, header, feat_cols, group_cols, label):
             feat_parts.append(np.column_stack(
                 [np.fromiter(map(float, cols[pos[c]]), float, rows)
                  for c in feat_cols]))
+            if not np.isfinite(feat_parts[-1]).all():
+                raise ValueError("non-finite feature")
             y = np.fromiter(map(float, cols[pos[label]]), float, rows)
             if not np.isin(y, (-1.0, 0.0, 1.0)).all():
                 raise ValueError("label out of range")
@@ -399,11 +400,13 @@ def _raise_row_error(block, first, header, feat_cols, label):
         for c in feat_cols:
             cell = row[pos[c]]
             try:
-                float(cell)
+                if np.isfinite(float(cell)):
+                    continue
+                wrong = "finite"
             except ValueError:
-                raise ParseError(
-                    f"row {r}: feature {c!r} value {cell!r} is not "
-                    "numeric") from None
+                wrong = "numeric"
+            raise ParseError(
+                f"row {r}: feature {c!r} value {cell!r} is not {wrong}")
         _parse_label(row[pos[label]], r)
 
 

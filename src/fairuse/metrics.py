@@ -12,7 +12,8 @@ table instead of recomputing them group by group; `audit` re-exports it.
 
 `resampled_values` is the count-weighted form of `metric_value`: one
 metric value per row of a (replicates, rows) count matrix, with no
-resample ever materialized. Bootstrap replicates are evaluated this way.
+resample ever materialized. Bootstrap replicates are evaluated this way;
+AUC has one kernel, and `auc_value` runs it on one all-ones count row.
 """
 
 import math
@@ -20,7 +21,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import expit
-from scipy.stats import rankdata
 
 from .groups import TRUTHFUL, WITHHELD
 
@@ -121,14 +121,11 @@ def error_rate_value(margins, labels):
 
 def auc_value(scores, labels):
     """Mann-Whitney AUC with ties counted one half; NaN if single-class."""
-    pos = labels == 1
-    n_pos = int(pos.sum())
-    n_neg = labels.size - n_pos
-    if n_pos == 0 or n_neg == 0:
+    n_pos = int((labels == 1).sum())
+    if n_pos == 0 or n_pos == labels.size:
         return float("nan")
-    ranks = rankdata(scores, method="average")
-    u = ranks[pos].sum() - n_pos * (n_pos + 1) / 2.0
-    return float(u / (n_pos * n_neg))
+    ones = np.ones((1, labels.size), dtype=np.int64)
+    return float(_auc_counts(ones, scores, labels)[0])
 
 
 def ece_value(scores, margins, labels, bins=10):
@@ -208,9 +205,9 @@ def _auc_counts(counts, scores, labels):
     """Count-weighted Mann-Whitney AUC over scores sorted once.
 
     Tied scores form blocks; a positive row beats every negative in lower
-    blocks and ties the negatives in its own. Twice U is then an exact
-    integer, as auc_value's half-integer rank sums are exact in float64,
-    so both end in the same division.
+    blocks and ties the negatives in its own, so twice U, the sum of
+    pos * (2 * cumsum(neg) - neg), is an exact integer. The rank-sum
+    formula's half-integer sums are exact too: both end in one division.
     """
     order = np.argsort(scores, kind="stable")
     ranked = scores[order]
@@ -218,8 +215,8 @@ def _auc_counts(counts, scores, labels):
     c = counts[:, order]
     pos = np.add.reduceat(c * (labels[order] == 1), starts, axis=1)
     neg = np.add.reduceat(c, starts, axis=1) - pos
-    below = np.cumsum(neg, axis=1) - neg
-    twice_u = (pos * (2 * below + neg)).sum(axis=1)
+    twice_u = (2 * np.einsum("ij,ij->i", pos, np.cumsum(neg, axis=1))
+               - np.einsum("ij,ij->i", pos, neg))
     n_pos = pos.sum(axis=1)
     n_neg = neg.sum(axis=1)
     out = np.full(counts.shape[0], np.nan)

@@ -10,6 +10,7 @@ from fractions import Fraction
 
 import mpmath
 import numpy as np
+from scipy.stats import rankdata
 
 
 def threshold_errors_1d(x, y):
@@ -57,6 +58,19 @@ def pairwise_auc(scores, labels):
             elif p == q:
                 total += 0.5
     return total / (pos.size * neg.size)
+
+
+def rank_sum_auc(scores, labels):
+    """AUC by the Wilcoxon rank-sum formula with average ranks for ties;
+    NaN if single-class."""
+    pos = np.asarray(labels) == 1
+    n_pos = int(pos.sum())
+    n_neg = pos.size - n_pos
+    if n_pos == 0 or n_neg == 0:
+        return float("nan")
+    ranks = rankdata(scores, method="average")
+    u = ranks[pos].sum() - n_pos * (n_pos + 1) / 2.0
+    return float(u / (n_pos * n_neg))
 
 
 def direct_ece(scores, margins, labels, bins=10):

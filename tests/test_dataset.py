@@ -268,8 +268,8 @@ def test_load_csv_errors_keep_row_numbers_across_blocks(monkeypatch):
     with pytest.raises(ParseError) as err:
         loads_csv(head + "\n" + "zap,b,1\n")
     assert str(err.value).startswith("row 8:")
-    # The dataset check counts rows from 0, as Dataset does.
-    with pytest.raises(ValueError, match="non-finite feature value at row 6"):
+    with pytest.raises(ParseError, match="row 7: feature 'x1' value 'inf' "
+                       "is not finite"):
         loads_csv(head + "inf,a,1\n" + good)
     with pytest.raises(DomainError, match=r"\['c'\]"):
         loads_csv(head + "1.0,c,1\n", CsvSchema(domains={"g": ("a", "b")}))

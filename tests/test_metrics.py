@@ -19,7 +19,7 @@ from fairuse.models import Strategy, TrainConfig, train_personalized, \
     train_zero_one_exhaustive
 from fairuse.synth import gen_misspecification
 
-from oracles import direct_ece, pairwise_auc
+from oracles import direct_ece, pairwise_auc, rank_sum_auc
 
 AB = GroupSpace((("g", ("a", "b")),))
 
@@ -72,6 +72,22 @@ def test_auc_matches_pairwise_oracle(rows):
     assume(len(set(labels)) == 2)
     assert auc_value(scores, labels) == pytest.approx(
         pairwise_auc(scores, labels), abs=1e-12)
+
+
+@given(st.lists(st.tuples(st.sampled_from([-2.0, 0.0, 0.5, 3.0, 40.0, 41.0]),
+                          st.sampled_from([-1, 1])),
+                min_size=1, max_size=300))
+def test_auc_equals_rank_sum_formula_bit_for_bit(rows):
+    # A handful of margins, so most scores tie (40 and 41 also tie after
+    # the sigmoid); the rank-sum formula is the independent reference.
+    scores = expit(np.array([r[0] for r in rows]))
+    labels = np.array([r[1] for r in rows])
+    want = rank_sum_auc(scores, labels)
+    got = auc_value(scores, labels)
+    if math.isnan(want):
+        assert math.isnan(got)
+    else:
+        assert got == want
 
 
 @given(st.lists(st.tuples(st.floats(-4.0, 4.0), st.sampled_from([-1, 1])),
