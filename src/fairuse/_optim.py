@@ -1,8 +1,8 @@
 """Numerical trainers for linear classifiers.
 
 train_logistic drives the max-norm of the penalized logistic gradient below
-a tolerance via damped Newton steps with a gradient-descent fallback, and
-raises ConvergenceError rather than returning a silently unconverged fit.
+a tolerance by damped, then pure, Newton steps, and raises ConvergenceError
+rather than returning a silently unconverged fit.
 train_hinge solves the average-hinge-loss minimization exactly as a linear
 program.
 """
@@ -36,6 +36,11 @@ def _logistic_grad(w, x1, y, lam, mask):
 def train_logistic(x1, y, penalty_mask, lam, tol, max_iter):
     """Minimize mean logistic loss + lam * ||mask . w||^2 over weights.
 
+    Newton's method (Boyd & Vandenberghe, Convex Optimization, 9.5): damped
+    steps backtrack on the objective (Armijo, c = 1e-4); once that decrease
+    rounds away in float64, the full step is taken only if it lowers the
+    gradient max-norm, and the loop stops when it does not.
+
     Args:
         x1: (n, p) design matrix, intercept column included by the caller.
         y: (n,) labels in {-1, +1}.
@@ -56,11 +61,11 @@ def train_logistic(x1, y, penalty_mask, lam, tol, max_iter):
     # checks at 10 * tol have slack.
     target = tol / 100.0
     obj = _logistic_objective(w, x1, y, lam, mask)
+    g = _logistic_grad(w, x1, y, lam, mask)
+    gnorm = float(np.abs(g).max())
     for _ in range(int(max_iter)):
-        g = _logistic_grad(w, x1, y, lam, mask)
-        gnorm = float(np.max(np.abs(g))) if g.size else 0.0
         if gnorm <= target:
-            return w
+            break
         m = y * (x1 @ w)
         s = expit(-np.abs(m))
         # sigma(m) * sigma(-m) computed stably from |m|.
@@ -73,33 +78,29 @@ def train_logistic(x1, y, penalty_mask, lam, tol, max_iter):
             step = g
         if not np.all(np.isfinite(step)):
             step = g
-        # Backtrack on the objective (Armijo with c = 1e-4).
+        if obj - 1e-4 * float(g @ step) == obj:
+            # Pure phase: the objective cannot rank steps; the gradient can.
+            cand = w - step
+            cand_g = _logistic_grad(cand, x1, y, lam, mask)
+            cand_norm = float(np.abs(cand_g).max())
+            if not cand_norm < gnorm:
+                break
+            w, g, gnorm = cand, cand_g, cand_norm
+            obj = _logistic_objective(w, x1, y, lam, mask)
+            continue
+        # Damped phase: backtrack on the objective (Armijo with c = 1e-4).
         t = 1.0
-        moved = False
         for _ in range(30):
             cand = w - t * step
             cand_obj = _logistic_objective(cand, x1, y, lam, mask)
             if cand_obj <= obj - 1e-4 * t * float(g @ step):
-                w, obj = cand, cand_obj
-                moved = True
                 break
             t *= 0.5
-        if not moved:
-            # Newton direction stalled; fall back to plain gradient descent.
-            t = 1.0
-            gg = float(g @ g)
-            for _ in range(60):
-                cand = w - t * g
-                cand_obj = _logistic_objective(cand, x1, y, lam, mask)
-                if cand_obj <= obj - 1e-4 * t * gg:
-                    w, obj = cand, cand_obj
-                    moved = True
-                    break
-                t *= 0.5
-        if not moved:
+        else:
             break
-    g = _logistic_grad(w, x1, y, lam, mask)
-    gnorm = float(np.max(np.abs(g))) if g.size else 0.0
+        w, obj = cand, cand_obj
+        g = _logistic_grad(w, x1, y, lam, mask)
+        gnorm = float(np.abs(g).max())
     if gnorm > tol:
         raise ConvergenceError(
             f"logistic trainer stopped with gradient max-norm {gnorm:.3e} "

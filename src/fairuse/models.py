@@ -84,7 +84,6 @@ class TrainConfig:
     l2_penalty: float = 0.0
     max_iterations: int = 10000
     gradient_tolerance: float = 1e-8
-    seed: int = 0
 
     def __post_init__(self):
         canonical = _LOSS_ALIASES.get(str(self.loss).lower())
@@ -104,8 +103,7 @@ class TrainConfig:
     def to_jsonable(self):
         return {"loss": self.loss, "l2_penalty": self.l2_penalty,
                 "max_iterations": self.max_iterations,
-                "gradient_tolerance": self.gradient_tolerance,
-                "seed": self.seed}
+                "gradient_tolerance": self.gradient_tolerance}
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,9 @@ from hypothesis import strategies as st
 from scipy.optimize import minimize
 from scipy.special import expit
 
+import fairuse._optim as optim
+import fairuse.models as models
+from fairuse.audit import AuditConfig
 from fairuse.dataset import Dataset
 from fairuse.groups import WITHHELD, GroupSpace
 from fairuse.models import (ConvergenceError, ExhaustiveSizeError,
@@ -17,6 +20,7 @@ from fairuse.models import (ConvergenceError, ExhaustiveSizeError,
                             encode, encode_batch, indicator_block, predict,
                             train_generic, train_personalized,
                             train_zero_one_exhaustive)
+from fairuse.synth import gen_exchangeable_null, gen_planted_violation
 
 from oracles import threshold_errors_1d
 
@@ -352,3 +356,77 @@ def test_convergence_error_carries_gradient_norm():
         train_generic(ds, TrainConfig(max_iterations=1,
                                       gradient_tolerance=1e-12))
     assert err.value.grad_norm > 1e-12
+
+
+def _count_logistic_fits(monkeypatch):
+    """Record (gradient calls, final gradient max-norm, tol) per logistic fit.
+
+    The list is filled as fits return; the call counter also covers a fit
+    that raises.
+    """
+    grad = optim._logistic_grad
+    train = models.train_logistic
+    calls = [0]
+    fits = []
+
+    def counted_grad(*args):
+        calls[0] += 1
+        return grad(*args)
+
+    def recorded_train(x1, y, mask, lam, tol, max_iter):
+        calls[0] = 0
+        w = train(x1, y, mask, lam, tol, max_iter)
+        final = float(np.max(np.abs(grad(w, x1, y, lam, mask))))
+        fits.append((calls[0], final, tol))
+        return w
+
+    monkeypatch.setattr(optim, "_logistic_grad", counted_grad)
+    monkeypatch.setattr(models, "train_logistic", recorded_train)
+    return fits, calls
+
+
+# Fits whose Armijo decrease drops below float64 resolution before the
+# gradient max-norm reaches tol / 100: the criterion-7 and criterion-6
+# audits' training (audit default ridge, onehot) and the criterion-4
+# fixture's zero-ridge decoupled fits, with their generators.
+_STALLED_FITS = (
+    [("criterion-7", seed) for seed in (1, 87)]
+    + [("criterion-6", seed) for seed in (32, 57, 121, 133, 162)]
+    + [("criterion-4", seed) for seed in (18, 38, 56, 89)])
+
+
+def _stalled_fit_case(name, seed):
+    if name == "criterion-7":
+        ds = gen_planted_violation(m=4, n_per_group=500, gap=-0.15,
+                                   seed=seed)
+        return ds, Strategy.ONEHOT, AuditConfig().train_config
+    if name == "criterion-6":
+        ds = gen_exchangeable_null(m=4, n_per_group=250, seed=seed)
+        return ds, Strategy.ONEHOT, AuditConfig().train_config
+    if seed < 50:
+        ds = gen_exchangeable_null(m=4, n_per_group=60, seed=seed)
+    else:
+        ds = gen_planted_violation(m=4, n_per_group=60, gap=-0.2, seed=seed)
+    return ds, Strategy.DECOUPLED, TrainConfig(l2_penalty=0.0)
+
+
+@pytest.mark.parametrize("name,seed", _STALLED_FITS,
+                         ids=[f"{n}-seed-{s}" for n, s in _STALLED_FITS])
+def test_logistic_fit_stops_once_converged(monkeypatch, name, seed):
+    ds, strategy, cfg = _stalled_fit_case(name, seed)
+    fits, _ = _count_logistic_fits(monkeypatch)
+    train_personalized(ds, strategy, cfg)
+    assert fits
+    for calls, final, tol in fits:
+        assert calls <= 50
+        assert final <= tol / 100.0
+
+
+def test_unattainable_tolerance_fails_fast(monkeypatch):
+    ds = gen_planted_violation(m=4, n_per_group=500, gap=-0.15, seed=0)
+    _, calls = _count_logistic_fits(monkeypatch)
+    with pytest.raises(ConvergenceError) as err:
+        train_personalized(ds, Strategy.ONEHOT,
+                           TrainConfig(gradient_tolerance=1e-17))
+    assert err.value.grad_norm > 1e-17
+    assert calls[0] <= 50
