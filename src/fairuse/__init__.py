@@ -8,10 +8,13 @@ models, evaluates the full misreport matrix, attaches exact and
 bootstrap significance tests with per-family correction, checks
 sample-size generalization bounds, and plans per-group model
 reassignment when violations appear.
+
+The name `fairuse.audit` is the module; the audit entry point is
+`fairuse.audit.audit`.
 """
 
 from .audit import (AuditConfig, FairUseReport, HypothesisResult,
-                    MisreportMatrix, PointSummary, audit, bonferroni,
+                    MisreportMatrix, PointSummary, bonferroni,
                     bootstrap_replicates, bootstrap_test,
                     check_fair_use_point, identical_prediction_pairs,
                     mcnemar_test, misreport_matrix)
@@ -49,7 +52,7 @@ __all__ = [
     "predict", "train_generic", "train_personalized",
     "train_zero_one_exhaustive",
     "AuditConfig", "FairUseReport", "HypothesisResult",
-    "MisreportMatrix", "PointSummary", "audit", "bonferroni",
+    "MisreportMatrix", "PointSummary", "bonferroni",
     "bootstrap_replicates", "bootstrap_test", "check_fair_use_point",
     "identical_prediction_pairs", "mcnemar_test", "misreport_matrix",
     "BoundInputs", "BoundVerdict", "Prop2Check", "check_optout",

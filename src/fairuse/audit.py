@@ -19,10 +19,12 @@ counter-based seed splitting, so reports are byte-identical across runs.
 Margins are evaluated once per (model, dataset) into a `MarginTable`
 (defined in `metrics`, importable from here as well): one column per
 reported value (WITHHELD and every cell) over all rows, the truthful
-column, and the row indices of each group. The misreport matrices, both
-test routes, the identical-prediction check, and the population and
-generalization rows all read slices of it; a slice equals the margins
-computed on the group's rows alone.
+column, and the row indices of each group. `misreport_matrix`,
+`bootstrap_replicates`, `bootstrap_test`, `mcnemar_test` and
+`identical_prediction_pairs` take that table as their first argument
+and read the model and dataset from it; so do the population and
+generalization rows. A slice equals the margins computed on the group's
+rows alone.
 
 Bootstrap replicates are never materialized. Each (metric, group) draws
 one (reps, n) resample index from its own seed, in chunks of at most
@@ -130,13 +132,9 @@ class MisreportMatrix:
         return {"metric": self.metric.tag, "rows": rows}
 
 
-def misreport_matrix(model, data, metric, table=None):
-    """Evaluate every (true group, reported) risk of `model` on `data`.
-
-    table, when given, is the MarginTable of (model, data) to read.
-    """
-    table = table if table is not None else MarginTable(model, data)
-    space = data.space
+def misreport_matrix(table, metric):
+    """Every (true group, reported) risk read from a MarginTable."""
+    space = table.data.space
     entries = {}
     for g in space.cells():
         for reported in (WITHHELD,) + space.cells():
@@ -311,16 +309,16 @@ def _not_testable(kind, test, metric_tag, g, comparator, n, alpha, reason):
         verdict=NOT_TESTABLE, detail={"reason": reason})
 
 
-def bootstrap_replicates(model, g, comparators, data, metric, *,
-                         reps=2000, seed=0, table=None):
+def bootstrap_replicates(table, g, comparators, metric, *, reps=2000,
+                         seed=0):
     """Replicate gains of group g over each comparator, from one draw.
 
     g's rows are resampled once: a (reps, n) index drawn from `seed` (an
     int or SeedSequence) in chunks of whole replicates, which continue the
     generator's stream and so reproduce the one-shot draw. Every
     comparator (WITHHELD or a GroupId) is evaluated on the same resamples
-    through each chunk's count matrix. reps must be at least 100; table
-    is the MarginTable of (model, data), if one is at hand.
+    through each chunk's count matrix, with margins read from `table`.
+    reps must be at least 100.
 
     Returns:
         (reps, k) array: column j holds comparators[j]'s gain on each
@@ -331,12 +329,11 @@ def bootstrap_replicates(model, g, comparators, data, metric, *,
     if reps < _MIN_BOOTSTRAP_REPS:
         raise ValueError(f"bootstrap needs >= {_MIN_BOOTSTRAP_REPS} "
                          f"replicates, got {reps}")
-    table = table if table is not None else MarginTable(model, data)
     rows = table.rows(g)
     n = int(rows.size)
     if n < 2:
         return np.empty((0, len(comparators)))
-    y = data.labels[rows]
+    y = table.data.labels[rows]
     self_m = table.margins(g, g)
     comp_m = [table.margins(g, c) for c in comparators]
     if metric.tag == ERROR_RATE_TAG:
@@ -362,8 +359,7 @@ def bootstrap_replicates(model, g, comparators, data, metric, *,
     return np.concatenate(parts)
 
 
-def bootstrap_test(model, g, comparator, data, metric, gains, *,
-                   alpha=0.10, table=None):
+def bootstrap_test(table, g, comparator, metric, gains, *, alpha=0.10):
     """Recentered percentile bootstrap of group g's gain over a comparator.
 
     comparator WITHHELD tests rationality against the paired generic
@@ -373,22 +369,18 @@ def bootstrap_test(model, g, comparator, data, metric, gains, *,
     extreme as the observed gain}) / (#valid draws + 1).
 
     Args:
-        model: trained PersonalizedModel.
+        table: MarginTable of the model on the evaluation dataset.
         g: true group under test.
         comparator: WITHHELD or a GroupId to misreport as.
-        data: evaluation Dataset.
         metric: MetricKind to difference.
         gains: the comparator's column of `bootstrap_replicates`.
         alpha: significance level echoed into the result.
-        table: the MarginTable of (model, data), if one is at hand.
 
     Returns:
         HypothesisResult with p_adjusted unset (see bonferroni).
     """
     kind = RATIONALITY if comparator is WITHHELD else ENVY
-    table = table if table is not None else MarginTable(model, data)
-    rows = table.rows(g)
-    n = int(rows.size)
+    n = int(table.rows(g).size)
     if n < 2:
         return _not_testable(kind, BOOTSTRAP, metric.tag, g, comparator, n,
                              alpha, "fewer than 2 rows in the group")
@@ -465,24 +457,23 @@ def _binom_tail_at_least(n, k):
     return (total if up else whole - total) / whole
 
 
-def mcnemar_test(model, g, comparator, data, *, alpha=0.10, table=None):
+def mcnemar_test(table, g, comparator, *, alpha=0.10):
     """Exact sign test on rows where the two predictions disagree.
 
     Counts b = rows group g's truthful model gets wrong while the
     comparator gets right, c = the converse; under the null of equal error
     rates the b-vs-c split is Binomial(b + c, 1/2). Applies to the error
     rate only; the estimate is (c - b) / n, matching the bootstrap's gain
-    orientation. b + c = 0 gives p = 1 (no evidence either way). table,
-    when given, is the MarginTable of (model, data) to read.
+    orientation. b + c = 0 gives p = 1 (no evidence either way). Margins
+    are read from `table`.
     """
     kind = RATIONALITY if comparator is WITHHELD else ENVY
-    table = table if table is not None else MarginTable(model, data)
     rows = table.rows(g)
     n = int(rows.size)
     if n < 2:
         return _not_testable(kind, MCNEMAR, ERROR_RATE_TAG, g, comparator,
                              n, alpha, "fewer than 2 rows in the group")
-    y = data.labels[rows]
+    y = table.data.labels[rows]
     wrong_self = np.where(table.margins(g, g) >= 0.0, 1, -1) != y
     wrong_comp = np.where(table.margins(g, comparator) >= 0.0, 1, -1) != y
     b = int(np.count_nonzero(wrong_self & ~wrong_comp))
@@ -653,17 +644,14 @@ class GeneralizationRow:
         }
 
 
-def identical_prediction_pairs(model, data, atol=_IDENTICAL_ATOL,
-                               table=None):
+def identical_prediction_pairs(table, atol=_IDENTICAL_ATOL):
     """Ordered pairs of cells whose reported predictions always agree.
 
-    Compares the margin functions over all rows of `data` for every pair
-    of reportable groups; agreeing pairs signal that personalization
-    distinguishes the two groups in name only. table, when given, is the
-    MarginTable of (model, data) to read.
+    Compares the table's margin columns over all rows for every pair of
+    reportable groups; agreeing pairs signal that personalization
+    distinguishes the two groups in name only.
     """
-    table = table if table is not None else MarginTable(model, data)
-    cells = model.space.cells()
+    cells = table.data.space.cells()
     margins = [table.column(r) for r in cells]
     pairs = []
     for i in range(len(cells)):
@@ -928,16 +916,17 @@ def _population_row(metric, point, results, table):
         significant_envy_violations=subjects(ENVY, SIGNIFICANT_VIOLATION))
 
 
-def _generalization_rows(model, train, cfg, table):
-    """Bound verdicts from the training-split error-rate gains."""
-    space = train.space
-    fmap = build_feature_map(model.strategy, space,
-                             train.feature_names)
+def _generalization_rows(table, cfg):
+    """Bound verdicts from the error-rate gains of a training-split
+    MarginTable."""
+    space = table.data.space
+    fmap = build_feature_map(table.model.strategy, space,
+                             table.data.feature_names)
     if cfg.vc_override is not None:
         vc = cfg.vc_override
     else:
         vc = theory.vc_linear(max(1, len(fmap.encoded_features)))
-    matrix = misreport_matrix(model, train, ERROR_RATE, table=table)
+    matrix = misreport_matrix(table, ERROR_RATE)
     point = check_fair_use_point(matrix)
     m = space.m
     rows = []
@@ -993,22 +982,21 @@ def audit(train, test, strategy=Strategy.ONEHOT, metrics=(ERROR_RATE,),
     points = {}
     raw_results = []
     for mi, metric in enumerate(metrics):
-        matrix = misreport_matrix(model, test, metric, table=table)
+        matrix = misreport_matrix(table, metric)
         matrices[metric.tag] = matrix
         points[metric.tag] = check_fair_use_point(matrix)
         boot, exact = [], []
         for gi, g in enumerate(cells):
             comps = (WITHHELD,) + tuple(c for c in cells if c != g)
             gains = bootstrap_replicates(
-                model, g, comps, test, metric, reps=cfg.bootstrap_reps,
-                seed=np.random.SeedSequence([cfg.seed, mi, gi]),
-                table=table)
-            boot += [bootstrap_test(model, g, comp, test, metric,
-                                    gains[:, j], alpha=cfg.alpha, table=table)
+                table, g, comps, metric, reps=cfg.bootstrap_reps,
+                seed=np.random.SeedSequence([cfg.seed, mi, gi]))
+            boot += [bootstrap_test(table, g, comp, metric, gains[:, j],
+                                    alpha=cfg.alpha)
                      for j, comp in enumerate(comps)]
             if metric.tag == ERROR_RATE_TAG:
-                exact += [mcnemar_test(model, g, comp, test, alpha=cfg.alpha,
-                                       table=table) for comp in comps]
+                exact += [mcnemar_test(table, g, comp, alpha=cfg.alpha)
+                          for comp in comps]
         # Each route lists every rationality test, then every envy test.
         for route in (boot, exact):
             raw_results += sorted(route, key=lambda r: r.kind == ENVY)
@@ -1024,8 +1012,8 @@ def audit(train, test, strategy=Strategy.ONEHOT, metrics=(ERROR_RATE,),
         train_equals_test=_datasets_equal(train, test),
         matrices=matrices, points=points, populations=populations,
         results=results,
-        generalization=_generalization_rows(model, train, cfg, train_table),
-        identical_pairs=identical_prediction_pairs(model, test, table=table))
+        generalization=_generalization_rows(train_table, cfg),
+        identical_pairs=identical_prediction_pairs(table))
     from .interventions import data_minimization
     report.suggestions = tuple(data_minimization(report))
     return report

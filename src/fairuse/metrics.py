@@ -261,10 +261,12 @@ class MarginTable:
     """Margins of one model on every row of one dataset.
 
     One column per reported value (a cell, WITHHELD or TRUTHFUL), each
-    computed over all rows on first use and then kept, plus the row
-    indices of each true group. `margins(g, reported)` slices a column to
-    group g's rows; `risk(metric, g, reported)` is evaluated once per key
-    and then kept.
+    computed over all rows on first use by `model.margins` (or
+    `model.margins_truthful`) and then kept, plus the row indices of each
+    true group. `margins(g, reported)` slices a column to group g's rows;
+    `risk(metric, g, reported)` is evaluated once per key and then kept.
+    The audit's tests take a table as their first argument and read
+    `model` and `data` from it.
     """
 
     def __init__(self, model, data):

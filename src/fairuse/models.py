@@ -11,12 +11,18 @@ group-aware predictor under one of four strategies:
   * decoupled: a separate model per cell, trained on that cell's rows.
 
 Predictions depend only on (x, reported group); a WITHHELD report routes
-to the paired generic model. Empty decoupled cells inherit the generic
-model and are flagged; single-class training data yields a flagged
-constant predictor.
+to the paired generic model. Every other report, one group for all rows
+(`margins`) or each row's own cell (`margins_truthful`), becomes one cell
+code per row for one kernel: a decoupled model applies each cell's model
+to the rows coded for it, and every other strategy appends each row's
+indicator block (a row of the model's indicator matrix, built once) to
+its features and applies the shared weights. Empty decoupled cells
+inherit the generic model and are flagged; single-class training data
+yields a flagged constant predictor.
 """
 
 import enum
+import functools
 import warnings
 from dataclasses import dataclass
 from typing import Optional
@@ -30,7 +36,7 @@ from .groups import GroupSpace, WITHHELD
 
 __all__ = [
     "Strategy", "TrainConfig", "FeatureMap", "LinearModel",
-    "PersonalizedModel", "encode", "encode_batch", "build_feature_map",
+    "PersonalizedModel", "build_feature_map",
     "train_generic", "train_personalized", "train_zero_one_exhaustive",
     "predict", "ConvergenceError", "ExhaustiveSizeError",
 ]
@@ -163,21 +169,6 @@ def indicator_block(space, strategy, g):
     return np.zeros(0)
 
 
-def encode(x, g, strategy, space):
-    """Encoded feature vector for one row under a reported group."""
-    x = np.asarray(x, dtype=float).reshape(-1)
-    return np.concatenate([x, indicator_block(space, strategy, g)])
-
-
-def encode_batch(x, g, strategy, space):
-    """Encoded design matrix for many rows sharing one reported group."""
-    x = np.asarray(x, dtype=float)
-    block = indicator_block(space, strategy, g)
-    if block.size == 0:
-        return x
-    return np.hstack([x, np.tile(block, (x.shape[0], 1))])
-
-
 def _indicator_matrix(space, strategy):
     """(m, n_indicators) matrix of per-cell indicator blocks."""
     return np.stack([indicator_block(space, strategy, cell)
@@ -238,9 +229,31 @@ class PersonalizedModel:
             raise ValueError(f"{self.strategy.value} models need a shared "
                              "linear model")
 
-    @property
-    def base_dim(self):
-        return len(self.generic.feature_map.base_features)
+    @functools.cached_property
+    def _blocks(self):
+        """(m, n_indicators) indicator blocks, one row per cell."""
+        return _indicator_matrix(self.space, self.strategy)
+
+    @functools.cached_property
+    def _cell_models(self):
+        """Decoupled per-cell models, one per cell code."""
+        return tuple(self.cells[cell] for cell in self.space.cells())
+
+    def _margins(self, x, codes):
+        """Margins of 2-D x when row i reports the cell coded codes[i]."""
+        if self.strategy is Strategy.DECOUPLED:
+            models = self._cell_models
+            if codes.size and codes.min() == codes.max():  # one cell: no masks
+                return models[codes[0]].margins_encoded(x)
+            out = np.empty(x.shape[0])
+            for idx, lm in enumerate(models):
+                mask = codes == idx
+                if np.any(mask):
+                    out[mask] = lm.margins_encoded(x[mask])
+            return out
+        # take gathers rows faster than fancy indexing (blocks[codes]).
+        enc = np.hstack([x, self._blocks.take(codes, axis=0)])
+        return self.model.margins_encoded(enc)
 
     def margins(self, x, reported):
         """Margins for rows of x when every row reports `reported`."""
@@ -249,33 +262,15 @@ class PersonalizedModel:
         x = np.atleast_2d(x)
         if reported is WITHHELD:
             out = self.generic.margins_encoded(x)
-        elif self.strategy is Strategy.GENERIC:
-            self.space.validate(reported)
-            out = self.generic.margins_encoded(x)
-        elif self.strategy is Strategy.DECOUPLED:
-            self.space.validate(reported)
-            out = self.cells[reported].margins_encoded(x)
         else:
-            enc = encode_batch(x, reported, self.strategy, self.space)
-            out = self.model.margins_encoded(enc)
+            out = self._margins(x, np.full(x.shape[0],
+                                           self.space.index_of(reported)))
         return out[0] if squeeze else out
 
     def margins_truthful(self, x, cell_indices):
         """Margins when each row reports its own cell (by cell index)."""
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        cell_indices = np.asarray(cell_indices)
-        if self.strategy is Strategy.GENERIC:
-            return self.generic.margins_encoded(x)
-        if self.strategy is Strategy.DECOUPLED:
-            out = np.empty(x.shape[0])
-            for idx, cell in enumerate(self.space.cells()):
-                mask = cell_indices == idx
-                if np.any(mask):
-                    out[mask] = self.cells[cell].margins_encoded(x[mask])
-            return out
-        blocks = _indicator_matrix(self.space, self.strategy)
-        enc = np.hstack([x, blocks[cell_indices]])
-        return self.model.margins_encoded(enc)
+        return self._margins(np.atleast_2d(np.asarray(x, dtype=float)),
+                             np.asarray(cell_indices))
 
     def all_flags(self):
         seen = list(self.flags)

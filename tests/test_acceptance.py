@@ -15,8 +15,8 @@ import numpy as np
 import pytest
 
 from fairuse.audit import (BOOTSTRAP, ENVY, MCNEMAR, RATIONALITY,
-                           SIGNIFICANT_VIOLATION, AuditConfig, audit,
-                           mcnemar_test)
+                           SIGNIFICANT_VIOLATION, AuditConfig, MarginTable,
+                           audit, mcnemar_test)
 from fairuse.dataset import Dataset
 from fairuse.groups import WITHHELD, GroupSpace
 from fairuse.interventions import assign_generic_on_violation
@@ -230,7 +230,7 @@ def test_criterion_08_mcnemar_matches_binomial_tail():
             c = total - b
             model, a, ds = _mcnemar_case(b, c)
             t0 = time.monotonic()
-            res = mcnemar_test(model, a, WITHHELD, ds)
+            res = mcnemar_test(MarginTable(model, ds), a, WITHHELD)
             elapsed += time.monotonic() - t0
             assert res.detail == {"b": b, "c": c}
             if total == 0:

@@ -1,6 +1,7 @@
 """Misreport matrices, point checks, significance tests, and full audits."""
 
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -10,15 +11,16 @@ from scipy.special import expit
 from fairuse.audit import (BOOTSTRAP, ENVY, INCONCLUSIVE, MCNEMAR,
                            NOT_TESTABLE, RATIONALITY, SIGNIFICANT_GAIN,
                            SIGNIFICANT_VIOLATION, AuditConfig,
-                           FairUseReport, HypothesisResult, MisreportMatrix,
-                           audit, bonferroni, bootstrap_replicates,
-                           bootstrap_test, check_fair_use_point,
+                           FairUseReport, HypothesisResult, MarginTable,
+                           MisreportMatrix, audit, bonferroni,
+                           bootstrap_replicates, bootstrap_test,
+                           check_fair_use_point,
                            identical_prediction_pairs, mcnemar_test,
                            misreport_matrix)
 from fairuse.dataset import Dataset, split
 from fairuse.groups import ALL, WITHHELD, GroupSpace
 from fairuse.metrics import (AUC, ECE, ERROR_RATE, RiskEstimate,
-                             metric_value)
+                             metric_from_name, metric_value)
 from fairuse.models import (LinearModel, PersonalizedModel, Strategy,
                             TrainConfig, build_feature_map,
                             train_personalized, train_zero_one_exhaustive)
@@ -51,9 +53,10 @@ class _StubModel:
 
 def _bootstrap_one(model, g, comparator, data, metric, *, reps, seed):
     """One bootstrap test in two steps: draw the replicates, then test."""
-    gains = bootstrap_replicates(model, g, (comparator,), data, metric,
+    table = MarginTable(model, data)
+    gains = bootstrap_replicates(table, g, (comparator,), metric,
                                  reps=reps, seed=seed)
-    return bootstrap_test(model, g, comparator, data, metric, gains[:, 0])
+    return bootstrap_test(table, g, comparator, metric, gains[:, 0])
 
 
 def test_misreport_matrix_matches_manual_loop():
@@ -61,7 +64,7 @@ def test_misreport_matrix_matches_manual_loop():
     model = train_personalized(ds, Strategy.ONEHOT,
                                TrainConfig(l2_penalty=1e-3))
     for metric in (ERROR_RATE, AUC, ECE):
-        matrix = misreport_matrix(model, ds, metric)
+        matrix = misreport_matrix(MarginTable(model, ds), metric)
         for g in AB.cells():
             rows = ds.rows_for(g)
             x = ds.features[rows]
@@ -80,7 +83,7 @@ def test_generic_model_matrix_rows_are_constant():
     ds = grouped_dataset()
     model = train_personalized(ds, Strategy.GENERIC,
                                TrainConfig(l2_penalty=1e-3))
-    matrix = misreport_matrix(model, ds, ERROR_RATE)
+    matrix = misreport_matrix(MarginTable(model, ds), ERROR_RATE)
     for g in AB.cells():
         vals = {matrix.entry(g, r).value
                 for r in (WITHHELD,) + AB.cells()}
@@ -266,8 +269,8 @@ def test_bootstrap_rejects_too_few_reps():
     model = train_personalized(ds, Strategy.ONEHOT,
                                TrainConfig(l2_penalty=1e-3))
     with pytest.raises(ValueError, match="100"):
-        bootstrap_replicates(model, AB.group("a"), (WITHHELD,), ds,
-                             ERROR_RATE, reps=99, seed=0)
+        bootstrap_replicates(MarginTable(model, ds), AB.group("a"),
+                             (WITHHELD,), ERROR_RATE, reps=99, seed=0)
 
 
 def _mcnemar_setup(b, c, n=30):
@@ -286,7 +289,7 @@ def _mcnemar_setup(b, c, n=30):
 
 def test_mcnemar_exact_cases():
     model, a, ds = _mcnemar_setup(10, 0)
-    res = mcnemar_test(model, a, WITHHELD, ds)
+    res = mcnemar_test(MarginTable(model, ds), a, WITHHELD)
     assert res.detail == {"b": 10, "c": 0}
     assert res.estimate == pytest.approx(-10 / 30)
     assert res.p_violation == 2.0 ** -10
@@ -294,20 +297,20 @@ def test_mcnemar_exact_cases():
     assert res.p_raw == res.p_violation
 
     model, a, ds = _mcnemar_setup(0, 10)
-    res = mcnemar_test(model, a, WITHHELD, ds)
+    res = mcnemar_test(MarginTable(model, ds), a, WITHHELD)
     assert res.estimate == pytest.approx(10 / 30)
     assert res.p_violation == 1.0
     assert res.p_gain == 2.0 ** -10
     assert res.p_raw == res.p_gain
 
     model, a, ds = _mcnemar_setup(5, 5)
-    res = mcnemar_test(model, a, WITHHELD, ds)
+    res = mcnemar_test(MarginTable(model, ds), a, WITHHELD)
     assert res.estimate == 0.0
     assert res.p_raw > 0.5
     assert res.p_violation == res.p_gain == res.p_raw
 
     model, a, ds = _mcnemar_setup(0, 0)
-    res = mcnemar_test(model, a, WITHHELD, ds)
+    res = mcnemar_test(MarginTable(model, ds), a, WITHHELD)
     assert res.p_violation == res.p_gain == res.p_raw == 1.0
     assert res.estimate == 0.0
 
@@ -315,7 +318,7 @@ def test_mcnemar_exact_cases():
 def test_mcnemar_matches_binomial_oracle():
     for b, c in [(3, 1), (1, 3), (7, 2), (4, 4), (12, 0), (6, 9)]:
         model, a, ds = _mcnemar_setup(b, c)
-        res = mcnemar_test(model, a, WITHHELD, ds)
+        res = mcnemar_test(MarginTable(model, ds), a, WITHHELD)
         assert res.p_violation == pytest.approx(
             float(binom_tail(b + c, b)), abs=1e-15)
         assert res.p_gain == pytest.approx(
@@ -327,7 +330,7 @@ def test_mcnemar_not_testable_on_tiny_group():
     ds = Dataset(np.zeros((2, 1)), np.array([1, -1]), (a, b), AB)
     model = _StubModel(AB, {a: np.ones(2), b: np.ones(2),
                             WITHHELD: np.ones(2)})
-    res = mcnemar_test(model, a, WITHHELD, ds)
+    res = mcnemar_test(MarginTable(model, ds), a, WITHHELD)
     assert res.verdict == NOT_TESTABLE
 
 
@@ -450,7 +453,7 @@ def test_reference_logistic_audit_flags_one_group():
 def test_decoupled_matrix_diagonal_is_row_minimum():
     ds = gen_group_specific_effects()
     model = train_zero_one_exhaustive(ds, Strategy.DECOUPLED)
-    matrix = misreport_matrix(model, ds, ERROR_RATE)
+    matrix = misreport_matrix(MarginTable(model, ds), ERROR_RATE)
     for g in ds.space.cells():
         own = matrix.entry(g, g).value
         assert own == 0.0
@@ -466,11 +469,11 @@ def test_identical_prediction_pairs():
     model = PersonalizedModel(
         strategy=Strategy.ONEHOT, space=space, generic=zero,
         train_config=TrainConfig(), model=zero)
-    pairs = identical_prediction_pairs(model, ds)
+    pairs = identical_prediction_pairs(MarginTable(model, ds))
     assert len(pairs) == 6
     trained = train_personalized(ds, Strategy.ONEHOT,
                                  TrainConfig(l2_penalty=1e-4))
-    assert identical_prediction_pairs(trained, ds) == ()
+    assert identical_prediction_pairs(MarginTable(trained, ds)) == ()
 
 
 def test_generalization_rows():
@@ -487,6 +490,35 @@ def test_generalization_rows():
     rep2 = audit(ds, ds, Strategy.ONEHOT, (ERROR_RATE,),
                  small_cfg(vc_override=7))
     assert all(r.vc == 7 for r in rep2.generalization)
+
+
+def test_decoupled_audit_renders_cells_flags_ece_bins_and_bounds():
+    # Groups a and b have opposite labels; c is declared but has no rows,
+    # so its decoupled cell inherits the generic model and is flagged.
+    abc = GroupSpace((("g", ("a", "b", "c")),))
+    n = 600
+    x = np.random.default_rng(0).normal(size=(n, 1))
+    flip = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
+    y = np.where(x[:, 0] * flip >= 0, 1, -1)
+    ds = Dataset(x, y, tuple(abc.cells()[i % 2] for i in range(n)), abc)
+    ece = metric_from_name("ece", ece_bins=5)
+    rep = audit(ds, ds, Strategy.DECOUPLED, (ERROR_RATE, ece), small_cfg())
+    model = json.loads(rep.to_json_str())["model"]
+    assert "model" not in model
+    assert list(model["cells"]) == ["a", "b", "c"]
+    assert model["cells"]["c"] == model["generic"]
+    assert model["cells"]["a"]["weights"] != model["cells"]["b"]["weights"]
+    assert model["empty_cells"] == ["c"]
+    md = rep.to_markdown()
+    assert "\n- ece_bins: 5\n" in md
+    assert ("\n- training flags: cell c has no training rows; inheriting "
+            "the generic model\n") in md
+    row = {str(r.group): r for r in rep.generalization}["a"]
+    assert row.rationality.satisfied and row.envy.satisfied
+    assert (f"\n| a | 300 | 2 | {row.rationality_gain:+.4f} | "
+            f"{row.rationality.required_n} | yes | "
+            f"{row.envy_min_gain:+.4f} | {row.envy.required_n} | yes |\n"
+            ) in md
 
 
 def test_report_markdown_and_csv_shape():

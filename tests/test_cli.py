@@ -7,7 +7,7 @@ import json
 import pytest
 
 from fairuse.cli import main
-from fairuse.dataset import load_csv
+from fairuse.dataset import load_csv, save_csv, split
 from fairuse.replicate import diff_tables
 from fairuse.synth import EXPECTED_TABLES
 
@@ -195,6 +195,39 @@ def test_audit_report_bytes_are_deterministic(mis_csv, tmp_path, capsys):
         assert code == 3
     capsys.readouterr()
     assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+def test_audit_data_split_equals_train_and_test_files(tmp_path, capsys):
+    data = tmp_path / "planted.csv"
+    assert main(["synth", "planted", "--n-per-group", "60", "--seed", "2",
+                 "--out", str(data)]) == 0
+    train, test = split(load_csv(str(data)), 0.8, 5)
+    save_csv(train, str(tmp_path / "a.csv"))
+    save_csv(test, str(tmp_path / "b.csv"))
+    runs = []
+    for source in (["--data", str(data)],
+                   ["--train", str(tmp_path / "a.csv"),
+                    "--test", str(tmp_path / "b.csv")]):
+        out = tmp_path / f"report-{len(runs)}.json"
+        code = main(["audit", *source, "--seed", "5", "--bootstrap", "200",
+                     "--format", "json", "--out", str(out)])
+        runs.append((code, out.read_bytes()))
+    capsys.readouterr()
+    assert runs[0][0] in (0, 3)
+    assert runs[0] == runs[1]
+    report = json.loads(runs[0][1])
+    assert not report["train_equals_test"]
+    assert report["test_tally"]["total"] == test.n
+
+
+def test_audit_train_without_test_is_usage_error(tmp_path, capsys):
+    path = str(tmp_path / "a.csv")
+    assert main(["synth", "planted", "--n-per-group", "20",
+                 "--out", path]) == 0
+    capsys.readouterr()
+    assert main(["audit", "--train", path]) == 1
+    assert "--train and --test must be given together" in \
+        capsys.readouterr().err
 
 
 def test_intervene_generic_reassigns_harmed_group(mis_csv, tmp_path,

@@ -91,3 +91,11 @@ def test_lp_trainers_fit_from_a_cold_start():
     want_w, want_errors = train_zero_one(x_enc, y01)
     assert w == want_w.tolist()
     assert errors == want_errors
+
+
+def test_fairuse_audit_names_the_module():
+    out = _run_fresh("import fairuse.audit as m\n"
+                     "from fairuse.audit import audit\n"
+                     "print(m.__name__, m.audit is audit, "
+                     "m.MarginTable.__name__)\n")
+    assert out.split() == ["fairuse.audit", "True", "MarginTable"]

@@ -25,7 +25,7 @@ from fairuse.metrics import (AUC, ECE, ERROR_RATE, auc_value, ece_value,
 from fairuse.models import Strategy, TrainConfig, train_personalized
 from fairuse.synth import gen_planted_violation
 
-# The package re-exports the audit() function under the module's name.
+# The audit module itself, whose names the tests below patch.
 audit_module = importlib.import_module("fairuse.audit")
 AB = GroupSpace((("g", ("a", "b")),))
 SPACE_2X2 = GroupSpace((("s", ("f", "m")), ("t", ("x", "y"))))
@@ -141,9 +141,10 @@ class _StubModel:
 
 def _bootstrap_one(model, g, comparator, data, metric, *, reps, seed):
     """One bootstrap test in two steps: draw the replicates, then test."""
-    gains = bootstrap_replicates(model, g, (comparator,), data, metric,
+    table = MarginTable(model, data)
+    gains = bootstrap_replicates(table, g, (comparator,), metric,
                                  reps=reps, seed=seed)
-    return bootstrap_test(model, g, comparator, data, metric, gains[:, 0])
+    return bootstrap_test(table, g, comparator, metric, gains[:, 0])
 
 
 def _looped_bootstrap(metric, seed, reps, self_m, comp_m, y):
@@ -250,10 +251,11 @@ def test_audit_bootstrap_results_equal_one_comparator_draws():
         mi = [mk.tag for mk in metrics].index(r.metric)
         gi = cells.index(r.group)
         seed = np.random.SeedSequence([cfg.seed, mi, gi])
-        gains = bootstrap_replicates(report.model, r.group, (r.comparator,),
-                                     ds, metrics[mi], reps=200, seed=seed)
-        alone = bootstrap_test(report.model, r.group, r.comparator, ds,
-                               metrics[mi], gains[:, 0], alpha=cfg.alpha)
+        table = MarginTable(report.model, ds)
+        gains = bootstrap_replicates(table, r.group, (r.comparator,),
+                                     metrics[mi], reps=200, seed=seed)
+        alone = bootstrap_test(table, r.group, r.comparator, metrics[mi],
+                               gains[:, 0], alpha=cfg.alpha)
         want = {k: v for k, v in alone.to_jsonable().items()
                 if k not in skip}
         got = {k: v for k, v in r.to_jsonable().items() if k not in skip}
@@ -271,12 +273,12 @@ def test_shared_draw_columns_equal_one_comparator_draws(monkeypatch,
     n = ds.rows_for(g).size
     # 7 replicates per chunk: 35 full chunks and a last one of 5.
     monkeypatch.setattr(audit_module, "_INDEX_CHUNK_ENTRIES", 7 * n + 3)
-    shared = bootstrap_replicates(model, g, comps, ds, metric, reps=250,
-                                  seed=8)
+    shared = bootstrap_replicates(MarginTable(model, ds), g, comps, metric,
+                                  reps=250, seed=8)
     assert shared.shape == (250, len(comps))
     for j, comp in enumerate(comps):
-        alone = bootstrap_replicates(model, g, (comp,), ds, metric,
-                                     reps=250, seed=8)
+        alone = bootstrap_replicates(MarginTable(model, ds), g, (comp,),
+                                     metric, reps=250, seed=8)
         assert np.array_equal(shared[:, j], alone[:, 0], equal_nan=True)
 
 
@@ -351,8 +353,9 @@ def test_shared_draw_memory_is_bounded_in_comparators():
     model = _StubModel({c: rng.normal(size=n) for c in cells})
     tracemalloc.start()
     try:
-        gains = bootstrap_replicates(model, cells[0], cells[1:], ds,
-                                     ERROR_RATE, reps=2000, seed=0)
+        gains = bootstrap_replicates(MarginTable(model, ds), cells[0],
+                                     cells[1:], ERROR_RATE, reps=2000,
+                                     seed=0)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -8,7 +8,7 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 from scipy.special import expit
 
-from fairuse.audit import check_fair_use_point, misreport_matrix
+from fairuse.audit import MarginTable, check_fair_use_point, misreport_matrix
 from fairuse.dataset import Dataset
 from fairuse.groups import ALL, TRUTHFUL, WITHHELD, GroupSpace
 from fairuse.metrics import (AUC, ECE, ERROR_RATE, MetricKind, RiskEstimate,
@@ -215,7 +215,8 @@ def test_reference_model_misreport_risks():
     fy = ds.space.group("f", "y")
     assert group_risk(model, ds, my, my, ERROR_RATE).value == 0.0
     assert group_risk(model, ds, my, WITHHELD, ERROR_RATE).value == 1.0
-    point = check_fair_use_point(misreport_matrix(model, ds, ERROR_RATE))
+    point = check_fair_use_point(
+        misreport_matrix(MarginTable(model, ds), ERROR_RATE))
     assert point.gains[fy].rationality_gain == pytest.approx(-1.0)
 
 

@@ -17,9 +17,8 @@ from fairuse.groups import WITHHELD, GroupSpace
 from fairuse.models import (ConvergenceError, ExhaustiveSizeError,
                             LinearModel, PersonalizedModel, Strategy,
                             TrainConfig, as_strategy, build_feature_map,
-                            encode, encode_batch, indicator_block, predict,
-                            train_generic, train_personalized,
-                            train_zero_one_exhaustive)
+                            indicator_block, predict, train_generic,
+                            train_personalized, train_zero_one_exhaustive)
 from fairuse.synth import gen_exchangeable_null, gen_planted_violation
 
 from oracles import threshold_errors_1d
@@ -85,14 +84,36 @@ def test_indicator_blocks_reference_levels():
                            cells[0]).size == 0
 
 
+def _shared_model(strategy, weights):
+    """A personalized model with fixed shared weights over x1, x2."""
+    base = ("x1", "x2")
+    generic = LinearModel(np.zeros(3), build_feature_map(
+        Strategy.GENERIC, TWO_BY_TWO, base))
+    lm = LinearModel(weights, build_feature_map(strategy, TWO_BY_TWO, base))
+    return PersonalizedModel(strategy, TWO_BY_TWO, generic, TrainConfig(),
+                             model=lm)
+
+
 def test_encode_appends_indicators():
+    # Dyadic weights and inputs: every margin below is exact.
     g = TWO_BY_TWO.group("m", "y")
-    row = encode([1.5, -2.0], g, Strategy.ONEHOT, TWO_BY_TWO)
+    row = np.concatenate([[1.5, -2.0],
+                          indicator_block(TWO_BY_TWO, Strategy.ONEHOT, g)])
     assert list(row) == [1.5, -2.0, 1.0, 1.0]
-    batch = encode_batch(np.array([[1.0, 2.0], [3.0, 4.0]]), g,
-                         Strategy.INTERSECTIONAL, TWO_BY_TWO)
+    w = np.array([0.5, -1.0, 2.0, 4.0, 0.25])
+    model = _shared_model(Strategy.ONEHOT, w)
+    assert model.margins(np.array([1.5, -2.0]), g) == row @ w[:-1] + w[-1]
+    x = np.array([[1.0, 2.0], [3.0, 4.0]])
+    block = indicator_block(TWO_BY_TWO, Strategy.INTERSECTIONAL, g)
+    batch = np.hstack([x, np.tile(block, (x.shape[0], 1))])
     assert batch.shape == (2, 5)
     assert list(batch[0]) == [1.0, 2.0, 0.0, 0.0, 1.0]
+    w = np.array([0.5, -1.0, 2.0, 4.0, -8.0, 0.25])
+    model = _shared_model(Strategy.INTERSECTIONAL, w)
+    want = batch @ w[:-1] + w[-1]
+    assert np.array_equal(model.margins(x, g), want)
+    codes = np.full(x.shape[0], TWO_BY_TWO.index_of(g))
+    assert np.array_equal(model.margins_truthful(x, codes), want)
 
 
 def test_linear_model_validation():

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from fairuse.audit import check_fair_use_point, misreport_matrix
+from fairuse.audit import MarginTable, check_fair_use_point, misreport_matrix
 from fairuse.dataset import load_csv, save_csv, tally
 from fairuse.metrics import ERROR_RATE
 from fairuse.models import Strategy, TrainConfig, train_personalized
@@ -107,7 +107,8 @@ def test_planted_gain_shows_up_in_an_additive_fit():
     ds = gen_planted_violation(4, 2000, -0.3, 0)
     model = train_personalized(ds, Strategy.ONEHOT,
                                TrainConfig(l2_penalty=0.0))
-    point = check_fair_use_point(misreport_matrix(model, ds, ERROR_RATE))
+    point = check_fair_use_point(
+        misreport_matrix(MarginTable(model, ds), ERROR_RATE))
     designated = ds.space.cells()[-1]
     gain = point.gains[designated].rationality_gain
     assert gain == pytest.approx(-0.3, abs=0.07)
