@@ -1,8 +1,10 @@
 """Numerical trainers for linear classifiers.
 
-train_logistic drives the max-norm of the penalized logistic gradient below
-a tolerance by damped, then pure, Newton steps, and raises ConvergenceError
-rather than returning a silently unconverged fit.
+cell_margins is the one linear margin, x·w_base + cells[code]·w_cell, with
+one design row per group cell in `cells`. train_logistic fits it: it drives
+the max-norm of the penalized logistic gradient below a tolerance by
+damped, then pure, Newton steps, and raises ConvergenceError rather than
+returning a silently unconverged fit.
 train_hinge solves the average-hinge-loss minimization exactly as a linear
 program.
 """
@@ -19,58 +21,70 @@ class ConvergenceError(RuntimeError):
         self.grad_norm = float(grad_norm)
 
 
-def _logistic_objective(w, x1, y, lam, mask):
-    m = y * (x1 @ w)
+def cell_margins(w, x, codes, cells):
+    """x @ w[:d] + cells[codes] @ w[d:], summed per cell before the gather."""
+    d = x.shape[1]
+    return x @ w[:d] + (cells @ w[d:]).take(codes)
+
+
+def _logistic_objective(w, x, codes, cells, y, lam):
+    m = y * cell_margins(w, x, codes, cells)
     loss = float(np.mean(np.logaddexp(0.0, -m)))
-    return loss + lam * float(np.sum(mask * w * w))
+    return loss + lam * float(np.sum(w[:x.shape[1]] ** 2))
 
 
-def _logistic_grad(w, x1, y, lam, mask):
-    m = y * (x1 @ w)
-    # d/dm softplus(-m) = -sigmoid(-m); chain through m = y * x w.
-    s = expit(-m)
-    g = -(x1 * (y * s)[:, None]).mean(axis=0)
-    return g + 2.0 * lam * mask * w
+def _logistic_grad(w, x, codes, cells, y, lam):
+    m = y * cell_margins(w, x, codes, cells)
+    # d/dm softplus(-m) = -sigmoid(-m); chain through m = y * margin.
+    r = -y * expit(-m) / y.size
+    return np.concatenate([x.T @ r + 2.0 * lam * w[:x.shape[1]],
+                           cells.T @ np.bincount(codes, r, cells.shape[0])])
 
 
-def train_logistic(x1, y, penalty_mask, lam, tol, max_iter):
-    """Minimize mean logistic loss + lam * ||mask . w||^2 over weights.
+def train_logistic(x, codes, cells, y, lam, tol, max_iter):
+    """Minimize mean logistic loss + lam * ||w[:d]||^2 over weights.
 
     Newton's method (Boyd & Vandenberghe, Convex Optimization, 9.5): damped
     steps backtrack on the objective (Armijo, c = 1e-4); once that decrease
     rounds away in float64, the full step is taken only if it lowers the
-    gradient max-norm, and the loop stops when it does not.
+    gradient max-norm, and the loop stops when it does not. The cell part
+    of the gradient and Hessian is summed per cell with np.bincount.
 
     Args:
-        x1: (n, p) design matrix, intercept column included by the caller.
+        x: (n, d) base features.
+        codes: (n,) cell code of each row, an index into cells.
+        cells: (m, k) design row per cell, intercept column included.
         y: (n,) labels in {-1, +1}.
-        penalty_mask: (p,) 0/1 vector; penalized coordinates only.
-        lam: ridge strength (applies as lam * sum(mask_j * w_j^2)).
+        lam: ridge strength on the d base weights; cell weights are free.
         tol: required max-norm of the gradient at the returned weights.
         max_iter: iteration budget.
 
     Returns:
-        (p,) weight vector with gradient max-norm at most tol.
+        (d + k,) weight vector with gradient max-norm at most tol.
     """
-    x1 = np.asarray(x1, dtype=float)
+    x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    mask = np.asarray(penalty_mask, dtype=float)
-    n, p = x1.shape
-    w = np.zeros(p)
+    n, d = x.shape
+    w = np.zeros(d + cells.shape[1])
     # Aim well below the contracted tolerance so downstream near-equality
     # checks at 10 * tol have slack.
     target = tol / 100.0
-    obj = _logistic_objective(w, x1, y, lam, mask)
-    g = _logistic_grad(w, x1, y, lam, mask)
+    obj = _logistic_objective(w, x, codes, cells, y, lam)
+    g = _logistic_grad(w, x, codes, cells, y, lam)
     gnorm = float(np.abs(g).max())
     for _ in range(int(max_iter)):
         if gnorm <= target:
             break
-        m = y * (x1 @ w)
-        s = expit(-np.abs(m))
         # sigma(m) * sigma(-m) computed stably from |m|.
-        curv = s * (1.0 - s)
-        h = (x1.T * curv) @ x1 / n + np.diag(2.0 * lam * mask)
+        s = expit(-np.abs(y * cell_margins(w, x, codes, cells)))
+        curv = s * (1.0 - s) / n
+        cx = x.T * curv
+        # Per-cell sums of curv and curv * x stand in for cells[codes].
+        sums = np.array([np.bincount(codes, c, len(cells))
+                         for c in (curv, *cx)])
+        cross = sums[1:] @ cells
+        h = np.block([[cx @ x + 2.0 * lam * np.eye(d), cross],
+                      [cross.T, (cells.T * sums[0]) @ cells]])
         h[np.diag_indices_from(h)] += 1e-10
         try:
             step = np.linalg.solve(h, g)
@@ -81,25 +95,25 @@ def train_logistic(x1, y, penalty_mask, lam, tol, max_iter):
         if obj - 1e-4 * float(g @ step) == obj:
             # Pure phase: the objective cannot rank steps; the gradient can.
             cand = w - step
-            cand_g = _logistic_grad(cand, x1, y, lam, mask)
+            cand_g = _logistic_grad(cand, x, codes, cells, y, lam)
             cand_norm = float(np.abs(cand_g).max())
             if not cand_norm < gnorm:
                 break
             w, g, gnorm = cand, cand_g, cand_norm
-            obj = _logistic_objective(w, x1, y, lam, mask)
+            obj = _logistic_objective(w, x, codes, cells, y, lam)
             continue
         # Damped phase: backtrack on the objective (Armijo with c = 1e-4).
         t = 1.0
         for _ in range(30):
             cand = w - t * step
-            cand_obj = _logistic_objective(cand, x1, y, lam, mask)
+            cand_obj = _logistic_objective(cand, x, codes, cells, y, lam)
             if cand_obj <= obj - 1e-4 * t * float(g @ step):
                 break
             t *= 0.5
         else:
             break
         w, obj = cand, cand_obj
-        g = _logistic_grad(w, x1, y, lam, mask)
+        g = _logistic_grad(w, x, codes, cells, y, lam)
         gnorm = float(np.abs(g).max())
     if gnorm > tol:
         raise ConvergenceError(

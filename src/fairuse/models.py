@@ -14,9 +14,9 @@ Predictions depend only on (x, reported group); a WITHHELD report routes
 to the paired generic model. Every other report, one group for all rows
 (`margins`) or each row's own cell (`margins_truthful`), becomes one cell
 code per row for one kernel: a decoupled model applies each cell's model
-to the rows coded for it, and every other strategy appends each row's
-indicator block (a row of the model's indicator matrix, built once) to
-its features and applies the shared weights. Empty decoupled cells
+to the rows coded for it, and every other strategy computes
+x·w_base + cells[code]·w_cell, the form its logistic fit trains, from one
+design row per cell (its indicator block, then 1). Empty decoupled cells
 inherit the generic model and are flagged; single-class training data
 yields a flagged constant predictor.
 """
@@ -31,7 +31,8 @@ import numpy as np
 from scipy.special import expit
 
 from ._exhaustive import ExhaustiveSizeError, train_zero_one
-from ._optim import ConvergenceError, train_hinge, train_logistic
+from ._optim import (ConvergenceError, cell_margins, train_hinge,
+                     train_logistic)
 from .groups import GroupSpace, WITHHELD
 
 __all__ = [
@@ -169,10 +170,13 @@ def indicator_block(space, strategy, g):
     return np.zeros(0)
 
 
-def _indicator_matrix(space, strategy):
-    """(m, n_indicators) matrix of per-cell indicator blocks."""
-    return np.stack([indicator_block(space, strategy, cell)
-                     for cell in space.cells()])
+@functools.lru_cache(maxsize=32)
+def _cell_design(space, strategy):
+    """(m, n_indicators + 1) design rows: each cell's block, then 1."""
+    cells = np.stack([np.append(indicator_block(space, strategy, cell), 1.0)
+                      for cell in space.cells()])
+    cells.setflags(write=False)
+    return cells
 
 
 @dataclass(frozen=True, eq=False)
@@ -230,11 +234,6 @@ class PersonalizedModel:
                              "linear model")
 
     @functools.cached_property
-    def _blocks(self):
-        """(m, n_indicators) indicator blocks, one row per cell."""
-        return _indicator_matrix(self.space, self.strategy)
-
-    @functools.cached_property
     def _cell_models(self):
         """Decoupled per-cell models, one per cell code."""
         return tuple(self.cells[cell] for cell in self.space.cells())
@@ -251,9 +250,8 @@ class PersonalizedModel:
                 if np.any(mask):
                     out[mask] = lm.margins_encoded(x[mask])
             return out
-        # take gathers rows faster than fancy indexing (blocks[codes]).
-        enc = np.hstack([x, self._blocks.take(codes, axis=0)])
-        return self.model.margins_encoded(enc)
+        return cell_margins(self.model.weights, x, codes,
+                            _cell_design(self.space, self.strategy))
 
     def margins(self, x, reported):
         """Margins for rows of x when every row reports `reported`."""
@@ -309,31 +307,30 @@ def _constant_model(sign, fmap, context):
     return LinearModel(w, fmap, flags=(flag,))
 
 
-def _fit(x_enc, y, fmap, cfg, n_base, context):
-    """Fit one linear model on an encoded design matrix."""
+def _fit(x, codes, y, fmap, cfg, context):
+    """Fit one linear model on base features and per-row cell codes."""
     classes = np.unique(y)
     if classes.size == 1:
         return _constant_model(float(classes[0]), fmap, context)
-    if cfg.loss == "zero_one":
-        w, _ = train_zero_one(x_enc, y)
+    cells = _cell_design(fmap.space, fmap.strategy)
+    if cfg.loss == "logistic":
+        # Ridge covers base features only: indicators and intercept stay free.
+        w = train_logistic(x, codes, cells, y, cfg.l2_penalty,
+                           cfg.gradient_tolerance, cfg.max_iterations)
         return LinearModel(w, fmap)
-    ones = np.ones((x_enc.shape[0], 1))
-    x1 = np.hstack([x_enc, ones])
+    # The exact trainers are desk-scale and take a dense design; the 0-1
+    # trainer appends its own intercept.
+    x1 = np.hstack([x, cells[codes]])
     if cfg.loss == "hinge":
-        w = train_hinge(x1, y, cfg.l2_penalty)
-        return LinearModel(w, fmap)
-    # Ridge covers base features only: indicators and intercept stay free.
-    mask = np.zeros(x1.shape[1])
-    mask[:n_base] = 1.0
-    w = train_logistic(x1, y, mask, cfg.l2_penalty,
-                       cfg.gradient_tolerance, cfg.max_iterations)
+        return LinearModel(train_hinge(x1, y, cfg.l2_penalty), fmap)
+    w, _ = train_zero_one(x1[:, :-1], y)
     return LinearModel(w, fmap)
 
 
 def _fit_generic_linear(train, cfg):
     fmap = build_feature_map(Strategy.GENERIC, train.space,
                              train.feature_names)
-    return _fit(train.features, train.labels, fmap, cfg, train.d,
+    return _fit(train.features, train.cell_indices, train.labels, fmap, cfg,
                 "the generic model")
 
 
@@ -365,6 +362,7 @@ def train_personalized(train, strategy, cfg=None):
     space = train.space
     if strategy is Strategy.DECOUPLED:
         fmap = build_feature_map(strategy, space, train.feature_names)
+        codes = train.cell_indices
         cells = {}
         degenerate = []
         empty = []
@@ -377,8 +375,8 @@ def train_personalized(train, strategy, cfg=None):
                 flags.append(f"cell {cell} has no training rows; "
                              "inheriting the generic model")
                 continue
-            lm = _fit(train.features[rows], train.labels[rows], fmap, cfg,
-                      train.d, f"cell {cell}")
+            lm = _fit(train.features[rows], codes[rows], train.labels[rows],
+                      fmap, cfg, f"cell {cell}")
             cells[cell] = lm
             if lm.flags:
                 degenerate.append(cell)
@@ -387,9 +385,7 @@ def train_personalized(train, strategy, cfg=None):
             train_config=cfg, cells=cells, flags=tuple(flags),
             degenerate_cells=tuple(degenerate), empty_cells=tuple(empty))
     fmap = build_feature_map(strategy, space, train.feature_names)
-    blocks = _indicator_matrix(space, strategy)
-    x_enc = np.hstack([train.features, blocks[train.cell_indices]])
-    lm = _fit(x_enc, train.labels, fmap, cfg, train.d,
+    lm = _fit(train.features, train.cell_indices, train.labels, fmap, cfg,
               f"the {strategy.value} model")
     return PersonalizedModel(
         strategy=strategy, space=space, generic=generic_lm,

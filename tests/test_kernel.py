@@ -23,7 +23,7 @@ from fairuse.metrics import (AUC, ECE, ERROR_RATE, auc_value, ece_value,
                              metric_value, orient, resample_counts,
                              resampled_values)
 from fairuse.models import Strategy, TrainConfig, train_personalized
-from fairuse.synth import gen_planted_violation
+from fairuse.synth import gen_exchangeable_null, gen_planted_violation
 
 # The audit module itself, whose names the tests below patch.
 audit_module = importlib.import_module("fairuse.audit")
@@ -361,6 +361,23 @@ def test_shared_draw_memory_is_bounded_in_comparators():
         tracemalloc.stop()
     assert gains.shape == (2000, 32)
     assert peak < 64 * 2 ** 20
+
+
+def test_margin_table_fill_peaks_near_its_stored_columns():
+    # An (n, d + m - 1) design per column peaked at 2.95 times the stored
+    # columns here.
+    ds = gen_exchangeable_null(m=128, n_per_group=100, seed=0)
+    model = train_personalized(ds, Strategy.ONEHOT,
+                               AuditConfig().train_config)
+    table = MarginTable(model, ds)
+    tracemalloc.start()
+    try:
+        table.fill()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    stored = (ds.space.m + 1) * ds.n * 8
+    assert peak < 1.5 * stored
 
 
 def test_binom_tail_recurrence_equals_comb_sum():

@@ -147,26 +147,34 @@ def logistic_objective(w, x1, y, lam, n_base):
                  + lam * np.sum(mask * w * w))
 
 
-def test_logistic_gradient_contract_and_scipy_crosscheck():
+@pytest.mark.parametrize("strategy", ["generic", "onehot", "intersectional"])
+def test_logistic_gradient_contract_and_scipy_crosscheck(strategy):
+    # The trainer sums the cell part per cell; the checks below use the
+    # dense design [x, indicator rows, 1] that those sums stand in for.
     rng = np.random.default_rng(0)
     n = 120
     x = rng.normal(size=(n, 2))
-    logits = 1.2 * x[:, 0] - 0.7 * x[:, 1] + 0.3
+    codes = np.arange(n) % 4
+    logits = 1.2 * x[:, 0] - 0.7 * x[:, 1] + 0.3 + 0.4 * (codes - 1.5)
     y = np.where(rng.random(n) < expit(logits), 1, -1)
-    groups = tuple(AB.cells()[i % 2] for i in range(n))
-    ds = Dataset(x, y, groups, AB)
+    groups = tuple(TWO_BY_TWO.cells()[c] for c in codes)
+    ds = Dataset(x, y, groups, TWO_BY_TWO)
     cfg = TrainConfig(l2_penalty=0.05)
-    model = train_generic(ds, cfg)
-    w = model.generic.weights
-    x1 = np.hstack([x, np.ones((n, 1))])
+    model = train_personalized(ds, strategy, cfg)
+    w = model.model.weights
+    blocks = np.stack([indicator_block(TWO_BY_TWO, strategy, g)
+                       for g in groups])
+    x1 = np.hstack([x, blocks, np.ones((n, 1))])
+    p = x1.shape[1]
+    assert w.size == p
     eps = 1e-6
     grad = np.array([
-        (logistic_objective(w + eps * np.eye(3)[j], x1, y, 0.05, 2)
-         - logistic_objective(w - eps * np.eye(3)[j], x1, y, 0.05, 2))
+        (logistic_objective(w + eps * np.eye(p)[j], x1, y, 0.05, 2)
+         - logistic_objective(w - eps * np.eye(p)[j], x1, y, 0.05, 2))
         / (2 * eps)
-        for j in range(3)])
+        for j in range(p)])
     assert np.max(np.abs(grad)) <= cfg.gradient_tolerance + 1e-7
-    res = minimize(logistic_objective, np.zeros(3),
+    res = minimize(logistic_objective, np.zeros(p),
                    args=(x1, y, 0.05, 2), method="BFGS",
                    options={"gtol": 1e-10})
     ours = logistic_objective(w, x1, y, 0.05, 2)
@@ -213,6 +221,18 @@ def test_hinge_training_memory_is_linear_in_rows():
     finally:
         tracemalloc.stop()
     assert peak < 50e6
+
+
+def test_onehot_training_memory_per_row_is_flat_in_groups():
+    # A dense (n, d + m) indicator design took 1645 bytes per row here.
+    ds = gen_exchangeable_null(m=64, n_per_group=500, seed=0)
+    tracemalloc.start()
+    try:
+        train_personalized(ds, Strategy.ONEHOT, AuditConfig().train_config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / ds.n < 200
 
 
 @given(st.lists(st.tuples(st.integers(-10, 10),
@@ -394,10 +414,10 @@ def _count_logistic_fits(monkeypatch):
         calls[0] += 1
         return grad(*args)
 
-    def recorded_train(x1, y, mask, lam, tol, max_iter):
+    def recorded_train(x, codes, cells, y, lam, tol, max_iter):
         calls[0] = 0
-        w = train(x1, y, mask, lam, tol, max_iter)
-        final = float(np.max(np.abs(grad(w, x1, y, lam, mask))))
+        w = train(x, codes, cells, y, lam, tol, max_iter)
+        final = float(np.max(np.abs(grad(w, x, codes, cells, y, lam))))
         fits.append((calls[0], final, tol))
         return w
 
@@ -448,6 +468,6 @@ def test_unattainable_tolerance_fails_fast(monkeypatch):
     _, calls = _count_logistic_fits(monkeypatch)
     with pytest.raises(ConvergenceError) as err:
         train_personalized(ds, Strategy.ONEHOT,
-                           TrainConfig(gradient_tolerance=1e-17))
-    assert err.value.grad_norm > 1e-17
+                           TrainConfig(gradient_tolerance=1e-20))
+    assert err.value.grad_norm > 1e-20
     assert calls[0] <= 50
