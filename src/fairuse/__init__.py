@@ -27,7 +27,7 @@ from .interventions import (Advice, AssignmentPlan,
                             assign_generic_on_violation,
                             data_minimization)
 from .metrics import (AUC, ECE, ERROR_RATE, MetricKind, RiskEstimate,
-                      group_risk, metric_from_name, oriented)
+                      group_risk, metric_from_name)
 from .models import (ConvergenceError, ExhaustiveSizeError, LinearModel,
                      PersonalizedModel, Strategy, TrainConfig,
                      as_strategy, predict, train_generic,
@@ -46,7 +46,7 @@ __all__ = [
     "CsvSchema", "Dataset", "GroupTally", "load_csv", "loads_csv",
     "save_csv", "split", "tally",
     "AUC", "ECE", "ERROR_RATE", "MetricKind", "RiskEstimate",
-    "group_risk", "metric_from_name", "oriented",
+    "group_risk", "metric_from_name",
     "ConvergenceError", "ExhaustiveSizeError", "LinearModel",
     "PersonalizedModel", "Strategy", "TrainConfig", "as_strategy",
     "predict", "train_generic", "train_personalized",

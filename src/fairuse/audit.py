@@ -35,7 +35,12 @@ chunk becomes a count matrix (how often each row appears in each
 replicate): error-rate gains are its product with per-row loss
 differences over n, and `metrics.resampled_values` gives AUC (a
 count-weighted Mann-Whitney U over scores sorted once) and ECE (per-bin
-sums from one matrix product) for all its replicates at once.
+sums from one matrix product) for all its replicates at once. A test's
+observed gain has the same form: the error rate's is the column sum of
+those differences over n, from which `mcnemar_test` also counts b and
+c; AUC's and ECE's are the point values, the same kernel on one
+all-ones row. A replicate at twice the observed gain is then an exact
+tie and counts on both sides.
 """
 
 import dataclasses
@@ -55,7 +60,7 @@ from .groups import ALL, TRUTHFUL, WITHHELD, GroupId, GroupSpace
 # module for callers that look them up here.
 from .metrics import (ERROR_RATE, ERROR_RATE_TAG, MarginTable,  # noqa: F401
                       MetricKind, RiskEstimate, group_risk, metric_value,
-                      orient, oriented, resample_counts, resampled_values)
+                      orient, resample_counts, resampled_values)
 from .models import Strategy, TrainConfig, as_strategy, build_feature_map, \
     train_personalized
 
@@ -309,9 +314,19 @@ def _not_testable(kind, test, metric_tag, g, comparator, n, alpha, reason):
         verdict=NOT_TESTABLE, detail={"reason": reason})
 
 
+def _loss_diffs(table, g, comparators):
+    """(n, k) per-row error differences of group g: 1.0 where comparator j
+    is wrong and the truthful model right, -1.0 for the converse, else 0."""
+    y = table.data.labels[table.rows(g)]
+    wrong_self = np.where(table.margins(g, g) >= 0.0, 1, -1) != y
+    return np.stack([(np.where(table.margins(g, c) >= 0.0, 1, -1) != y)
+                     .astype(float) - wrong_self for c in comparators],
+                    axis=1)
+
+
 def bootstrap_replicates(table, g, comparators, metric, *, reps=2000,
                          seed=0):
-    """Replicate gains of group g over each comparator, from one draw.
+    """Observed and replicate gains of group g over each comparator.
 
     g's rows are resampled once: a (reps, n) index drawn from `seed` (an
     int or SeedSequence) in chunks of whole replicates, which continue the
@@ -321,10 +336,14 @@ def bootstrap_replicates(table, g, comparators, metric, *, reps=2000,
     reps must be at least 100.
 
     Returns:
-        (reps, k) array: column j holds comparators[j]'s gain on each
-        replicate, NaN where undefined, equal bit for bit to a call with
-        comparators[j] alone and the same seed. A group with fewer than 2
-        rows draws nothing and gets no rows.
+        (observed, gains): comparators[j]'s gain on g's rows, observed[j],
+        and on each replicate, column j of the (reps, k) gains, NaN where
+        undefined, each equal bit for bit to a call with comparators[j]
+        alone and the same seed. Both share one form: the error rate sums
+        per-row differences over n (observed is McNemar's (c - b) / n),
+        AUC and ECE difference the count kernel (observed reads the
+        table's point values, that kernel on one all-ones row). A group
+        with fewer than 2 rows draws nothing: NaN observed, no rows.
     """
     if reps < _MIN_BOOTSTRAP_REPS:
         raise ValueError(f"bootstrap needs >= {_MIN_BOOTSTRAP_REPS} "
@@ -332,14 +351,18 @@ def bootstrap_replicates(table, g, comparators, metric, *, reps=2000,
     rows = table.rows(g)
     n = int(rows.size)
     if n < 2:
-        return np.empty((0, len(comparators)))
-    y = table.data.labels[rows]
-    self_m = table.margins(g, g)
-    comp_m = [table.margins(g, c) for c in comparators]
+        return np.full(len(comparators), np.nan), \
+            np.empty((0, len(comparators)))
     if metric.tag == ERROR_RATE_TAG:
-        wrong_self = np.where(self_m >= 0.0, 1, -1) != y
-        diffs = np.stack([(np.where(m >= 0.0, 1, -1) != y).astype(float)
-                          - wrong_self for m in comp_m], axis=1)
+        diffs = _loss_diffs(table, g, comparators)
+        observed = diffs.sum(axis=0) / n
+    else:
+        y = table.data.labels[rows]
+        self_m = table.margins(g, g)
+        comp_m = [table.margins(g, c) for c in comparators]
+        own = orient(metric, table.risk(metric, g, g).value)
+        observed = np.array([orient(metric, table.risk(metric, g, c).value)
+                             - own for c in comparators])
     rng = np.random.default_rng(seed)
     step = max(1, _INDEX_CHUNK_ENTRIES // n)
     parts = []
@@ -356,10 +379,11 @@ def bootstrap_replicates(table, g, comparators, metric, *, reps=2000,
                                                  m, y)) - v_self
                  for m in comp_m], axis=1))
         del counts  # free this chunk's counts before the next draw
-    return np.concatenate(parts)
+    return observed, np.concatenate(parts)
 
 
-def bootstrap_test(table, g, comparator, metric, gains, *, alpha=0.10):
+def bootstrap_test(table, g, comparator, metric, observed, gains, *,
+                   alpha=0.10):
     """Recentered percentile bootstrap of group g's gain over a comparator.
 
     comparator WITHHELD tests rationality against the paired generic
@@ -373,7 +397,8 @@ def bootstrap_test(table, g, comparator, metric, gains, *, alpha=0.10):
         g: true group under test.
         comparator: WITHHELD or a GroupId to misreport as.
         metric: MetricKind to difference.
-        gains: the comparator's column of `bootstrap_replicates`.
+        observed, gains: the comparator's entry and column of
+            `bootstrap_replicates`; NaN observed means undefined.
         alpha: significance level echoed into the result.
 
     Returns:
@@ -384,12 +409,10 @@ def bootstrap_test(table, g, comparator, metric, gains, *, alpha=0.10):
     if n < 2:
         return _not_testable(kind, BOOTSTRAP, metric.tag, g, comparator, n,
                              alpha, "fewer than 2 rows in the group")
-    obs_self = table.risk(metric, g, g)
-    obs_comp = table.risk(metric, g, comparator)
-    if not (obs_self.defined and obs_comp.defined):
+    if math.isnan(observed):
         return _not_testable(kind, BOOTSTRAP, metric.tag, g, comparator, n,
                              alpha, "metric undefined on the observed rows")
-    est = oriented(obs_comp) - oriented(obs_self)
+    est = float(observed)
     reps = gains.size
     valid = gains[~np.isnan(gains)]
     n_undefined = reps - valid.size
@@ -468,16 +491,13 @@ def mcnemar_test(table, g, comparator, *, alpha=0.10):
     are read from `table`.
     """
     kind = RATIONALITY if comparator is WITHHELD else ENVY
-    rows = table.rows(g)
-    n = int(rows.size)
+    n = int(table.rows(g).size)
     if n < 2:
         return _not_testable(kind, MCNEMAR, ERROR_RATE_TAG, g, comparator,
                              n, alpha, "fewer than 2 rows in the group")
-    y = table.data.labels[rows]
-    wrong_self = np.where(table.margins(g, g) >= 0.0, 1, -1) != y
-    wrong_comp = np.where(table.margins(g, comparator) >= 0.0, 1, -1) != y
-    b = int(np.count_nonzero(wrong_self & ~wrong_comp))
-    c = int(np.count_nonzero(~wrong_self & wrong_comp))
+    diffs = _loss_diffs(table, g, (comparator,))
+    b = int(np.count_nonzero(diffs < 0))
+    c = int(np.count_nonzero(diffs > 0))
     est = (c - b) / n
     if b + c == 0:
         p_violation = p_gain = p_raw = 1.0
@@ -988,11 +1008,11 @@ def audit(train, test, strategy=Strategy.ONEHOT, metrics=(ERROR_RATE,),
         boot, exact = [], []
         for gi, g in enumerate(cells):
             comps = (WITHHELD,) + tuple(c for c in cells if c != g)
-            gains = bootstrap_replicates(
+            observed, gains = bootstrap_replicates(
                 table, g, comps, metric, reps=cfg.bootstrap_reps,
                 seed=np.random.SeedSequence([cfg.seed, mi, gi]))
-            boot += [bootstrap_test(table, g, comp, metric, gains[:, j],
-                                    alpha=cfg.alpha)
+            boot += [bootstrap_test(table, g, comp, metric, observed[j],
+                                    gains[:, j], alpha=cfg.alpha)
                      for j, comp in enumerate(comps)]
             if metric.tag == ERROR_RATE_TAG:
                 exact += [mcnemar_test(table, g, comp, alpha=cfg.alpha)

@@ -8,6 +8,7 @@ cell of the space is the reference cell.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
 
 
@@ -98,9 +99,13 @@ class GroupSpace:
             out *= len(values)
         return out
 
+    @cached_property
+    def _cells(self):
+        return tuple(GroupId(values) for values in product(*self.domains))
+
     def cells(self):
         """All intersectional groups, first attribute varying slowest."""
-        return tuple(GroupId(values) for values in product(*self.domains))
+        return self._cells
 
     def validate(self, gid):
         """Raise DomainError unless gid is a valid cell of this space."""

@@ -12,8 +12,9 @@ table instead of recomputing them group by group; `audit` re-exports it.
 
 `resampled_values` is the count-weighted form of `metric_value`: one
 metric value per row of a (replicates, rows) count matrix, with no
-resample ever materialized. Bootstrap replicates are evaluated this way;
-AUC has one kernel, and `auc_value` runs it on one all-ones count row.
+resample ever materialized. Bootstrap replicates are evaluated this way.
+AUC and ECE have one kernel each: `auc_value` and `ece_value` run it on
+one all-ones count row, so a point value is the replicate form exactly.
 """
 
 import math
@@ -107,13 +108,6 @@ def orient(metric, value):
     return 1.0 - value
 
 
-def oriented(estimate):
-    """A RiskEstimate's value in lower-is-better orientation."""
-    if not estimate.defined:
-        return float("nan")
-    return orient(estimate.metric, estimate.value)
-
-
 def error_rate_value(margins, labels):
     preds = np.where(margins >= 0.0, 1, -1)
     return float(np.mean(preds != labels))
@@ -133,38 +127,10 @@ def ece_value(scores, margins, labels, bins=10):
 
     Confidence is max(score, 1-score); accuracy is the fraction of rows in
     the bin whose hard label matches. Bin k covers ((k-1)/B, k/B], with the
-    first bin closed at 0. Empty bins contribute nothing.
+    first bin closed at 0. Empty bins contribute nothing; no rows give NaN.
     """
-    n = labels.size
-    if n == 0:
-        return float("nan")
-    conf, correct = _confidence(scores, margins, labels)
-    total = 0.0
-    for mask in _ece_bin_masks(conf, bins):
-        cnt = int(mask.sum())
-        if cnt == 0:
-            continue
-        acc = float(correct[mask].mean())
-        avg_conf = float(conf[mask].mean())
-        total += (cnt / n) * abs(acc - avg_conf)
-    return float(total)
-
-
-def _confidence(scores, margins, labels):
-    """Per-row confidence max(s, 1-s) and whether the hard label is right."""
-    conf = np.maximum(scores, 1.0 - scores)
-    correct = np.where(margins >= 0.0, 1, -1) == labels
-    return conf, correct
-
-
-def _ece_bin_masks(conf, bins):
-    """Row masks of the equal-width bins ((k-1)/B, k/B], first closed at 0."""
-    for k in range(1, bins + 1):
-        hi = k / bins
-        if k == 1:
-            yield (conf >= 0.0) & (conf <= hi)
-        else:
-            yield (conf > (k - 1) / bins) & (conf <= hi)
+    ones = np.ones((1, labels.size), dtype=np.int64)
+    return float(_ece_counts(ones, scores, margins, labels, bins)[0])
 
 
 def metric_value(metric, scores, margins, labels):
@@ -228,8 +194,11 @@ def _auc_counts(counts, scores, labels):
 def _ece_counts(counts, scores, margins, labels, bins):
     """Count-weighted ECE: confidence bins are fixed per row, so each
     replicate's bin count, hits and confidence sum are one matrix product."""
-    conf, correct = _confidence(scores, margins, labels)
-    masks = [mask for mask in _ece_bin_masks(conf, bins) if mask.any()]
+    conf = np.maximum(scores, 1.0 - scores)
+    correct = np.where(margins >= 0.0, 1, -1) == labels
+    masks = [(conf > (k - 1) / bins if k > 1 else conf >= 0.0)
+             & (conf <= k / bins) for k in range(1, bins + 1)]
+    masks = [mask for mask in masks if mask.any()]
     if not masks:
         return np.full(counts.shape[0], np.nan)
     onehot = np.stack(masks, axis=1).astype(float)

@@ -54,9 +54,10 @@ class _StubModel:
 def _bootstrap_one(model, g, comparator, data, metric, *, reps, seed):
     """One bootstrap test in two steps: draw the replicates, then test."""
     table = MarginTable(model, data)
-    gains = bootstrap_replicates(table, g, (comparator,), metric,
-                                 reps=reps, seed=seed)
-    return bootstrap_test(table, g, comparator, metric, gains[:, 0])
+    observed, gains = bootstrap_replicates(table, g, (comparator,), metric,
+                                           reps=reps, seed=seed)
+    return bootstrap_test(table, g, comparator, metric, observed[0],
+                          gains[:, 0])
 
 
 def test_misreport_matrix_matches_manual_loop():
@@ -170,11 +171,20 @@ def test_bootstrap_is_deterministic_in_the_seed():
     assert (r1.p_violation, r1.p_gain) != (r3.p_violation, r3.p_gain)
 
 
-def test_bootstrap_error_rate_matches_recomputed_resamples():
-    n = 20
+@pytest.mark.parametrize("n, self_wrong, comp_wrong", [
+    (20, range(4), range(9)),
+    # 3 more wrong rows for the comparator: the replicates that draw 6
+    # tie with twice the observed gain and count on both sides (p_gain
+    # 0.1138, where a gain formed from two rounded rates gave 0.0439).
+    (10, [0], range(6, 10)),
+], ids=["overlapping", "tie"])
+def test_bootstrap_error_rate_matches_recomputed_resamples(n, self_wrong,
+                                                           comp_wrong):
     y = np.ones(n, dtype=int)
-    self_m = np.where(np.arange(n) < 4, -1.0, 1.0)
-    comp_m = np.where(np.arange(n) < 9, -1.0, 1.0)
+    self_m = np.ones(n)
+    self_m[list(self_wrong)] = -1.0
+    comp_m = np.ones(n)
+    comp_m[list(comp_wrong)] = -1.0
     space = AB
     a = space.group("a")
     ds = Dataset(np.zeros((n, 1)), y, (a,) * n, space)
@@ -183,18 +193,19 @@ def test_bootstrap_error_rate_matches_recomputed_resamples():
     res = _bootstrap_one(model, a, WITHHELD, ds, ERROR_RATE, reps=reps,
                          seed=11)
     assert res.kind == RATIONALITY
-    assert res.estimate == pytest.approx((9 - 4) / n)
-    # Recompute the resampled gains with the same generator stream.
-    rng = np.random.default_rng(11)
-    idx = rng.integers(0, n, size=(reps, n))
-    diffs = (comp_m < 0).astype(float) - (self_m < 0).astype(float)
-    gains = diffs[idx].mean(axis=1)
-    est = res.estimate
-    shifted = gains - est
-    p_v = (1 + int(np.count_nonzero(shifted <= est))) / (reps + 1)
-    p_g = (1 + int(np.count_nonzero(shifted >= est))) / (reps + 1)
-    assert res.p_violation == pytest.approx(p_v, abs=1e-15)
-    assert res.p_gain == pytest.approx(p_g, abs=1e-15)
+    # Recompute, in integers and from the same generator stream, each
+    # replicate's gain in wrong rows, dk_rep. A recentered draw
+    # dk_rep - dk is at most as extreme as the observed dk exactly when
+    # dk_rep <= 2 dk (violation side) or >= 2 dk (gain side).
+    diffs = (comp_m < 0).astype(int) - (self_m < 0).astype(int)
+    dk = int(diffs.sum())
+    assert res.estimate == dk / n
+    idx = np.random.default_rng(11).integers(0, n, size=(reps, n))
+    dk_rep = diffs[idx].sum(axis=1)
+    p_v = (1 + int(np.count_nonzero(dk_rep <= 2 * dk))) / (reps + 1)
+    p_g = (1 + int(np.count_nonzero(dk_rep >= 2 * dk))) / (reps + 1)
+    assert res.p_violation == p_v
+    assert res.p_gain == p_g
     assert res.p_raw == res.p_gain
     assert res.detail["reps"] == reps
 

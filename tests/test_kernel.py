@@ -14,9 +14,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.special import expit
 
-from fairuse.audit import (BOOTSTRAP, NOT_TESTABLE, AuditConfig, MarginTable,
-                           _binom_tail_at_least, audit, bootstrap_replicates,
-                           bootstrap_test)
+from fairuse.audit import (BOOTSTRAP, MCNEMAR, NOT_TESTABLE, AuditConfig,
+                           MarginTable, _binom_tail_at_least, audit,
+                           bootstrap_replicates, bootstrap_test)
 from fairuse.dataset import Dataset
 from fairuse.groups import TRUTHFUL, WITHHELD, GroupSpace
 from fairuse.metrics import (AUC, ECE, ERROR_RATE, auc_value, ece_value,
@@ -142,9 +142,10 @@ class _StubModel:
 def _bootstrap_one(model, g, comparator, data, metric, *, reps, seed):
     """One bootstrap test in two steps: draw the replicates, then test."""
     table = MarginTable(model, data)
-    gains = bootstrap_replicates(table, g, (comparator,), metric,
-                                 reps=reps, seed=seed)
-    return bootstrap_test(table, g, comparator, metric, gains[:, 0])
+    observed, gains = bootstrap_replicates(table, g, (comparator,), metric,
+                                           reps=reps, seed=seed)
+    return bootstrap_test(table, g, comparator, metric, observed[0],
+                          gains[:, 0])
 
 
 def _looped_bootstrap(metric, seed, reps, self_m, comp_m, y):
@@ -252,10 +253,11 @@ def test_audit_bootstrap_results_equal_one_comparator_draws():
         gi = cells.index(r.group)
         seed = np.random.SeedSequence([cfg.seed, mi, gi])
         table = MarginTable(report.model, ds)
-        gains = bootstrap_replicates(table, r.group, (r.comparator,),
-                                     metrics[mi], reps=200, seed=seed)
+        observed, gains = bootstrap_replicates(
+            table, r.group, (r.comparator,), metrics[mi], reps=200,
+            seed=seed)
         alone = bootstrap_test(table, r.group, r.comparator, metrics[mi],
-                               gains[:, 0], alpha=cfg.alpha)
+                               observed[0], gains[:, 0], alpha=cfg.alpha)
         want = {k: v for k, v in alone.to_jsonable().items()
                 if k not in skip}
         got = {k: v for k, v in r.to_jsonable().items() if k not in skip}
@@ -273,13 +275,52 @@ def test_shared_draw_columns_equal_one_comparator_draws(monkeypatch,
     n = ds.rows_for(g).size
     # 7 replicates per chunk: 35 full chunks and a last one of 5.
     monkeypatch.setattr(audit_module, "_INDEX_CHUNK_ENTRIES", 7 * n + 3)
-    shared = bootstrap_replicates(MarginTable(model, ds), g, comps, metric,
-                                  reps=250, seed=8)
+    observed, shared = bootstrap_replicates(MarginTable(model, ds), g,
+                                            comps, metric, reps=250, seed=8)
     assert shared.shape == (250, len(comps))
     for j, comp in enumerate(comps):
-        alone = bootstrap_replicates(MarginTable(model, ds), g, (comp,),
-                                     metric, reps=250, seed=8)
+        alone_observed, alone = bootstrap_replicates(
+            MarginTable(model, ds), g, (comp,), metric, reps=250, seed=8)
+        assert observed[j] == alone_observed[0]
         assert np.array_equal(shared[:, j], alone[:, 0], equal_nan=True)
+
+
+def test_audit_error_bootstrap_estimates_equal_mcnemar_estimates():
+    ds = gen_planted_violation(m=4, n_per_group=40, seed=3)
+    report = audit(ds, ds, Strategy.ONEHOT, (ERROR_RATE,),
+                   AuditConfig(seed=5, bootstrap_reps=100))
+    exact = {(r.group, r.comparator_label): r.estimate
+             for r in report.results if r.test == MCNEMAR}
+    boot = [r for r in report.results if r.test == BOOTSTRAP]
+    assert len(boot) == len(exact) == ds.space.m ** 2
+    for r in boot:
+        assert r.estimate == exact[(r.group, r.comparator_label)]
+
+
+@pytest.mark.parametrize("metric", [AUC, ECE])
+def test_observed_gains_are_the_count_kernel_on_one_all_ones_row(metric):
+    ds = gen_planted_violation(m=4, n_per_group=30, seed=1)
+    model = train_personalized(ds, Strategy.ONEHOT,
+                               TrainConfig(l2_penalty=1e-3))
+    table = MarginTable(model, ds)
+    g = ds.space.cells()[1]
+    comps = (WITHHELD,) + tuple(c for c in ds.space.cells() if c != g)
+    observed, gains = bootstrap_replicates(table, g, comps, metric,
+                                           reps=100, seed=0)
+    y = ds.labels[ds.rows_for(g)]
+    ones = np.ones((1, y.size), dtype=np.int64)
+
+    def value(reported):
+        m = table.margins(g, reported)
+        return orient(metric, resampled_values(metric, ones, expit(m), m,
+                                               y))[0]
+
+    want = [value(c) - value(g) for c in comps]
+    assert observed.tolist() == want
+    for j, comp in enumerate(comps):
+        res = bootstrap_test(table, g, comp, metric, observed[j],
+                             gains[:, j])
+        assert res.estimate == want[j]
 
 
 def test_audit_draws_once_per_group_and_metric(monkeypatch):
@@ -353,9 +394,9 @@ def test_shared_draw_memory_is_bounded_in_comparators():
     model = _StubModel({c: rng.normal(size=n) for c in cells})
     tracemalloc.start()
     try:
-        gains = bootstrap_replicates(MarginTable(model, ds), cells[0],
-                                     cells[1:], ERROR_RATE, reps=2000,
-                                     seed=0)
+        _, gains = bootstrap_replicates(MarginTable(model, ds), cells[0],
+                                        cells[1:], ERROR_RATE, reps=2000,
+                                        seed=0)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -14,7 +14,7 @@ from fairuse.groups import ALL, TRUTHFUL, WITHHELD, GroupSpace
 from fairuse.metrics import (AUC, ECE, ERROR_RATE, MetricKind, RiskEstimate,
                              auc_value, ece_value, error_rate_value,
                              group_risk, metric_from_name, metric_value,
-                             oriented)
+                             orient)
 from fairuse.models import Strategy, TrainConfig, train_personalized, \
     train_zero_one_exhaustive
 from fairuse.synth import gen_misspecification
@@ -147,14 +147,14 @@ def test_risk_estimate_clamps_and_validates():
         RiskEstimate(1.1, 10, ERROR_RATE, None, None)
     undefined = RiskEstimate(0.3, 0, AUC, None, None, defined=False)
     assert math.isnan(undefined.value)
-    assert math.isnan(oriented(undefined))
+    assert math.isnan(orient(AUC, undefined.value))
 
 
 def test_oriented_flips_auc_only():
-    assert oriented(RiskEstimate(0.3, 5, ERROR_RATE, None, None)) == 0.3
-    assert oriented(RiskEstimate(0.8, 5, AUC, None, None)) == \
-        pytest.approx(0.2)
-    assert oriented(RiskEstimate(0.1, 5, ECE, None, None)) == 0.1
+    assert orient(ERROR_RATE, 0.3) == 0.3
+    assert orient(AUC, 0.8) == pytest.approx(0.2)
+    assert orient(ECE, 0.1) == 0.1
+    assert orient(AUC, np.array([0.25, 1.0])).tolist() == [0.75, 0.0]
 
 
 def grouped_dataset():
