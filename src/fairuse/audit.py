@@ -27,17 +27,25 @@ generalization rows. A slice equals the margins computed on the group's
 rows alone.
 
 Bootstrap replicates are never materialized. Each (metric, group) draws
-one (reps, n) resample index from its own seed, in chunks of at most
-`_INDEX_CHUNK_ENTRIES` entries (which reproduce the one-shot draw), and
-all its comparators share it, so one group's tests are dependent; each
-keeps its null distribution and Bonferroni needs no independence. Each
+its resamples once from its own seed, and all its comparators share
+them, so one group's tests are dependent; each keeps its null
+distribution and Bonferroni needs no independence. An error-rate gain
+depends on a resample only through how many of its rows fall in each
+*pattern*, a row's wrong/right vector under every reported value. Summed
+within patterns, bootstrap row counts are Multinomial(n, n_p / n), so a
+group whose n rows share at most n // `_ROWS_PER_PATTERN` patterns
+draws those counts in one call, and its gains are their product with
+per-pattern loss differences over n. Any other group, and every AUC and
+ECE draw, takes a (reps, n) resample index, in chunks of at most
+`_INDEX_CHUNK_ENTRIES` entries (which reproduce the one-shot draw). Each
 chunk becomes a count matrix (how often each row appears in each
 replicate): error-rate gains are its product with per-row loss
 differences over n, and `metrics.resampled_values` gives AUC (a
 count-weighted Mann-Whitney U over scores sorted once) and ECE (per-bin
-sums from one matrix product) for all its replicates at once. A test's
-observed gain has the same form: the error rate's is the column sum of
-those differences over n, from which `mcnemar_test` also counts b and
+sums from one matrix product) for all its replicates at once. The
+choice of draw depends only on the data, so reports stay deterministic.
+A test's observed gain has the same form: the error rate's is the sum
+of those differences over n, from which `mcnemar_test` also counts b and
 c; AUC's and ECE's are the point values, the same kernel on one
 all-ones row. A replicate at twice the observed gain is then an exact
 tie and counts on both sides.
@@ -88,10 +96,16 @@ NOT_TESTABLE = "NotTestable"
 _MIN_BOOTSTRAP_REPS = 100
 _MAX_UNDEFINED_FRACTION = 0.10
 _IDENTICAL_ATOL = 1e-9
-# Most bootstrap index entries (replicates x group rows) drawn at once.
-# A chunk holds two int64 arrays of this size at once (the index, offset
-# in place by resample_counts, and the counts).
+# Rows read per margin column before a pair of columns is compared whole.
+_IDENTICAL_PREFIX_ROWS = 64
+# Most bootstrap index entries (replicates x group rows) drawn at once, for
+# AUC, ECE and an error-rate group with many patterns. A chunk holds two
+# int64 arrays of this size at once (the index, offset in place by
+# resample_counts, and the counts).
 _INDEX_CHUNK_ENTRIES = 1 << 19
+# An error-rate group draws pattern counts while it has at most n // 8
+# patterns: a draw over n / 8 patterns costs about one over n row indices.
+_ROWS_PER_PATTERN = 8
 
 
 def _f(value):
@@ -314,36 +328,60 @@ def _not_testable(kind, test, metric_tag, g, comparator, n, alpha, reason):
         verdict=NOT_TESTABLE, detail={"reason": reason})
 
 
-def _loss_diffs(table, g, comparators):
-    """(n, k) per-row error differences of group g: 1.0 where comparator j
-    is wrong and the truthful model right, -1.0 for the converse, else 0."""
-    y = table.data.labels[table.rows(g)]
-    wrong_self = np.where(table.margins(g, g) >= 0.0, 1, -1) != y
-    return np.stack([(np.where(table.margins(g, c) >= 0.0, 1, -1) != y)
-                     .astype(float) - wrong_self for c in comparators],
-                    axis=1)
+def _wrong(table, g, reported):
+    """(k, n) bool matrix: whether each of group g's n rows is
+    misclassified under each of the k `reported` values."""
+    positive = table.data.labels[table.rows(g)] == 1
+    return np.stack([(table.margins(g, r) >= 0.0) != positive
+                     for r in reported])
+
+
+def _loss_diffs(wrong, self_row, rows):
+    """(n, len(rows)) per-row error differences from a `_wrong` matrix:
+    1.0 where the comparator of row rows[j] is wrong and the truthful
+    model (row self_row) right, -1.0 for the converse, else 0."""
+    return (wrong[rows].astype(float) - wrong[self_row]).T
+
+
+def _patterns(wrong):
+    """Distinct columns of a (k, n) bool matrix, in lexicographic order:
+    the index of each one's first occurrence and how many columns share
+    it. Columns are packed into bytes and radix-sorted byte by byte."""
+    keys = np.packbits(wrong, axis=0)
+    order = np.lexsort(keys[::-1])
+    ranked = keys[:, order]
+    starts = np.flatnonzero(np.r_[True, (ranked[:, 1:] != ranked[:, :-1])
+                                  .any(axis=0)])
+    return order[starts], np.diff(np.r_[starts, order.size])
 
 
 def bootstrap_replicates(table, g, comparators, metric, *, reps=2000,
                          seed=0):
     """Observed and replicate gains of group g over each comparator.
 
-    g's rows are resampled once: a (reps, n) index drawn from `seed` (an
-    int or SeedSequence) in chunks of whole replicates, which continue the
-    generator's stream and so reproduce the one-shot draw. Every
-    comparator (WITHHELD or a GroupId) is evaluated on the same resamples
-    through each chunk's count matrix, with margins read from `table`.
-    reps must be at least 100.
+    g's rows are resampled once from `seed` (an int or SeedSequence), and
+    every comparator (WITHHELD or a GroupId) is evaluated on the same
+    resamples, with margins read from `table`. The error rate draws
+    pattern counts when g's rows share few patterns (see
+    `_ROWS_PER_PATTERN`): a row's pattern is whether it is misclassified
+    under each reported value, WITHHELD and every cell, and a resample's
+    gains depend only on how many of its rows have each pattern. Those
+    counts are Multinomial(n, n_p / n), drawn in one call. Otherwise, and
+    for AUC and ECE, the draw is a (reps, n) index in chunks of whole
+    replicates, which continue the generator's stream and so reproduce
+    the one-shot draw, each made into a count matrix. reps must be at
+    least 100.
 
     Returns:
         (observed, gains): comparators[j]'s gain on g's rows, observed[j],
         and on each replicate, column j of the (reps, k) gains, NaN where
         undefined, each equal bit for bit to a call with comparators[j]
         alone and the same seed. Both share one form: the error rate sums
-        per-row differences over n (observed is McNemar's (c - b) / n),
-        AUC and ECE difference the count kernel (observed reads the
-        table's point values, that kernel on one all-ones row). A group
-        with fewer than 2 rows draws nothing: NaN observed, no rows.
+        per-row (or per-pattern) differences over n (observed is
+        McNemar's (c - b) / n), AUC and ECE difference the count kernel
+        (observed reads the table's point values, that kernel on one
+        all-ones row). A group with fewer than 2 rows draws nothing: NaN
+        observed, no rows.
     """
     if reps < _MIN_BOOTSTRAP_REPS:
         raise ValueError(f"bootstrap needs >= {_MIN_BOOTSTRAP_REPS} "
@@ -353,8 +391,21 @@ def bootstrap_replicates(table, g, comparators, metric, *, reps=2000,
     if n < 2:
         return np.full(len(comparators), np.nan), \
             np.empty((0, len(comparators)))
+    rng = np.random.default_rng(seed)
     if metric.tag == ERROR_RATE_TAG:
-        diffs = _loss_diffs(table, g, comparators)
+        # Patterns span every reported value, whatever the comparators,
+        # so a one-comparator call takes the same path and draw.
+        reported = (WITHHELD,) + table.data.space.cells()
+        pos = {r: j for j, r in enumerate(reported)}
+        wrong = _wrong(table, g, reported)
+        first, n_p = _patterns(wrong)
+        cols = [pos[c] for c in comparators]
+        if first.size <= n // _ROWS_PER_PATTERN:
+            diffs = _loss_diffs(wrong[:, first], pos[g], cols)
+            counts = rng.multinomial(n, n_p / n, size=reps)
+            # Exact integer sums over n, as on the index side.
+            return n_p @ diffs / n, counts @ diffs / n
+        diffs = _loss_diffs(wrong, pos[g], cols)
         observed = diffs.sum(axis=0) / n
     else:
         y = table.data.labels[rows]
@@ -363,7 +414,6 @@ def bootstrap_replicates(table, g, comparators, metric, *, reps=2000,
         own = orient(metric, table.risk(metric, g, g).value)
         observed = np.array([orient(metric, table.risk(metric, g, c).value)
                              - own for c in comparators])
-    rng = np.random.default_rng(seed)
     step = max(1, _INDEX_CHUNK_ENTRIES // n)
     parts = []
     for start in range(0, reps, step):
@@ -495,7 +545,7 @@ def mcnemar_test(table, g, comparator, *, alpha=0.10):
     if n < 2:
         return _not_testable(kind, MCNEMAR, ERROR_RATE_TAG, g, comparator,
                              n, alpha, "fewer than 2 rows in the group")
-    diffs = _loss_diffs(table, g, (comparator,))
+    diffs = _loss_diffs(_wrong(table, g, (g, comparator)), 0, [1])
     b = int(np.count_nonzero(diffs < 0))
     c = int(np.count_nonzero(diffs > 0))
     est = (c - b) / n
@@ -669,13 +719,19 @@ def identical_prediction_pairs(table, atol=_IDENTICAL_ATOL):
 
     Compares the table's margin columns over all rows for every pair of
     reportable groups; agreeing pairs signal that personalization
-    distinguishes the two groups in name only.
+    distinguishes the two groups in name only. Each column's first
+    `_IDENTICAL_PREFIX_ROWS` margins are compared with every later
+    column's at once, by the same `isclose` test `allclose` applies, and
+    only pairs that agree there are compared over all rows.
     """
     cells = table.data.space.cells()
     margins = [table.column(r) for r in cells]
+    head = np.stack([m[:_IDENTICAL_PREFIX_ROWS] for m in margins])
     pairs = []
     for i in range(len(cells)):
-        for j in range(i + 1, len(cells)):
+        agree = np.isclose(head[i + 1:], head[i], rtol=0.0,
+                           atol=atol).all(axis=1)
+        for j in i + 1 + np.flatnonzero(agree):
             if np.allclose(margins[i], margins[j], rtol=0.0, atol=atol):
                 pairs.append((cells[i], cells[j]))
     return tuple(pairs)

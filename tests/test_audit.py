@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 from scipy.special import expit
 
-from fairuse.audit import (BOOTSTRAP, ENVY, INCONCLUSIVE, MCNEMAR,
+from fairuse.audit import (_IDENTICAL_PREFIX_ROWS, _ROWS_PER_PATTERN,
+                           BOOTSTRAP, ENVY, INCONCLUSIVE, MCNEMAR,
                            NOT_TESTABLE, RATIONALITY, SIGNIFICANT_GAIN,
                            SIGNIFICANT_VIOLATION, AuditConfig,
                            FairUseReport, HypothesisResult, MarginTable,
@@ -171,6 +172,14 @@ def test_bootstrap_is_deterministic_in_the_seed():
     assert (r1.p_violation, r1.p_gain) != (r3.p_violation, r3.p_gain)
 
 
+def _patterns(y, *margins):
+    """Distinct rows of the wrong/right matrix over these margin columns,
+    in lexicographic order, and how many rows share each."""
+    wrong = np.stack([np.where(m >= 0.0, 1, -1) != y for m in margins],
+                     axis=1)
+    return np.unique(wrong, axis=0, return_counts=True)
+
+
 @pytest.mark.parametrize("n, self_wrong, comp_wrong", [
     (20, range(4), range(9)),
     # 3 more wrong rows for the comparator: the replicates that draw 6
@@ -185,10 +194,15 @@ def test_bootstrap_error_rate_matches_recomputed_resamples(n, self_wrong,
     self_m[list(self_wrong)] = -1.0
     comp_m = np.ones(n)
     comp_m[list(comp_wrong)] = -1.0
+    other_m = np.ones(n)
     space = AB
-    a = space.group("a")
+    a, b = space.cells()
     ds = Dataset(np.zeros((n, 1)), y, (a,) * n, space)
-    model = _StubModel(space, {a: self_m, WITHHELD: comp_m})
+    model = _StubModel(space, {a: self_m, b: other_m, WITHHELD: comp_m})
+    # Three row patterns: more than n // 8, so the rows are resampled by
+    # index.
+    assert len(_patterns(y, comp_m, self_m, other_m)[1]) > \
+        n // _ROWS_PER_PATTERN
     reps = 500
     res = _bootstrap_one(model, a, WITHHELD, ds, ERROR_RATE, reps=reps,
                          seed=11)
@@ -210,22 +224,58 @@ def test_bootstrap_error_rate_matches_recomputed_resamples(n, self_wrong,
     assert res.detail["reps"] == reps
 
 
+def test_bootstrap_error_rate_matches_recomputed_pattern_counts():
+    # Four row patterns over (generic, a, b) in 40 rows, at most n // 8:
+    # the draw is one multinomial over the pattern counts.
+    n = 40
+    y = np.ones(n, dtype=int)
+    self_m = np.where(np.arange(n) < 4, -1.0, 1.0)
+    comp_m = np.where((np.arange(n) >= 30) & (np.arange(n) < 36), -1.0,
+                      1.0)
+    other_m = np.where((np.arange(n) >= 10) & (np.arange(n) < 20), -1.0,
+                       1.0)
+    a, b = AB.cells()
+    ds = Dataset(np.zeros((n, 1)), y, (a,) * n, AB)
+    model = _StubModel(AB, {a: self_m, b: other_m, WITHHELD: comp_m})
+    patterns, n_p = _patterns(y, comp_m, self_m, other_m)
+    assert len(n_p) == 4 <= n // _ROWS_PER_PATTERN
+    reps = 500
+    res = _bootstrap_one(model, a, WITHHELD, ds, ERROR_RATE, reps=reps,
+                         seed=11)
+    # Each pattern's gain in wrong rows, in integers; patterns come in
+    # the order of their wrong/right vectors over (generic, a, b).
+    diffs = patterns[:, 0].astype(int) - patterns[:, 1].astype(int)
+    dk = int(n_p @ diffs)
+    assert dk == 2 and res.estimate == dk / n
+    counts = np.random.default_rng(11).multinomial(n, n_p / n, size=reps)
+    dk_rep = counts @ diffs
+    # Replicates at twice the observed gain are exact ties and count on
+    # both sides.
+    assert np.count_nonzero(dk_rep == 2 * dk) > 0
+    p_v = (1 + int(np.count_nonzero(dk_rep <= 2 * dk))) / (reps + 1)
+    p_g = (1 + int(np.count_nonzero(dk_rep >= 2 * dk))) / (reps + 1)
+    assert res.p_violation == p_v
+    assert res.p_gain == p_g
+    assert res.p_raw == res.p_gain
+    assert res.detail == {"reps": reps, "undefined_reps": 0}
+
+
 def test_bootstrap_sign_conventions():
     n = 20
     y = np.ones(n, dtype=int)
     good = np.ones(n)
     bad = np.where(np.arange(n) < 8, -1.0, 1.0)
-    a = AB.group("a")
+    a, b = AB.cells()
     ds = Dataset(np.zeros((n, 1)), y, (a,) * n, AB)
-    worse_self = _StubModel(AB, {a: bad, WITHHELD: good})
+    worse_self = _StubModel(AB, {a: bad, b: good, WITHHELD: good})
     res = _bootstrap_one(worse_self, a, WITHHELD, ds, ERROR_RATE,
                          reps=200, seed=0)
     assert res.estimate < 0 and res.p_raw == res.p_violation
-    better_self = _StubModel(AB, {a: good, WITHHELD: bad})
+    better_self = _StubModel(AB, {a: good, b: good, WITHHELD: bad})
     res = _bootstrap_one(better_self, a, WITHHELD, ds, ERROR_RATE,
                          reps=200, seed=0)
     assert res.estimate > 0 and res.p_raw == res.p_gain
-    tied = _StubModel(AB, {a: bad, WITHHELD: bad.copy()})
+    tied = _StubModel(AB, {a: bad, b: good, WITHHELD: bad.copy()})
     res = _bootstrap_one(tied, a, WITHHELD, ds, ERROR_RATE,
                          reps=200, seed=0)
     assert res.estimate == 0.0 and res.p_raw == 1.0
@@ -485,6 +535,47 @@ def test_identical_prediction_pairs():
     trained = train_personalized(ds, Strategy.ONEHOT,
                                  TrainConfig(l2_penalty=1e-4))
     assert identical_prediction_pairs(MarginTable(trained, ds)) == ()
+
+
+def _columns_table(columns):
+    """MarginTable over one attribute with a cell per margin column."""
+    n = len(columns[0])
+    space = GroupSpace((("g", tuple(f"c{i}" for i in range(len(columns)))),))
+    cells = space.cells()
+    ds = Dataset(np.zeros((n, 1)), np.ones(n, dtype=int),
+                 tuple(cells[i % len(cells)] for i in range(n)), space)
+    return MarginTable(_StubModel(space, dict(zip(cells, columns))), ds), \
+        cells
+
+
+def test_identical_pairs_compare_whole_columns_only_after_the_prefix(
+        monkeypatch):
+    n = 3 * _IDENTICAL_PREFIX_ROWS
+    base = np.linspace(-1.0, 1.0, n)
+    late = base.copy()
+    late[_IDENTICAL_PREFIX_ROWS + 5] += 1.0
+    near = base + 1e-12
+    early = base.copy()
+    early[0] += 1.0
+    inf = np.r_[np.inf, base[1:]]
+    # c0, c1 and c2 agree everywhere; c3 agrees with them only on the
+    # prefix; c4 differs in its first row; c5 and c6 hold an equal
+    # infinity, which allclose accepts.
+    table, cells = _columns_table([base, near, base.copy(), late, early,
+                                   inf, inf.copy()])
+    calls = []
+    real = np.allclose
+
+    def counted(a, b, **kwargs):
+        calls.append(1)
+        return real(a, b, **kwargs)
+
+    monkeypatch.setattr(np, "allclose", counted)
+    pairs = identical_prediction_pairs(table)
+    assert pairs == ((cells[0], cells[1]), (cells[0], cells[2]),
+                     (cells[1], cells[2]), (cells[5], cells[6]))
+    # Prefix survivors: the 6 pairs among c0-c3 and (c5, c6).
+    assert len(calls) == 7
 
 
 def test_generalization_rows():

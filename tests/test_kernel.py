@@ -228,15 +228,28 @@ def test_chunked_bootstrap_draw_matches_one_shot(monkeypatch, metric):
     # every replicate rather than sitting at their floor.
     self_m = rng.normal(size=n) + 0.3 * y
     comp_m = rng.normal(size=n) + 0.3 * y
+    other_m = rng.normal(size=n) + 0.3 * y
     ds, a = _stub_dataset(y)
-    model = _StubModel({a: self_m, WITHHELD: comp_m})
+    model = _StubModel({a: self_m, AB.group("b"): other_m,
+                        WITHHELD: comp_m})
     one_shot = _bootstrap_one(model, a, WITHHELD, ds, metric, reps=250,
                               seed=4)
-    # 7 replicates per chunk: 35 full chunks and a last one of 5.
+    # 7 replicates per chunk: 35 full chunks and a last one of 5. The
+    # error rate resamples by index too: its rows have more than n // 8
+    # patterns.
     monkeypatch.setattr(audit_module, "_INDEX_CHUNK_ENTRIES", 7 * n + 3)
+    chunks = []
+    real = audit_module.resample_counts
+
+    def counted(idx):
+        chunks.append(idx.shape[0])
+        return real(idx)
+
+    monkeypatch.setattr(audit_module, "resample_counts", counted)
     chunked = _bootstrap_one(model, a, WITHHELD, ds, metric, reps=250,
                              seed=4)
     assert chunked == one_shot
+    assert chunks == [7] * 35 + [5]
 
 
 def test_audit_bootstrap_results_equal_one_comparator_draws():
@@ -283,6 +296,122 @@ def test_shared_draw_columns_equal_one_comparator_draws(monkeypatch,
             MarginTable(model, ds), g, (comp,), metric, reps=250, seed=8)
         assert observed[j] == alone_observed[0]
         assert np.array_equal(shared[:, j], alone[:, 0], equal_nan=True)
+
+
+SPACE_4 = GroupSpace((("g", ("c0", "c1", "c2", "c3")),))
+
+
+def _wrong_rows(table, g):
+    """(n, m + 1) bool matrix of group g's rows: misclassified under
+    WITHHELD and then under each cell."""
+    y = table.data.labels[table.rows(g)]
+    reported = (WITHHELD,) + table.data.space.cells()
+    return np.stack([np.where(table.margins(g, r) >= 0.0, 1, -1) != y
+                     for r in reported], axis=1)
+
+
+def _error_gain_oracle(wrong, self_col, cols, n, *, reps, seed, by_index):
+    """Replicate error gains in integers: from a (reps, n) row index, or
+    from Multinomial(n, n_p / n) counts of the distinct rows of `wrong`
+    in lexicographic order."""
+    diffs = wrong[:, cols].astype(int) - wrong[:, [self_col]]
+    rng = np.random.default_rng(seed)
+    if by_index:
+        idx = rng.integers(0, n, size=(reps, n))
+        return np.stack([diffs[take].sum(axis=0) for take in idx]) / n
+    patterns, n_p = np.unique(wrong, axis=0, return_counts=True)
+    p_diffs = patterns[:, cols].astype(int) - patterns[:, [self_col]]
+    return rng.multinomial(n, n_p / n, size=reps) @ p_diffs / n
+
+
+@pytest.mark.parametrize("extra, by_index", [(0, False), (1, True)],
+                         ids=["n_over_8_patterns", "one_more_pattern"])
+def test_error_draw_takes_the_index_above_n_over_8_patterns(extra,
+                                                             by_index):
+    # Row i of 64 takes pattern i % P, the bits of i % P over (generic,
+    # c0, .., c3): P = n // 8 patterns draw pattern counts, one more
+    # draws a row index.
+    n = 64
+    n_patterns = n // audit_module._ROWS_PER_PATTERN + extra
+    bits = (np.arange(n)[:, None] % n_patterns >> np.arange(5)) & 1
+    y = np.ones(n, dtype=int)
+    cells = SPACE_4.cells()
+    model = _StubModel({r: np.where(bits[:, j] == 1, -1.0, 1.0)
+                        for j, r in enumerate((WITHHELD,) + cells)})
+    ds = Dataset(np.zeros((n, 1)), y, (cells[0],) * n, SPACE_4)
+    table = MarginTable(model, ds)
+    wrong = _wrong_rows(table, cells[0])
+    assert len(np.unique(wrong, axis=0)) == n_patterns
+    comps = (WITHHELD,) + cells[1:]
+    observed, gains = bootstrap_replicates(table, cells[0], comps,
+                                           ERROR_RATE, reps=200, seed=3)
+    want = _error_gain_oracle(wrong, 1, [0, 2, 3, 4], n, reps=200, seed=3,
+                              by_index=by_index)
+    assert np.array_equal(gains, want)
+    assert np.array_equal(observed,
+                          (wrong[:, [0, 2, 3, 4]].astype(int)
+                           - wrong[:, [1]]).sum(axis=0) / n)
+
+
+def test_index_draw_through_pattern_classes_gives_the_pattern_gains(
+        monkeypatch):
+    # 17 reported values: patterns span three bytes of packed bits, so
+    # their order is fixed across bytes too.
+    ds = gen_exchangeable_null(m=16, n_per_group=200, seed=0)
+    model = train_personalized(ds, Strategy.ONEHOT,
+                               TrainConfig(l2_penalty=1e-3))
+    table = MarginTable(model, ds)
+    cells = ds.space.cells()
+    g = cells[1]
+    comps = (WITHHELD,) + tuple(c for c in cells if c != g)
+    n = table.rows(g).size
+    reps = 250
+    patterns, inv, n_p = np.unique(_wrong_rows(table, g), axis=0,
+                                   return_inverse=True, return_counts=True)
+    inv = inv.ravel()
+    assert 1 < n_p.size <= n // audit_module._ROWS_PER_PATTERN
+    idx = np.random.default_rng(8).integers(0, n, size=(reps, n))
+
+    class IndexThroughPatterns(np.random.Generator):
+        """Draws the pattern counts of the index draw `idx`."""
+
+        def multinomial(self, draws, pvals, size):
+            assert (draws, size) == (n, reps)
+            assert np.array_equal(pvals, n_p / n)
+            return np.stack([np.bincount(inv[take], minlength=n_p.size)
+                             for take in idx])
+
+    observed, by_pattern = bootstrap_replicates(
+        table, g, comps, ERROR_RATE, reps=reps,
+        seed=IndexThroughPatterns(np.random.PCG64()))
+    # The same index draw, resampled row by row.
+    monkeypatch.setattr(audit_module, "_ROWS_PER_PATTERN", n + 1)
+    by_row_observed, by_row = bootstrap_replicates(
+        table, g, comps, ERROR_RATE, reps=reps, seed=8)
+    assert np.array_equal(observed, by_row_observed)
+    assert np.array_equal(by_pattern, by_row)
+
+
+def test_error_draw_of_a_million_row_group_is_fast():
+    # Resampling 1M rows by index took 1.9 s per group at 2000 reps.
+    n = 1_000_000
+    cells = SPACE_4.cells()
+    rng = np.random.default_rng(0)
+    y = np.where(rng.random(n) < 0.5, 1, -1)
+    wrong = rng.random(n) < 0.2
+    model = _StubModel({r: np.where(wrong ^ (rng.random(n) < 0.01), -y, y)
+                        .astype(float) for r in (WITHHELD,) + cells})
+    ds = Dataset(np.zeros((n, 1)), y, (cells[0],) * n, SPACE_4)
+    table = MarginTable(model, ds).fill()
+    comps = (WITHHELD,) + cells[1:]
+    times = []
+    for _ in range(3):
+        start = time.perf_counter()
+        _, gains = bootstrap_replicates(table, cells[0], comps, ERROR_RATE,
+                                        reps=2000, seed=0)
+        times.append(time.perf_counter() - start)
+    assert gains.shape == (2000, 4)
+    assert min(times) < 0.3
 
 
 def test_audit_error_bootstrap_estimates_equal_mcnemar_estimates():
@@ -391,7 +520,8 @@ def test_shared_draw_memory_is_bounded_in_comparators():
     rng = np.random.default_rng(0)
     y = np.where(rng.random(n) < 0.5, 1, -1)
     ds = Dataset(np.zeros((n, 1)), y, (cells[0],) * n, space)
-    model = _StubModel({c: rng.normal(size=n) for c in cells})
+    model = _StubModel({c: rng.normal(size=n)
+                        for c in cells + (WITHHELD,)})
     tracemalloc.start()
     try:
         _, gains = bootstrap_replicates(MarginTable(model, ds), cells[0],
