@@ -32,23 +32,20 @@ them, so one group's tests are dependent; each keeps its null
 distribution and Bonferroni needs no independence. An error-rate gain
 depends on a resample only through how many of its rows fall in each
 *pattern*, a row's wrong/right vector under every reported value. Summed
-within patterns, bootstrap row counts are Multinomial(n, n_p / n), so a
-group whose n rows share at most n // `_ROWS_PER_PATTERN` patterns
-draws those counts in one call, and its gains are their product with
-per-pattern loss differences over n. Any other group, and every AUC and
-ECE draw, takes a (reps, n) resample index, in chunks of at most
-`_INDEX_CHUNK_ENTRIES` entries (which reproduce the one-shot draw). Each
-chunk becomes a count matrix (how often each row appears in each
-replicate): error-rate gains are its product with per-row loss
-differences over n, and `metrics.resampled_values` gives AUC (a
-count-weighted Mann-Whitney U over scores sorted once) and ECE (per-bin
-sums from one matrix product) for all its replicates at once. The
-choice of draw depends only on the data, so reports stay deterministic.
-A test's observed gain has the same form: the error rate's is the sum
-of those differences over n, from which `mcnemar_test` also counts b and
-c; AUC's and ECE's are the point values, the same kernel on one
-all-ones row. A replicate at twice the observed gain is then an exact
-tie and counts on both sides.
+within patterns, bootstrap row counts are Multinomial(n, n_p / n), so
+every group draws those counts, and its gains are their product with
+per-pattern loss differences over n. AUC and ECE draw a (reps, n)
+resample index instead, and each chunk of it becomes a count matrix
+(how often each row appears in each replicate): `metrics.resampled_values`
+gives AUC (a count-weighted Mann-Whitney U over scores sorted once) and
+ECE (per-bin sums from one matrix product) for all its replicates at
+once. Both draws come in chunks of whole replicates, at most
+`_INDEX_CHUNK_ENTRIES` entries each, which continue the generator's
+stream and so reproduce the one-shot draw. A test's observed gain has
+the same form: the error rate's is the sum of those differences over n,
+from which `mcnemar_test` also counts b and c; AUC's and ECE's are the
+point values, the same kernel on one all-ones row. A replicate at twice
+the observed gain is then an exact tie and counts on both sides.
 """
 
 import dataclasses
@@ -98,14 +95,12 @@ _MAX_UNDEFINED_FRACTION = 0.10
 _IDENTICAL_ATOL = 1e-9
 # Rows read per margin column before a pair of columns is compared whole.
 _IDENTICAL_PREFIX_ROWS = 64
-# Most bootstrap index entries (replicates x group rows) drawn at once, for
-# AUC, ECE and an error-rate group with many patterns. A chunk holds two
-# int64 arrays of this size at once (the index, offset in place by
-# resample_counts, and the counts).
+# Most bootstrap draw entries (replicates x group rows for AUC and ECE,
+# replicates x patterns for the error rate) made at once. A chunk holds
+# two 8-byte arrays of this size at once: the index, offset in place by
+# resample_counts, and the counts; or the pattern counts and their float
+# copy in the product with the loss differences.
 _INDEX_CHUNK_ENTRIES = 1 << 19
-# An error-rate group draws pattern counts while it has at most n // 8
-# patterns: a draw over n / 8 patterns costs about one over n row indices.
-_ROWS_PER_PATTERN = 8
 
 
 def _f(value):
@@ -328,19 +323,13 @@ def _not_testable(kind, test, metric_tag, g, comparator, n, alpha, reason):
         verdict=NOT_TESTABLE, detail={"reason": reason})
 
 
-def _wrong(table, g, reported):
-    """(k, n) bool matrix: whether each of group g's n rows is
-    misclassified under each of the k `reported` values."""
-    positive = table.data.labels[table.rows(g)] == 1
-    return np.stack([(table.margins(g, r) >= 0.0) != positive
-                     for r in reported])
-
-
-def _loss_diffs(wrong, self_row, rows):
-    """(n, len(rows)) per-row error differences from a `_wrong` matrix:
-    1.0 where the comparator of row rows[j] is wrong and the truthful
-    model (row self_row) right, -1.0 for the converse, else 0."""
-    return (wrong[rows].astype(float) - wrong[self_row]).T
+def _loss_diffs(wrong, g, comparators):
+    """(rows, k) error differences from `wrong`, which maps a reported
+    value to whether each row (or pattern) is misclassified under it: 1.0
+    where comparators[j] is wrong and g's truthful model right, -1.0 for
+    the converse, else 0."""
+    return np.stack([wrong[c] for c in comparators], axis=1) \
+        .astype(float) - wrong[g][:, None]
 
 
 def _patterns(wrong):
@@ -362,26 +351,24 @@ def bootstrap_replicates(table, g, comparators, metric, *, reps=2000,
     g's rows are resampled once from `seed` (an int or SeedSequence), and
     every comparator (WITHHELD or a GroupId) is evaluated on the same
     resamples, with margins read from `table`. The error rate draws
-    pattern counts when g's rows share few patterns (see
-    `_ROWS_PER_PATTERN`): a row's pattern is whether it is misclassified
-    under each reported value, WITHHELD and every cell, and a resample's
-    gains depend only on how many of its rows have each pattern. Those
-    counts are Multinomial(n, n_p / n), drawn in one call. Otherwise, and
-    for AUC and ECE, the draw is a (reps, n) index in chunks of whole
-    replicates, which continue the generator's stream and so reproduce
-    the one-shot draw, each made into a count matrix. reps must be at
-    least 100.
+    pattern counts: a row's pattern is whether it is misclassified under
+    each reported value, WITHHELD and every cell, and a resample's gains
+    depend only on how many of its rows have each pattern. Those counts
+    are Multinomial(n, n_p / n). AUC and ECE draw a (reps, n) index
+    instead, each chunk made into a count matrix. Both draws come in
+    chunks of whole replicates, which continue the generator's stream and
+    so reproduce the one-shot draw. reps must be at least 100.
 
     Returns:
         (observed, gains): comparators[j]'s gain on g's rows, observed[j],
         and on each replicate, column j of the (reps, k) gains, NaN where
         undefined, each equal bit for bit to a call with comparators[j]
         alone and the same seed. Both share one form: the error rate sums
-        per-row (or per-pattern) differences over n (observed is
-        McNemar's (c - b) / n), AUC and ECE difference the count kernel
-        (observed reads the table's point values, that kernel on one
-        all-ones row). A group with fewer than 2 rows draws nothing: NaN
-        observed, no rows.
+        per-pattern differences over n (observed is McNemar's
+        (c - b) / n), AUC and ECE difference the count kernel (observed
+        reads the table's point values, that kernel on one all-ones row).
+        A group with fewer than 2 rows draws nothing: NaN observed, no
+        rows.
     """
     if reps < _MIN_BOOTSTRAP_REPS:
         raise ValueError(f"bootstrap needs >= {_MIN_BOOTSTRAP_REPS} "
@@ -392,42 +379,37 @@ def bootstrap_replicates(table, g, comparators, metric, *, reps=2000,
         return np.full(len(comparators), np.nan), \
             np.empty((0, len(comparators)))
     rng = np.random.default_rng(seed)
+    parts = []
     if metric.tag == ERROR_RATE_TAG:
         # Patterns span every reported value, whatever the comparators,
-        # so a one-comparator call takes the same path and draw.
+        # so a one-comparator call makes the same draw.
         reported = (WITHHELD,) + table.data.space.cells()
-        pos = {r: j for j, r in enumerate(reported)}
-        wrong = _wrong(table, g, reported)
+        wrong = np.stack([table.wrong(g, r) for r in reported])
         first, n_p = _patterns(wrong)
-        cols = [pos[c] for c in comparators]
-        if first.size <= n // _ROWS_PER_PATTERN:
-            diffs = _loss_diffs(wrong[:, first], pos[g], cols)
-            counts = rng.multinomial(n, n_p / n, size=reps)
-            # Exact integer sums over n, as on the index side.
-            return n_p @ diffs / n, counts @ diffs / n
-        diffs = _loss_diffs(wrong, pos[g], cols)
-        observed = diffs.sum(axis=0) / n
-    else:
-        y = table.data.labels[rows]
-        self_m = table.margins(g, g)
-        comp_m = [table.margins(g, c) for c in comparators]
-        own = orient(metric, table.risk(metric, g, g).value)
-        observed = np.array([orient(metric, table.risk(metric, g, c).value)
-                             - own for c in comparators])
+        diffs = _loss_diffs(dict(zip(reported, wrong[:, first])), g,
+                            comparators)
+        step = max(1, _INDEX_CHUNK_ENTRIES // n_p.size)
+        for start in range(0, reps, step):
+            counts = rng.multinomial(n, n_p / n,
+                                     size=min(step, reps - start))
+            parts.append(counts @ diffs / n)  # exact integer sums over n
+        return n_p @ diffs / n, np.concatenate(parts)
+    y = table.data.labels[rows]
+    self_m = table.margins(g, g)
+    comp_m = [table.margins(g, c) for c in comparators]
+    own = orient(metric, table.risk(metric, g, g).value)
+    observed = np.array([orient(metric, table.risk(metric, g, c).value)
+                         - own for c in comparators])
     step = max(1, _INDEX_CHUNK_ENTRIES // n)
-    parts = []
     for start in range(0, reps, step):
         counts = resample_counts(
             rng.integers(0, n, size=(min(step, reps - start), n)))
-        if metric.tag == ERROR_RATE_TAG:
-            parts.append(counts @ diffs / n)  # exact integer sums over n
-        else:
-            v_self = orient(metric, resampled_values(
-                metric, counts, expit(self_m), self_m, y))
-            parts.append(np.stack(
-                [orient(metric, resampled_values(metric, counts, expit(m),
-                                                 m, y)) - v_self
-                 for m in comp_m], axis=1))
+        v_self = orient(metric, resampled_values(
+            metric, counts, expit(self_m), self_m, y))
+        parts.append(np.stack(
+            [orient(metric, resampled_values(metric, counts, expit(m), m,
+                                             y)) - v_self
+             for m in comp_m], axis=1))
         del counts  # free this chunk's counts before the next draw
     return observed, np.concatenate(parts)
 
@@ -538,14 +520,16 @@ def mcnemar_test(table, g, comparator, *, alpha=0.10):
     rates the b-vs-c split is Binomial(b + c, 1/2). Applies to the error
     rate only; the estimate is (c - b) / n, matching the bootstrap's gain
     orientation. b + c = 0 gives p = 1 (no evidence either way). Margins
-    are read from `table`.
+    are read from `table`, and b and c from its `wrong` bits, which the
+    group's bootstrap has already read.
     """
     kind = RATIONALITY if comparator is WITHHELD else ENVY
     n = int(table.rows(g).size)
     if n < 2:
         return _not_testable(kind, MCNEMAR, ERROR_RATE_TAG, g, comparator,
                              n, alpha, "fewer than 2 rows in the group")
-    diffs = _loss_diffs(_wrong(table, g, (g, comparator)), 0, [1])
+    diffs = _loss_diffs({r: table.wrong(g, r) for r in (g, comparator)}, g,
+                        (comparator,))
     b = int(np.count_nonzero(diffs < 0))
     c = int(np.count_nonzero(diffs > 0))
     est = (c - b) / n

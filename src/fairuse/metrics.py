@@ -233,9 +233,10 @@ class MarginTable:
     computed over all rows on first use by `model.margins` (or
     `model.margins_truthful`) and then kept, plus the row indices of each
     true group. `margins(g, reported)` slices a column to group g's rows;
-    `risk(metric, g, reported)` is evaluated once per key and then kept.
-    The audit's tests take a table as their first argument and read
-    `model` and `data` from it.
+    `risk(metric, g, reported)` is evaluated once per key and then kept,
+    as is `wrong(g, reported)`, the rows' misclassification bits. The
+    audit's tests take a table as their first argument and read `model`
+    and `data` from it.
     """
 
     def __init__(self, model, data):
@@ -244,6 +245,7 @@ class MarginTable:
         self._columns = {}
         self._rows = {}
         self._risks = {}
+        self._wrong = {}
 
     def column(self, reported):
         """Margins of every row when each reports `reported`."""
@@ -277,6 +279,17 @@ class MarginTable:
                 metric, self.margins(g, reported),
                 self.data.labels[self.rows(g)], g, reported)
         return est
+
+    def wrong(self, g, reported):
+        """Whether each of group g's rows is misclassified under
+        `reported`, as a bool array."""
+        key = (g, reported)
+        wrong = self._wrong.get(key)
+        if wrong is None:
+            positive = self.data.labels[self.rows(g)] == 1
+            wrong = self._wrong[key] = \
+                (self.margins(g, reported) >= 0.0) != positive
+        return wrong
 
     def fill(self):
         """Compute every cell and WITHHELD column and every group's rows."""

@@ -8,9 +8,9 @@ import numpy as np
 import pytest
 from scipy.special import expit
 
-from fairuse.audit import (_IDENTICAL_PREFIX_ROWS, _ROWS_PER_PATTERN,
-                           BOOTSTRAP, ENVY, INCONCLUSIVE, MCNEMAR,
-                           NOT_TESTABLE, RATIONALITY, SIGNIFICANT_GAIN,
+from fairuse.audit import (_IDENTICAL_PREFIX_ROWS, BOOTSTRAP, ENVY,
+                           INCONCLUSIVE, MCNEMAR, NOT_TESTABLE,
+                           RATIONALITY, SIGNIFICANT_GAIN,
                            SIGNIFICANT_VIOLATION, AuditConfig,
                            FairUseReport, HypothesisResult, MarginTable,
                            MisreportMatrix, audit, bonferroni,
@@ -180,77 +180,48 @@ def _patterns(y, *margins):
     return np.unique(wrong, axis=0, return_counts=True)
 
 
-@pytest.mark.parametrize("n, self_wrong, comp_wrong", [
-    (20, range(4), range(9)),
+@pytest.mark.parametrize("n, self_wrong, comp_wrong, other_wrong", [
+    (20, range(4), range(9), []),
     # 3 more wrong rows for the comparator: the replicates that draw 6
-    # tie with twice the observed gain and count on both sides (p_gain
-    # 0.1138, where a gain formed from two rounded rates gave 0.0439).
-    (10, [0], range(6, 10)),
-], ids=["overlapping", "tie"])
+    # tie with twice the observed gain and count on both sides, where a
+    # gain formed from two rounded rates put them on one side only.
+    (10, [0], range(6, 10), []),
+    # Four row patterns over (generic, a, b), one of them from b alone.
+    (40, range(4), range(30, 36), range(10, 20)),
+], ids=["overlapping", "tie", "four_patterns"])
 def test_bootstrap_error_rate_matches_recomputed_resamples(n, self_wrong,
-                                                           comp_wrong):
+                                                           comp_wrong,
+                                                           other_wrong):
     y = np.ones(n, dtype=int)
     self_m = np.ones(n)
     self_m[list(self_wrong)] = -1.0
     comp_m = np.ones(n)
     comp_m[list(comp_wrong)] = -1.0
     other_m = np.ones(n)
+    other_m[list(other_wrong)] = -1.0
     space = AB
     a, b = space.cells()
     ds = Dataset(np.zeros((n, 1)), y, (a,) * n, space)
     model = _StubModel(space, {a: self_m, b: other_m, WITHHELD: comp_m})
-    # Three row patterns: more than n // 8, so the rows are resampled by
-    # index.
-    assert len(_patterns(y, comp_m, self_m, other_m)[1]) > \
-        n // _ROWS_PER_PATTERN
     reps = 500
     res = _bootstrap_one(model, a, WITHHELD, ds, ERROR_RATE, reps=reps,
                          seed=11)
     assert res.kind == RATIONALITY
     # Recompute, in integers and from the same generator stream, each
-    # replicate's gain in wrong rows, dk_rep. A recentered draw
-    # dk_rep - dk is at most as extreme as the observed dk exactly when
-    # dk_rep <= 2 dk (violation side) or >= 2 dk (gain side).
-    diffs = (comp_m < 0).astype(int) - (self_m < 0).astype(int)
-    dk = int(diffs.sum())
-    assert res.estimate == dk / n
-    idx = np.random.default_rng(11).integers(0, n, size=(reps, n))
-    dk_rep = diffs[idx].sum(axis=1)
-    p_v = (1 + int(np.count_nonzero(dk_rep <= 2 * dk))) / (reps + 1)
-    p_g = (1 + int(np.count_nonzero(dk_rep >= 2 * dk))) / (reps + 1)
-    assert res.p_violation == p_v
-    assert res.p_gain == p_g
-    assert res.p_raw == res.p_gain
-    assert res.detail["reps"] == reps
-
-
-def test_bootstrap_error_rate_matches_recomputed_pattern_counts():
-    # Four row patterns over (generic, a, b) in 40 rows, at most n // 8:
-    # the draw is one multinomial over the pattern counts.
-    n = 40
-    y = np.ones(n, dtype=int)
-    self_m = np.where(np.arange(n) < 4, -1.0, 1.0)
-    comp_m = np.where((np.arange(n) >= 30) & (np.arange(n) < 36), -1.0,
-                      1.0)
-    other_m = np.where((np.arange(n) >= 10) & (np.arange(n) < 20), -1.0,
-                       1.0)
-    a, b = AB.cells()
-    ds = Dataset(np.zeros((n, 1)), y, (a,) * n, AB)
-    model = _StubModel(AB, {a: self_m, b: other_m, WITHHELD: comp_m})
+    # replicate's gain in wrong rows, dk_rep: Multinomial(n, n_p / n)
+    # counts of the row patterns, in the lexicographic order of their
+    # wrong/right vectors over (generic, a, b), times each pattern's
+    # gain. A recentered draw dk_rep - dk is at most as extreme as the
+    # observed dk exactly when dk_rep <= 2 dk (violation side) or >= 2 dk
+    # (gain side).
     patterns, n_p = _patterns(y, comp_m, self_m, other_m)
-    assert len(n_p) == 4 <= n // _ROWS_PER_PATTERN
-    reps = 500
-    res = _bootstrap_one(model, a, WITHHELD, ds, ERROR_RATE, reps=reps,
-                         seed=11)
-    # Each pattern's gain in wrong rows, in integers; patterns come in
-    # the order of their wrong/right vectors over (generic, a, b).
     diffs = patterns[:, 0].astype(int) - patterns[:, 1].astype(int)
     dk = int(n_p @ diffs)
-    assert dk == 2 and res.estimate == dk / n
+    assert dk == int((comp_m < 0).sum() - (self_m < 0).sum())
+    assert res.estimate == dk / n
     counts = np.random.default_rng(11).multinomial(n, n_p / n, size=reps)
     dk_rep = counts @ diffs
-    # Replicates at twice the observed gain are exact ties and count on
-    # both sides.
+    # Every case draws some exact ties at 2 dk.
     assert np.count_nonzero(dk_rep == 2 * dk) > 0
     p_v = (1 + int(np.count_nonzero(dk_rep <= 2 * dk))) / (reps + 1)
     p_g = (1 + int(np.count_nonzero(dk_rep >= 2 * dk))) / (reps + 1)

@@ -234,22 +234,44 @@ def test_chunked_bootstrap_draw_matches_one_shot(monkeypatch, metric):
                         WITHHELD: comp_m})
     one_shot = _bootstrap_one(model, a, WITHHELD, ds, metric, reps=250,
                               seed=4)
-    # 7 replicates per chunk: 35 full chunks and a last one of 5. The
-    # error rate resamples by index too: its rows have more than n // 8
-    # patterns.
-    monkeypatch.setattr(audit_module, "_INDEX_CHUNK_ENTRIES", 7 * n + 3)
+    # 7 replicates per chunk: 35 full chunks and a last one of 5. A chunk
+    # spans n rows, or for the error rate one entry per row pattern.
+    width = n
+    if metric is ERROR_RATE:
+        width = len(np.unique(_wrong_rows(MarginTable(model, ds), a),
+                              axis=0))
+        assert 1 < width < n
+    monkeypatch.setattr(audit_module, "_INDEX_CHUNK_ENTRIES",
+                        7 * width + 3)
     chunks = []
-    real = audit_module.resample_counts
 
-    def counted(idx):
-        chunks.append(idx.shape[0])
-        return real(idx)
+    class Recording(np.random.Generator):
+        """Records how many replicates each draw makes."""
 
-    monkeypatch.setattr(audit_module, "resample_counts", counted)
+        def integers(self, low, high, size):
+            chunks.append(size[0])
+            return super().integers(low, high, size=size)
+
+        def multinomial(self, draws, pvals, size):
+            chunks.append(size)
+            return super().multinomial(draws, pvals, size=size)
+
     chunked = _bootstrap_one(model, a, WITHHELD, ds, metric, reps=250,
-                             seed=4)
+                             seed=Recording(np.random.PCG64(4)))
     assert chunked == one_shot
     assert chunks == [7] * 35 + [5]
+
+
+@pytest.mark.parametrize("n, n_patterns", [(7, 3), (100, 20),
+                                           (2500, 2500), (12500, 2)])
+def test_chunked_multinomial_draws_continue_the_one_shot_stream(
+        n, n_patterns):
+    pvals = np.random.default_rng(1).random(n_patterns)
+    pvals /= pvals.sum()
+    one_shot = np.random.default_rng(3).multinomial(n, pvals, size=9)
+    rng = np.random.default_rng(3)
+    chunks = [rng.multinomial(n, pvals, size=k) for k in (2, 4, 3)]
+    assert np.array_equal(np.vstack(chunks), one_shot)
 
 
 def test_audit_bootstrap_results_equal_one_comparator_draws():
@@ -310,29 +332,21 @@ def _wrong_rows(table, g):
                      for r in reported], axis=1)
 
 
-def _error_gain_oracle(wrong, self_col, cols, n, *, reps, seed, by_index):
-    """Replicate error gains in integers: from a (reps, n) row index, or
-    from Multinomial(n, n_p / n) counts of the distinct rows of `wrong`
-    in lexicographic order."""
-    diffs = wrong[:, cols].astype(int) - wrong[:, [self_col]]
-    rng = np.random.default_rng(seed)
-    if by_index:
-        idx = rng.integers(0, n, size=(reps, n))
-        return np.stack([diffs[take].sum(axis=0) for take in idx]) / n
+def _pattern_gain_oracle(wrong, self_col, cols, n, *, reps, seed):
+    """Replicate error gains in integers, from Multinomial(n, n_p / n)
+    counts of the distinct rows of `wrong` in lexicographic order."""
     patterns, n_p = np.unique(wrong, axis=0, return_counts=True)
     p_diffs = patterns[:, cols].astype(int) - patterns[:, [self_col]]
+    rng = np.random.default_rng(seed)
     return rng.multinomial(n, n_p / n, size=reps) @ p_diffs / n
 
 
-@pytest.mark.parametrize("extra, by_index", [(0, False), (1, True)],
-                         ids=["n_over_8_patterns", "one_more_pattern"])
-def test_error_draw_takes_the_index_above_n_over_8_patterns(extra,
-                                                             by_index):
+@pytest.mark.parametrize("n_patterns", [8, 32])
+def test_error_draw_counts_patterns_however_many(n_patterns):
     # Row i of 64 takes pattern i % P, the bits of i % P over (generic,
-    # c0, .., c3): P = n // 8 patterns draw pattern counts, one more
-    # draws a row index.
+    # c0, .., c3). Half as many patterns as rows still draws pattern
+    # counts.
     n = 64
-    n_patterns = n // audit_module._ROWS_PER_PATTERN + extra
     bits = (np.arange(n)[:, None] % n_patterns >> np.arange(5)) & 1
     y = np.ones(n, dtype=int)
     cells = SPACE_4.cells()
@@ -345,15 +359,15 @@ def test_error_draw_takes_the_index_above_n_over_8_patterns(extra,
     comps = (WITHHELD,) + cells[1:]
     observed, gains = bootstrap_replicates(table, cells[0], comps,
                                            ERROR_RATE, reps=200, seed=3)
-    want = _error_gain_oracle(wrong, 1, [0, 2, 3, 4], n, reps=200, seed=3,
-                              by_index=by_index)
+    want = _pattern_gain_oracle(wrong, 1, [0, 2, 3, 4], n, reps=200,
+                                seed=3)
     assert np.array_equal(gains, want)
     assert np.array_equal(observed,
                           (wrong[:, [0, 2, 3, 4]].astype(int)
                            - wrong[:, [1]]).sum(axis=0) / n)
 
 
-def test_index_draw_through_pattern_classes_gives_the_pattern_gains(
+def test_index_draw_through_pattern_classes_gives_the_row_gains(
         monkeypatch):
     # 17 reported values: patterns span three bytes of packed bits, so
     # their order is fixed across bytes too.
@@ -366,30 +380,38 @@ def test_index_draw_through_pattern_classes_gives_the_pattern_gains(
     comps = (WITHHELD,) + tuple(c for c in cells if c != g)
     n = table.rows(g).size
     reps = 250
-    patterns, inv, n_p = np.unique(_wrong_rows(table, g), axis=0,
-                                   return_inverse=True, return_counts=True)
+    wrong = _wrong_rows(table, g)
+    patterns, inv, n_p = np.unique(wrong, axis=0, return_inverse=True,
+                                   return_counts=True)
     inv = inv.ravel()
-    assert 1 < n_p.size <= n // audit_module._ROWS_PER_PATTERN
+    assert 1 < n_p.size < n
     idx = np.random.default_rng(8).integers(0, n, size=(reps, n))
+    drawn = []
 
     class IndexThroughPatterns(np.random.Generator):
-        """Draws the pattern counts of the index draw `idx`."""
+        """Draws the pattern counts of the index draw `idx`, a chunk of
+        its replicates at a time."""
 
         def multinomial(self, draws, pvals, size):
-            assert (draws, size) == (n, reps)
+            assert draws == n
             assert np.array_equal(pvals, n_p / n)
+            start = sum(drawn)
+            drawn.append(size)
             return np.stack([np.bincount(inv[take], minlength=n_p.size)
-                             for take in idx])
+                             for take in idx[start:start + size]])
 
+    # Three chunks, so the draw continues across them.
+    monkeypatch.setattr(audit_module, "_INDEX_CHUNK_ENTRIES",
+                        100 * n_p.size)
     observed, by_pattern = bootstrap_replicates(
         table, g, comps, ERROR_RATE, reps=reps,
         seed=IndexThroughPatterns(np.random.PCG64()))
-    # The same index draw, resampled row by row.
-    monkeypatch.setattr(audit_module, "_ROWS_PER_PATTERN", n + 1)
-    by_row_observed, by_row = bootstrap_replicates(
-        table, g, comps, ERROR_RATE, reps=reps, seed=8)
-    assert np.array_equal(observed, by_row_observed)
-    assert np.array_equal(by_pattern, by_row)
+    assert drawn == [100, 100, 50]
+    # The same index draw, resampled row by row, in integers.
+    cols = [0] + [1 + cells.index(c) for c in comps[1:]]
+    diffs = wrong[:, cols].astype(int) - wrong[:, [1 + cells.index(g)]]
+    assert np.array_equal(observed, diffs.sum(axis=0) / n)
+    assert np.array_equal(by_pattern, diffs[idx].sum(axis=1) / n)
 
 
 def test_error_draw_of_a_million_row_group_is_fast():
@@ -424,6 +446,25 @@ def test_audit_error_bootstrap_estimates_equal_mcnemar_estimates():
     assert len(boot) == len(exact) == ds.space.m ** 2
     for r in boot:
         assert r.estimate == exact[(r.group, r.comparator_label)]
+
+
+def test_mcnemar_reads_the_bits_the_bootstrap_kept(monkeypatch):
+    ds = gen_planted_violation(m=4, n_per_group=30, seed=1)
+    model = train_personalized(ds, Strategy.ONEHOT,
+                               TrainConfig(l2_penalty=1e-3))
+    table = MarginTable(model, ds)
+    g = ds.space.cells()[2]
+    comps = (WITHHELD,) + tuple(c for c in ds.space.cells() if c != g)
+    observed, _ = bootstrap_replicates(table, g, comps, ERROR_RATE,
+                                       reps=100, seed=0)
+
+    def no_margins(*args):
+        raise AssertionError("margins read again")
+
+    monkeypatch.setattr(table, "margins", no_margins)
+    for j, comp in enumerate(comps):
+        res = audit_module.mcnemar_test(table, g, comp)
+        assert res.estimate == observed[j]
 
 
 @pytest.mark.parametrize("metric", [AUC, ECE])
@@ -512,8 +553,10 @@ def test_resample_counts_offsets_the_index_in_place():
 
 
 def test_shared_draw_memory_is_bounded_in_comparators():
-    # 32 comparators over 2500 rows: gathering every comparator's losses
-    # for a whole index chunk at once would take about 270 MB.
+    # 32 comparators over 2500 rows of 2500 distinct patterns: drawing
+    # every replicate's pattern counts at once would take 80 MB (the
+    # counts and their float copy), and gathering every comparator's
+    # losses for a whole index chunk about 270 MB.
     space = GroupSpace((("g", tuple(f"c{i}" for i in range(33))),))
     cells = space.cells()
     n = 2500
@@ -522,11 +565,12 @@ def test_shared_draw_memory_is_bounded_in_comparators():
     ds = Dataset(np.zeros((n, 1)), y, (cells[0],) * n, space)
     model = _StubModel({c: rng.normal(size=n)
                         for c in cells + (WITHHELD,)})
+    table = MarginTable(model, ds)
+    assert len(np.unique(_wrong_rows(table, cells[0]), axis=0)) == n
     tracemalloc.start()
     try:
-        _, gains = bootstrap_replicates(MarginTable(model, ds), cells[0],
-                                        cells[1:], ERROR_RATE, reps=2000,
-                                        seed=0)
+        _, gains = bootstrap_replicates(table, cells[0], cells[1:],
+                                        ERROR_RATE, reps=2000, seed=0)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
