@@ -37,15 +37,16 @@ every group draws those counts, and its gains are their product with
 per-pattern loss differences over n. AUC and ECE draw a (reps, n)
 resample index instead, and each chunk of it becomes a count matrix
 (how often each row appears in each replicate): `metrics.resampled_values`
-gives AUC (a count-weighted Mann-Whitney U over scores sorted once) and
-ECE (per-bin sums from one matrix product) for all its replicates at
-once. Both draws come in chunks of whole replicates, at most
-`_INDEX_CHUNK_ENTRIES` entries each, which continue the generator's
-stream and so reproduce the one-shot draw. A test's observed gain has
-the same form: the error rate's is the sum of those differences over n,
-from which `mcnemar_test` also counts b and c; AUC's and ECE's are the
-point values, the same kernel on one all-ones row. A replicate at twice
-the observed gain is then an exact tie and counts on both sides.
+gives AUC (a count-weighted Mann-Whitney U read from running negative
+counts at each positive's tie bounds) and ECE (per-bin sums from one
+matrix product) for all its replicates at once. Both draws come in
+chunks of whole replicates, at most `_INDEX_CHUNK_ENTRIES` entries each,
+which continue the generator's stream and so reproduce the one-shot
+draw. A test's observed gain has the same form: the error rate's is the
+sum of those differences over n, from which `mcnemar_test` also counts
+b and c; AUC's and ECE's are the point values, the same kernel on one
+all-ones row. A replicate at twice the observed gain is then an exact
+tie and counts on both sides.
 """
 
 import dataclasses
@@ -396,7 +397,9 @@ def bootstrap_replicates(table, g, comparators, metric, *, reps=2000,
         return n_p @ diffs / n, np.concatenate(parts)
     y = table.data.labels[rows]
     self_m = table.margins(g, g)
+    self_s = expit(self_m)
     comp_m = [table.margins(g, c) for c in comparators]
+    comp_s = [expit(m) for m in comp_m]
     own = orient(metric, table.risk(metric, g, g).value)
     observed = np.array([orient(metric, table.risk(metric, g, c).value)
                          - own for c in comparators])
@@ -405,11 +408,10 @@ def bootstrap_replicates(table, g, comparators, metric, *, reps=2000,
         counts = resample_counts(
             rng.integers(0, n, size=(min(step, reps - start), n)))
         v_self = orient(metric, resampled_values(
-            metric, counts, expit(self_m), self_m, y))
+            metric, counts, self_s, self_m, y))
         parts.append(np.stack(
-            [orient(metric, resampled_values(metric, counts, expit(m), m,
-                                             y)) - v_self
-             for m in comp_m], axis=1))
+            [orient(metric, resampled_values(metric, counts, s, m, y))
+             - v_self for s, m in zip(comp_s, comp_m)], axis=1))
         del counts  # free this chunk's counts before the next draw
     return observed, np.concatenate(parts)
 

@@ -15,6 +15,9 @@ metric value per row of a (replicates, rows) count matrix, with no
 resample ever materialized. Bootstrap replicates are evaluated this way.
 AUC and ECE have one kernel each: `auc_value` and `ece_value` run it on
 one all-ones count row, so a point value is the replicate form exactly.
+The AUC kernel reads running sums of negative counts, in score order, at
+each positive row's tie bounds; the ECE kernel is one matrix product of
+the counts with per-bin indicators.
 """
 
 import math
@@ -134,7 +137,8 @@ def ece_value(scores, margins, labels, bins=10):
 
 
 def metric_value(metric, scores, margins, labels):
-    """Dispatch a metric over aligned scores, margins, and labels."""
+    """Dispatch a metric over aligned scores, margins, and labels; the
+    error rate reads no scores, so they may be None for it."""
     if metric.tag == ERROR_RATE_TAG:
         return error_rate_value(margins, labels)
     if metric.tag == AUC_TAG:
@@ -168,23 +172,30 @@ def resampled_values(metric, counts, scores, margins, labels):
 
 
 def _auc_counts(counts, scores, labels):
-    """Count-weighted Mann-Whitney AUC over scores sorted once.
+    """Count-weighted Mann-Whitney AUC from cumulative negative counts.
 
-    Tied scores form blocks; a positive row beats every negative in lower
-    blocks and ties the negatives in its own, so twice U, the sum of
-    pos * (2 * cumsum(neg) - neg), is an exact integer. The rank-sum
+    The negative rows are sorted by score once, and each replicate's
+    negative counts are summed along that order, with a leading zero. A
+    positive row's tie bounds among the sorted negative scores, lo and
+    hi, then read how many negatives it beats (cum[lo]) and how many it
+    beats or ties (cum[hi]), so twice U, the sum of
+    pos * (cum[lo] + cum[hi]), is an exact integer. The rank-sum
     formula's half-integer sums are exact too: both end in one division.
     """
-    order = np.argsort(scores, kind="stable")
-    ranked = scores[order]
-    starts = np.flatnonzero(np.r_[True, ranked[1:] != ranked[:-1]])
-    c = counts[:, order]
-    pos = np.add.reduceat(c * (labels[order] == 1), starts, axis=1)
-    neg = np.add.reduceat(c, starts, axis=1) - pos
-    twice_u = (2 * np.einsum("ij,ij->i", pos, np.cumsum(neg, axis=1))
-               - np.einsum("ij,ij->i", pos, neg))
-    n_pos = pos.sum(axis=1)
-    n_neg = neg.sum(axis=1)
+    pos = labels == 1
+    neg_rows = np.flatnonzero(~pos)
+    neg_rows = neg_rows[np.argsort(scores[neg_rows], kind="stable")]
+    pos_rows = np.flatnonzero(pos)
+    ranked = scores[neg_rows]
+    lo = np.searchsorted(ranked, scores[pos_rows], "left")
+    hi = np.searchsorted(ranked, scores[pos_rows], "right")
+    cum = np.zeros((counts.shape[0], neg_rows.size + 1), dtype=np.int64)
+    np.cumsum(np.take(counts, neg_rows, axis=1), axis=1, out=cum[:, 1:])
+    c_pos = np.take(counts, pos_rows, axis=1)
+    twice_u = (np.einsum("ij,ij->i", c_pos, np.take(cum, lo, axis=1))
+               + np.einsum("ij,ij->i", c_pos, np.take(cum, hi, axis=1)))
+    n_pos = c_pos.sum(axis=1)
+    n_neg = cum[:, -1]
     out = np.full(counts.shape[0], np.nan)
     ok = (n_pos > 0) & (n_neg > 0)
     out[ok] = (0.5 * twice_u[ok]) / (n_pos[ok] * n_neg[ok])
@@ -221,7 +232,8 @@ def risk_from_margins(metric, margins, labels, g, reported):
     if labels.size == 0:
         value = float("nan")
     else:
-        value = metric_value(metric, expit(margins), margins, labels)
+        scores = None if metric.tag == ERROR_RATE_TAG else expit(margins)
+        value = metric_value(metric, scores, margins, labels)
     return RiskEstimate(value, int(labels.size), metric, g, reported,
                         defined=not math.isnan(value))
 
