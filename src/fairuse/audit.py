@@ -43,14 +43,14 @@ matrix product) for all its replicates at once. Both draws come in
 chunks of whole replicates, at most `_INDEX_CHUNK_ENTRIES` entries each,
 which continue the generator's stream and so reproduce the one-shot
 draw. A test's observed gain has the same form: the error rate's is the
-sum of those differences over n, from which `mcnemar_test` also counts
-b and c; AUC's and ECE's are the point values, the same kernel on one
-all-ones row. A replicate at twice the observed gain is then an exact
-tie and counts on both sides.
+sum of those differences over n, (c - b) / n in McNemar's terms; AUC's
+and ECE's are the point values, the same kernel on one all-ones row. A
+replicate at twice the observed gain is then an exact tie and counts on
+both sides. `mcnemar_test` counts b and c on the table's kept `wrong`
+bits, the rows the bootstrap's patterns were made from: b rows wrong
+under g's truthful model and right under the comparator, c the converse.
 """
 
-import dataclasses
-import json
 import math
 from collections import Counter
 from dataclasses import dataclass, field
@@ -60,6 +60,7 @@ import numpy as np
 from scipy.special import expit
 
 from . import theory
+from ._jsontext import dumps
 from .dataset import tally
 from .groups import ALL, TRUTHFUL, WITHHELD, GroupId, GroupSpace
 # group_risk, metric_value and MarginTable stay importable from this
@@ -521,19 +522,19 @@ def mcnemar_test(table, g, comparator, *, alpha=0.10):
     comparator gets right, c = the converse; under the null of equal error
     rates the b-vs-c split is Binomial(b + c, 1/2). Applies to the error
     rate only; the estimate is (c - b) / n, matching the bootstrap's gain
-    orientation. b + c = 0 gives p = 1 (no evidence either way). Margins
-    are read from `table`, and b and c from its `wrong` bits, which the
-    group's bootstrap has already read.
+    orientation. b + c = 0 gives p = 1 (no evidence either way). b and c
+    are counted on the table's kept `wrong` bits, which the group's
+    bootstrap has already made.
     """
     kind = RATIONALITY if comparator is WITHHELD else ENVY
     n = int(table.rows(g).size)
     if n < 2:
         return _not_testable(kind, MCNEMAR, ERROR_RATE_TAG, g, comparator,
                              n, alpha, "fewer than 2 rows in the group")
-    diffs = _loss_diffs({r: table.wrong(g, r) for r in (g, comparator)}, g,
-                        (comparator,))
-    b = int(np.count_nonzero(diffs < 0))
-    c = int(np.count_nonzero(diffs > 0))
+    own = table.wrong(g, g)
+    other = table.wrong(g, comparator)
+    b = int(np.count_nonzero(own & ~other))
+    c = int(np.count_nonzero(other & ~own))
     est = (c - b) / n
     if b + c == 0:
         p_violation = p_gain = p_raw = 1.0
@@ -561,22 +562,28 @@ def bonferroni(results, alpha=None):
                     for r in results if r.testable)
     out = []
     for r in results:
-        a = r.alpha if alpha is None else alpha
-        key = (r.metric, r.test, r.kind)
-        fs = sizes.get(key, 0)
+        # The adjusted result is a copy of r's __dict__ with the adjusted
+        # fields set, made without __init__: the frozen dataclass's keyword
+        # constructor, which dataclasses.replace calls, sets its 15 fields
+        # one object.__setattr__ at a time (several times the cost), and
+        # an audit adjusts m^2 results per route. HypothesisResult has no
+        # __post_init__ to skip.
+        adjusted = object.__new__(HypothesisResult)
+        fields = adjusted.__dict__
+        fields.update(r.__dict__)
+        fields["alpha"] = a = r.alpha if alpha is None else alpha
+        fields["family_size"] = fs = sizes.get((r.metric, r.test, r.kind), 0)
         if not r.testable:
-            out.append(dataclasses.replace(
-                r, alpha=a, family_size=fs, verdict=NOT_TESTABLE))
-            continue
-        p_adj = min(1.0, fs * r.p_raw)
-        if r.estimate == 0 or p_adj > a:
-            verdict = INCONCLUSIVE
-        elif r.estimate < 0:
-            verdict = SIGNIFICANT_VIOLATION
+            fields["verdict"] = NOT_TESTABLE
         else:
-            verdict = SIGNIFICANT_GAIN
-        out.append(dataclasses.replace(
-            r, alpha=a, p_adjusted=p_adj, family_size=fs, verdict=verdict))
+            fields["p_adjusted"] = p_adj = min(1.0, fs * r.p_raw)
+            if r.estimate == 0 or p_adj > a:
+                fields["verdict"] = INCONCLUSIVE
+            elif r.estimate < 0:
+                fields["verdict"] = SIGNIFICANT_VIOLATION
+            else:
+                fields["verdict"] = SIGNIFICANT_GAIN
+        out.append(adjusted)
     return out
 
 
@@ -783,8 +790,13 @@ class FairUseReport:
         }
 
     def to_json_str(self):
-        """Canonical JSON text; identical inputs give identical bytes."""
-        return json.dumps(self.to_jsonable(), sort_keys=True, indent=2)
+        """Canonical JSON text; identical inputs give identical bytes.
+
+        The bytes are those of `json.dumps(self.to_jsonable(),
+        sort_keys=True, indent=2)`, written by `_jsontext.dumps`, which
+        skips json's pure-Python encoder.
+        """
+        return dumps(self.to_jsonable())
 
     def to_markdown(self):
         return render_markdown(self)

@@ -17,10 +17,10 @@ Two planners and one advisory pass:
 All planning is deterministic given the report and tie rules.
 """
 
-import json
 import math
 from dataclasses import dataclass
 
+from ._jsontext import dumps
 from .groups import TRUTHFUL, WITHHELD
 # group_risk stays importable from this module for callers that look it
 # up here.
@@ -107,7 +107,9 @@ class AssignmentPlan:
         }
 
     def to_json_str(self):
-        return json.dumps(self.to_jsonable(), sort_keys=True, indent=2)
+        """The bytes of `json.dumps(self.to_jsonable(), sort_keys=True,
+        indent=2)`, written by `_jsontext.dumps`."""
+        return dumps(self.to_jsonable())
 
 
 def _num(v):
