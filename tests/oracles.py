@@ -5,6 +5,7 @@ shares no code with the package, so a test can compare two independent
 paths to the same number.
 """
 
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -153,3 +154,56 @@ def logistic_loss(margins, labels):
         total += z + math.log1p(math.exp(-z)) if z > 0 else \
             math.log1p(math.exp(z))
     return total / len(labels)
+
+
+def mcnemar_counts(own_margins, other_margins, labels):
+    """McNemar's b and c from per-row float loss differences.
+
+    A row's 0-1 loss under a margin is 1.0 when the sign prediction (+1
+    at a margin >= 0, exact zeros included) differs from its +-1 label.
+    The other model's loss minus the own model's is -1.0 on a row only
+    the own model gets wrong (counted in b) and +1.0 on a row only the
+    other model gets wrong (counted in c).
+    """
+    def losses(margins):
+        return np.array([0.0 if (1 if m >= 0.0 else -1) == y else 1.0
+                         for m, y in zip(margins, labels)])
+
+    diffs = losses(other_margins) - losses(own_margins)
+    return int(np.count_nonzero(diffs < 0)), int(np.count_nonzero(diffs > 0))
+
+
+def bonferroni_by_replace(results, alpha=None):
+    """Bonferroni-adjusted copies of frozen test results, each made by
+    dataclasses.replace.
+
+    A family is every result with the same (metric, test, kind); its size
+    counts the results with a p_raw. A result without one keeps its
+    p_adjusted and becomes NotTestable. Otherwise p_adjusted is
+    min(1, size * p_raw), and the verdict is Inconclusive at a zero
+    estimate or p_adjusted above alpha, else follows the estimate's sign.
+    alpha, when given, replaces every result's own.
+    """
+    sizes = {}
+    for r in results:
+        if r.p_raw is not None:
+            key = (r.metric, r.test, r.kind)
+            sizes[key] = sizes.get(key, 0) + 1
+    out = []
+    for r in results:
+        a = r.alpha if alpha is None else alpha
+        size = sizes.get((r.metric, r.test, r.kind), 0)
+        if r.p_raw is None:
+            out.append(dataclasses.replace(r, alpha=a, family_size=size,
+                                           verdict="NotTestable"))
+            continue
+        p_adjusted = min(1.0, size * r.p_raw)
+        if r.estimate == 0 or p_adjusted > a:
+            verdict = "Inconclusive"
+        elif r.estimate < 0:
+            verdict = "SignificantViolation"
+        else:
+            verdict = "SignificantGain"
+        out.append(dataclasses.replace(r, alpha=a, p_adjusted=p_adjusted,
+                                       family_size=size, verdict=verdict))
+    return out

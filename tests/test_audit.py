@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 from scipy.special import expit
 
 from fairuse.audit import (_IDENTICAL_PREFIX_ROWS, BOOTSTRAP, ENVY,
@@ -27,7 +29,7 @@ from fairuse.models import (LinearModel, PersonalizedModel, Strategy,
                             train_personalized, train_zero_one_exhaustive)
 from fairuse.synth import gen_group_specific_effects, gen_misspecification
 
-from oracles import binom_tail
+from oracles import binom_tail, bonferroni_by_replace, mcnemar_counts
 
 AB = GroupSpace((("g", ("a", "b")),))
 
@@ -366,6 +368,41 @@ def test_mcnemar_not_testable_on_tiny_group():
     assert res.verdict == NOT_TESTABLE
 
 
+# Margins with exact zeros of both signs, which predict +1.
+_MARGINS = st.sampled_from([-2.0, -0.5, -0.0, 0.0, 0.0, 0.25, 1.5])
+
+
+@given(data=st.data(), n_a=st.integers(2, 9), n_b=st.integers(0, 9))
+@example(data=None, n_a=2, n_b=2)
+def test_mcnemar_counts_match_float_difference_oracle(data, n_a, n_b):
+    a, b = AB.cells()
+    n = n_a + n_b
+    if data is None:  # 2-row groups with exact zeros on both sides
+        labels = np.array([1, -1, 1, -1])
+        margins = {a: [0.0, 0.0, -1.0, -1.0], b: [-1.0, 0.0, 0.0, -1.0],
+                   WITHHELD: [-0.0, -1.0, 1.0, 1.0]}
+    else:
+        labels = np.array(data.draw(st.lists(st.sampled_from([-1, 1]),
+                                             min_size=n, max_size=n)))
+        margins = {r: data.draw(st.lists(_MARGINS, min_size=n, max_size=n))
+                   for r in (a, b, WITHHELD)}
+    groups = (a,) * n_a + (b,) * n_b
+    ds = Dataset(np.zeros((n, 1)), labels, groups, AB)
+    table = MarginTable(_StubModel(AB, margins), ds)
+    for g, other in ((a, b), (b, a)):
+        rows = ds.rows_for(g)
+        for comparator in (WITHHELD, other):
+            res = mcnemar_test(table, g, comparator)
+            if rows.size < 2:
+                assert res.verdict == NOT_TESTABLE
+                continue
+            own_m = np.asarray(margins[g])[rows]
+            other_m = np.asarray(margins[comparator])[rows]
+            b_count, c_count = mcnemar_counts(own_m, other_m, labels[rows])
+            assert res.detail == {"b": b_count, "c": c_count}
+            assert res.estimate == (c_count - b_count) / rows.size
+
+
 def _result(metric, test, kind, estimate, p_raw, group="a",
             comparator=WITHHELD, alpha=0.10):
     g = AB.group(group)
@@ -410,6 +447,44 @@ def test_bonferroni_zero_estimate_and_alpha_override():
     assert out.verdict == SIGNIFICANT_VIOLATION
     out, = bonferroni([strong], alpha=0.0001)
     assert out.verdict == INCONCLUSIVE and out.alpha == 0.0001
+
+
+_RESULTS = st.builds(
+    _result,
+    metric=st.sampled_from(["error_rate", "auc"]),
+    test=st.sampled_from([BOOTSTRAP, MCNEMAR]),
+    kind=st.sampled_from([RATIONALITY, ENVY]),
+    estimate=st.sampled_from([-0.3, -0.0, 0.0, 0.2, float("nan")]),
+    p_raw=st.one_of(st.none(), st.sampled_from([0.0, 1e-4, 0.01, 0.04,
+                                                0.3, 1.0])),
+    alpha=st.sampled_from([0.05, 0.10]))
+# Results that already carry adjusted fields, as after an earlier pass.
+_RESULTS = st.one_of(_RESULTS, _RESULTS.map(lambda r: dataclasses.replace(
+    r, p_adjusted=0.5, family_size=7, verdict=SIGNIFICANT_GAIN)))
+
+
+def _same(x, y):
+    return x == y or (isinstance(x, float) and math.isnan(x)
+                      and isinstance(y, float) and math.isnan(y))
+
+
+@given(results=st.lists(_RESULTS, max_size=12),
+       alpha=st.one_of(st.none(), st.sampled_from([0.001, 0.2])))
+def test_bonferroni_matches_replace_oracle_field_by_field(results, alpha):
+    before = [dict(vars(r)) for r in results]
+    out = bonferroni(results, alpha)
+    want = bonferroni_by_replace(results, alpha)
+    assert len(out) == len(want) == len(results)
+    for got, expected, r in zip(out, want, results):
+        assert type(got) is HypothesisResult and got is not r
+        for f in dataclasses.fields(HypothesisResult):
+            assert _same(getattr(got, f.name), getattr(expected, f.name)), \
+                f.name
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            got.verdict = INCONCLUSIVE
+    for r, fields in zip(results, before):
+        assert vars(r).keys() == fields.keys()
+        assert all(_same(vars(r)[k], v) for k, v in fields.items())
 
 
 def test_audit_config_validation():
