@@ -165,6 +165,8 @@ class PointGains:
     rationality_gain > 0 means the group prefers its personalized model to
     the generic one; envy gains > 0 mean truthful reporting beats
     misreporting as the keyed group. NaN marks a non-evaluable comparison.
+    The two *_count fields are those gains in rows (see `_gain_rows`):
+    an int for the error rate, a float for AUC and ECE.
     """
 
     group: GroupId
@@ -173,20 +175,22 @@ class PointGains:
     envy_gains: dict
     envy_min_gain: float
     envy_argmin: Optional[GroupId]
+    rationality_gain_count: float
+    envy_min_gain_count: float
 
     def to_jsonable(self):
         def count(value):
-            return _f(value * self.n)
+            return value if isinstance(value, int) else _f(value)
 
         return {
             "group": str(self.group),
             "n": self.n,
             "rationality_gain": _f(self.rationality_gain),
-            "rationality_gain_count": count(self.rationality_gain),
+            "rationality_gain_count": count(self.rationality_gain_count),
             "envy_gains": {str(g): _f(v)
                            for g, v in self.envy_gains.items()},
             "envy_min_gain": _f(self.envy_min_gain),
-            "envy_min_gain_count": count(self.envy_min_gain),
+            "envy_min_gain_count": count(self.envy_min_gain_count),
             "envy_argmin": (None if self.envy_argmin is None
                             else str(self.envy_argmin)),
         }
@@ -217,6 +221,21 @@ class PointSummary:
                                 self.envy_violations],
             "fair": self.fair,
         }
+
+
+def _gain_rows(matrix, g, reported, gain):
+    """Group g's point gain over `reported` in rows (NaN stays NaN).
+
+    For the error rate it is the exact int difference of misclassified
+    rows. A rate k / n is k / n correctly rounded, so rate * n lies within
+    k * 2**-52 of k and rounds back to it. AUC and ECE give gain * n.
+    """
+    own = matrix.entry(g, g)
+    if matrix.metric.tag != ERROR_RATE_TAG or math.isnan(gain):
+        return gain * own.n_effective
+    other = matrix.entry(g, reported)
+    return round(other.value * other.n_effective) \
+        - round(own.value * own.n_effective)
 
 
 def check_fair_use_point(matrix):
@@ -252,7 +271,10 @@ def check_fair_use_point(matrix):
             min_gain = finite[argmin]
         else:
             argmin, min_gain = None, float("nan")
-        gains[g] = PointGains(g, n, rat, envy, min_gain, argmin)
+        gains[g] = PointGains(
+            g, n, rat, envy, min_gain, argmin,
+            _gain_rows(matrix, g, WITHHELD, rat),
+            _gain_rows(matrix, g, argmin, min_gain))
         if not math.isnan(rat) and rat < 0:
             rat_viol.append(g)
         for other, v in envy.items():

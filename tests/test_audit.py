@@ -121,6 +121,24 @@ def test_point_check_on_handcrafted_error_matrix():
     assert point.rationality_violations == (a,)
     assert point.envy_violations == ((b, a),)
     assert not point.fair
+    # Error-rate gains in rows are exact int differences of wrong rows.
+    assert point.gains[a].to_jsonable()["rationality_gain_count"] == -1
+    assert point.gains[a].to_jsonable()["envy_min_gain_count"] == 2
+    assert type(point.gains[a].rationality_gain_count) is int
+
+
+def test_point_error_gain_counts_are_differences_of_wrong_rows():
+    ds = grouped_dataset(n=90, seed=7)
+    model = train_personalized(ds, Strategy.ONEHOT,
+                               TrainConfig(l2_penalty=1e-3))
+    table = MarginTable(model, ds)
+    point = check_fair_use_point(misreport_matrix(table, ERROR_RATE))
+    for g, pg in point.gains.items():
+        wrong = {r: int(np.count_nonzero(table.wrong(g, r)))
+                 for r in (WITHHELD,) + AB.cells()}
+        assert pg.rationality_gain_count == wrong[WITHHELD] - wrong[g]
+        assert pg.envy_min_gain_count == wrong[pg.envy_argmin] - wrong[g]
+        assert type(pg.envy_min_gain_count) is int
 
 
 def test_point_check_orients_auc_and_skips_undefined():
@@ -140,6 +158,10 @@ def test_point_check_orients_auc_and_skips_undefined():
     assert point.gains[b].envy_argmin is None
     assert math.isnan(point.gains[b].envy_min_gain)
     assert point.envy_violations == ((a, b),)
+    # AUC gains in rows stay gain * n; an undefined one is written null.
+    assert point.gains[a].rationality_gain_count == \
+        point.gains[a].rationality_gain * 10
+    assert point.gains[b].to_jsonable()["envy_min_gain_count"] is None
 
 
 def test_point_check_argmin_breaks_ties_by_name():

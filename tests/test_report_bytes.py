@@ -27,7 +27,7 @@ AUDITS = [
      ["--train-fraction", "1.0", "--metric", "error", "--bootstrap", "200",
       "--format", "json"],
      ".json", 0,
-     "2b32aa31ee72c6db002b407dc8afb0696e7bc563f90df85450bacd29d44748e5"),
+     "49d62500f69ce42cd5d6334bd1f9b7e3cd725f64d3c271c8c1e2398b2f040fd8"),
 ]
 
 
