@@ -1012,9 +1012,9 @@ def _population_row(metric, point, results, table):
         significant_envy_violations=subjects(ENVY, SIGNIFICANT_VIOLATION))
 
 
-def _generalization_rows(table, cfg):
+def _generalization_rows(table, cfg, point=None):
     """Bound verdicts from the error-rate gains of a training-split
-    MarginTable."""
+    MarginTable; `point`, if given, is its error-rate point summary."""
     space = table.data.space
     fmap = build_feature_map(table.model.strategy, space,
                              table.data.feature_names)
@@ -1022,8 +1022,8 @@ def _generalization_rows(table, cfg):
         vc = cfg.vc_override
     else:
         vc = theory.vc_linear(max(1, len(fmap.encoded_features)))
-    matrix = misreport_matrix(table, ERROR_RATE)
-    point = check_fair_use_point(matrix)
+    if point is None:
+        point = check_fair_use_point(misreport_matrix(table, ERROR_RATE))
     m = space.m
     rows = []
     for g in space.cells():
@@ -1097,6 +1097,9 @@ def audit(train, test, strategy=Strategy.ONEHOT, metrics=(ERROR_RATE,),
         for route in (boot, exact):
             raw_results += sorted(route, key=lambda r: r.kind == ENVY)
     results = tuple(bonferroni(raw_results, cfg.alpha))
+    # An in-sample audit has already summarised the training table's
+    # error rates if it audits them.
+    train_point = points.get(ERROR_RATE_TAG) if train_table is table else None
     populations = {}
     for metric in metrics:
         populations[metric.tag] = _population_row(
@@ -1108,7 +1111,7 @@ def audit(train, test, strategy=Strategy.ONEHOT, metrics=(ERROR_RATE,),
         train_equals_test=_datasets_equal(train, test),
         matrices=matrices, points=points, populations=populations,
         results=results,
-        generalization=_generalization_rows(train_table, cfg),
+        generalization=_generalization_rows(train_table, cfg, train_point),
         identical_pairs=identical_prediction_pairs(table))
     from .interventions import data_minimization
     report.suggestions = tuple(data_minimization(report))

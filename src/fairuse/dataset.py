@@ -1,11 +1,14 @@
 """Tabular classification data carrying categorical group attributes.
 
 CSV convention: UTF-8 (a leading byte-order mark is ignored),
-comma-delimited, header mandatory. Group columns are identified by a
-``g:`` prefix (or an explicit schema); the label column is named ``y`` by
-default and holds values from {0,1} or {-1,+1}, mapped to {-1,+1}. All
-remaining columns are numeric features. Attribute domains are inferred
-from observed values (sorted, so the result is independent of row order)
+comma-delimited, ``"``-quoted with doubled quotes, header mandatory, blank
+lines skipped. Group columns are identified by a ``g:`` prefix; the label
+column is named ``y`` by default and holds values from {0,1} or {-1,+1},
+mapped to {-1,+1}. All remaining columns are numeric features. A number
+is an ASCII decimal, with any surrounding whitespace stripped; ``inf``
+and ``nan`` parse but fail the finite check, while ``_`` separators and
+non-ASCII digits are not numbers. Attribute domains are inferred from
+observed values (sorted, so the result is independent of row order)
 unless declared explicitly; declared domains may leave cells empty, and
 empty cells are reported rather than dropped. Missing feature cells are
 rejected; this module audits data, it does not clean it.
@@ -17,27 +20,24 @@ tuple of GroupIds, is derived from the codes when asked for. The
 constructor takes GroupIds and checks each distinct one once; load_csv,
 subset, split and the synth generators hand codes in directly.
 
-load_csv reads the file in one pass, in blocks of rows. Each block's
-columns are converted with numpy and each group column is mapped to
-codes through a dict of its values; a block that fails is re-scanned row
-by row for the row-numbered error.
+load_csv reads the header with csv.reader and every data row in one
+``np.loadtxt`` call, into one structured array with a float field per
+feature and for the label and an object field per group column; each
+group column is then mapped to codes through a dict of its values. If
+that call or the checks after it fail, the file is re-read row by row
+with csv.reader for the row-numbered error.
 """
 
 import csv
-import gc
 import io
+import math
 import warnings
-from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import islice
 
 import numpy as np
 
 from .groups import ALL, DomainError, GroupSpace
-
-# Rows that load_csv holds as strings at once.
-_BLOCK_ROWS = 1 << 15
 
 
 class SchemaError(ValueError):
@@ -54,17 +54,14 @@ class CsvSchema:
 
     label: name of the label column.
     group_prefix: columns starting with this prefix are group attributes
-        (prefix stripped for the attribute name) unless ``groups`` is given.
-    groups: explicit group column names (used verbatim as attribute names).
-    features: explicit feature column names; default is every remaining column.
+        (prefix stripped for the attribute name); every other column but
+        the label is a feature.
     domains: mapping attribute name -> ordered value domain; overrides the
         sorted-observed-values inference and may include unobserved values.
     """
 
     label: str = "y"
     group_prefix: str = "g:"
-    groups: tuple = None
-    features: tuple = None
     domains: dict = None
 
 
@@ -223,39 +220,38 @@ def tally(ds):
 
 
 def _resolve_columns(header, schema):
+    """Positions of the label, the feature columns and the group columns."""
     if schema.label not in header:
         raise SchemaError(f"label column {schema.label!r} not in header "
                           f"{header}")
-    if schema.groups is not None:
-        group_cols = [str(c) for c in schema.groups]
-        for c in group_cols:
-            if c not in header:
-                raise SchemaError(f"group column {c!r} not in header")
-        attr_names = group_cols
-    else:
-        group_cols = [c for c in header
-                      if c.startswith(schema.group_prefix) and c != schema.label]
-        attr_names = [c[len(schema.group_prefix):] for c in group_cols]
-    if not group_cols:
+    if header.count(schema.label) > 1:
+        raise SchemaError(f"label column {schema.label!r} appears "
+                          f"{header.count(schema.label)} times in {header}")
+    label = header.index(schema.label)
+    groups = [i for i, c in enumerate(header)
+              if c.startswith(schema.group_prefix) and i != label]
+    if not groups:
         raise SchemaError(
             "no group columns found (expected names starting with "
-            f"{schema.group_prefix!r} or an explicit schema)")
-    if schema.features is not None:
-        feat_cols = [str(c) for c in schema.features]
-        for c in feat_cols:
-            if c not in header:
-                raise SchemaError(f"feature column {c!r} not in header")
-    else:
-        claimed = set(group_cols) | {schema.label}
-        feat_cols = [c for c in header if c not in claimed]
-    if not feat_cols:
+            f"{schema.group_prefix!r})")
+    feats = [i for i in range(len(header)) if i != label and i not in groups]
+    if not feats:
         raise SchemaError("no feature columns found")
-    return feat_cols, group_cols, attr_names
+    return label, feats, groups
+
+
+def _number(cell):
+    """float(cell) in np.loadtxt's grammar: surrounding whitespace is
+    stripped, and the rest must be ASCII without ``_``."""
+    core = cell.strip()
+    if not core.isascii() or "_" in core:
+        raise ValueError(f"{cell!r} is not an ASCII decimal")
+    return float(core)
 
 
 def _parse_label(raw, row_idx):
     try:
-        val = float(raw)
+        val = _number(raw)
     except ValueError:
         raise ParseError(
             f"row {row_idx}: label {raw!r} is not numeric") from None
@@ -268,146 +264,96 @@ def _parse_label(raw, row_idx):
 def load_csv(path, schema=None):
     """Read a Dataset from a CSV file. See the module docstring for roles."""
     with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-        return _read(csv.reader(fh), schema or CsvSchema(),
+        return _read(fh, schema or CsvSchema(),
                      f"{path}: empty file, header required")
 
 
 def loads_csv(text, schema=None):
     """Read a Dataset from CSV text (same format as load_csv)."""
-    return _read(csv.reader(io.StringIO(text)), schema or CsvSchema(),
+    return _read(io.StringIO(text, newline=""), schema or CsvSchema(),
                  "empty CSV text, header required")
 
 
-def _read(reader, schema, empty_message):
-    header = next(reader, None)
+def _read(fh, schema, empty_message):
+    header = next(csv.reader(fh), None)
     if header is None:
         raise SchemaError(empty_message)
-    header = [str(c) for c in header]
-    feat_cols, group_cols, attr_names = _resolve_columns(header, schema)
-    with _gc_paused():
-        features, raw, ids_of, row_ids = _read_blocks(
-            reader, header, feat_cols, group_cols, schema.label)
-    if (raw == 0).any():
-        if (raw == -1).any():
+    label, feats, groups = _resolve_columns(header, schema)
+    dtype = [(f"c{i}", "O" if i in groups else "f8")
+             for i in range(len(header))]
+    try:
+        with warnings.catch_warnings():
+            # A header-only file is read as zero rows.
+            warnings.filterwarnings("ignore", "loadtxt: input contained no",
+                                    UserWarning)
+            table = np.loadtxt(fh, dtype=dtype, delimiter=",", comments=None,
+                               quotechar='"', ndmin=1)
+        features = np.column_stack([table[f"c{i}"] for i in feats])
+        raw = table[f"c{label}"]
+        # np.isin would copy the strided label field.
+        if not (np.isfinite(features).all()
+                and ((raw == -1) | (raw == 0) | (raw == 1)).all()):
+            raise ValueError("non-finite feature or label out of range")
+    except ValueError:
+        fh.seek(0)
+        rows = csv.reader(fh)
+        next(rows)
+        _raise_row_error(rows, header, feats, label)
+        raise
+    labels = raw.astype(int)
+    if (labels == 0).any():
+        if (labels == -1).any():
             raise ParseError(
                 "labels mix 0 and -1; use one convention ({0,1} or {-1,+1})")
-        labels = np.where(raw == 1, 1, -1)
-    else:
-        labels = raw
+        labels[labels == 0] = -1
 
     declared = dict(schema.domains or {})
     attrs = []
-    for name, ids in zip(attr_names, ids_of):
+    for i in groups:
+        name = header[i][len(schema.group_prefix):]
+        observed = set(table[f"c{i}"])
         if name in declared:
             domain = tuple(str(v) for v in declared[name])
-            extra = ids.keys() - set(domain)
+            extra = observed - set(domain)
             if extra:
                 raise DomainError(
                     f"attribute {name!r}: observed values {sorted(extra)} "
                     f"outside declared domain {domain}")
         else:
-            domain = tuple(sorted(ids))
+            domain = tuple(sorted(observed))
         attrs.append((name, domain))
     space = GroupSpace(tuple(attrs))
     codes = np.zeros(labels.size, dtype=int)
-    for domain, ids, per_row in zip(space.domains, ids_of, row_ids):
-        position = {v: i for i, v in enumerate(domain)}
-        remap = np.array([position[v] for v in ids], dtype=int)
-        codes = codes * len(domain) + remap[per_row]
+    for i, domain in zip(groups, space.domains):
+        position = {v: k for k, v in enumerate(domain)}
+        codes *= len(domain)
+        codes += np.fromiter(map(position.__getitem__, table[f"c{i}"]), int,
+                             labels.size)
     return Dataset._from_codes(features, labels, codes, space,
-                               tuple(feat_cols))
+                               tuple(header[i] for i in feats))
 
 
-def _read_blocks(reader, header, feat_cols, group_cols, label):
-    """Convert the data rows, _BLOCK_ROWS at a time.
-
-    Returns the feature matrix, the labels as read, and for each group
-    column a dict of its values (each mapped to a provisional id, in the
-    order first seen) and every row's provisional id.
-    """
-    pos = {c: i for i, c in enumerate(header)}
-    ids_of = [{} for _ in group_cols]
-    feat_parts = [np.zeros((0, len(feat_cols)))]
-    label_parts = [np.zeros(0)]
-    id_parts = [[np.zeros(0, int)] for _ in group_cols]
-    first = 1
-    while block := list(islice(reader, _BLOCK_ROWS)):
-        try:
-            cols = _block_columns(block, len(header))
-            rows = len(cols[0])
-            feat_parts.append(np.column_stack(
-                [np.fromiter(map(float, cols[pos[c]]), float, rows)
-                 for c in feat_cols]))
-            if not np.isfinite(feat_parts[-1]).all():
-                raise ValueError("non-finite feature")
-            y = np.fromiter(map(float, cols[pos[label]]), float, rows)
-            if not np.isin(y, (-1.0, 0.0, 1.0)).all():
-                raise ValueError("label out of range")
-        except ValueError:
-            _raise_row_error(block, first, header, feat_cols, label)
-            raise
-        label_parts.append(y)
-        for c, ids, parts in zip(group_cols, ids_of, id_parts):
-            col = cols[pos[c]]
-            for v in set(col) - ids.keys():
-                ids[v] = len(ids)
-            parts.append(np.fromiter(map(ids.__getitem__, col), int, rows))
-        first += len(block)
-    return (np.concatenate(feat_parts),
-            np.concatenate(label_parts).astype(int), ids_of,
-            [np.concatenate(parts) for parts in id_parts])
-
-
-@contextmanager
-def _gc_paused():
-    """Pause the cyclic garbage collector while load_csv reads.
-
-    A block's row lists and column tuples hold only strings, so they form
-    no cycles; but each block that outlives a young collection makes the
-    collector rescan every live object, a quarter of the read at 1M rows.
-    """
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        yield
-    finally:
-        if enabled:
-            gc.enable()
-
-
-def _block_columns(block, width):
-    """Columns of a block's non-blank rows; ValueError unless every one of
-    them has `width` cells."""
-    lengths = set(map(len, block))
-    if 0 in lengths:
-        block = [row for row in block if row]
-        lengths.discard(0)
-    if lengths - {width}:
-        raise ValueError("row length")
-    return list(zip(*block)) or [()] * width
-
-
-def _raise_row_error(block, first, header, feat_cols, label):
-    """Re-scan a block that failed bulk conversion, row by row, and raise
-    the error of its first bad row (rows numbered from `first`)."""
-    pos = {c: i for i, c in enumerate(header)}
-    for r, row in enumerate(block, start=first):
+def _raise_row_error(rows, header, feats, label):
+    """Re-scan the data rows with csv.reader, numbered from 1, and raise
+    the error of the first bad one."""
+    for r, row in enumerate(rows, start=1):
         if not row:
             continue
         if len(row) != len(header):
             raise ParseError(
                 f"row {r}: {len(row)} cells for {len(header)} columns")
-        for c in feat_cols:
-            cell = row[pos[c]]
+        for i in feats:
+            cell = row[i]
             try:
-                if np.isfinite(float(cell)):
+                if math.isfinite(_number(cell)):
                     continue
                 wrong = "finite"
             except ValueError:
                 wrong = "numeric"
             raise ParseError(
-                f"row {r}: feature {c!r} value {cell!r} is not {wrong}")
-        _parse_label(row[pos[label]], r)
+                f"row {r}: feature {header[i]!r} value {cell!r} is not "
+                f"{wrong}")
+        _parse_label(row[label], r)
 
 
 def save_csv(ds, path, group_prefix="g:"):

@@ -1,6 +1,7 @@
 """Misreport matrices, point checks, significance tests, and full audits."""
 
 import dataclasses
+import importlib
 import json
 import math
 
@@ -660,6 +661,33 @@ def test_generalization_rows():
     rep2 = audit(ds, ds, Strategy.ONEHOT, (ERROR_RATE,),
                  small_cfg(vc_override=7))
     assert all(r.vc == 7 for r in rep2.generalization)
+
+
+def test_audit_summarises_each_metric_on_each_table_once(monkeypatch):
+    audit_module = importlib.import_module("fairuse.audit")
+    calls = []
+
+    def counted(matrix):
+        calls.append(matrix.metric.tag)
+        return check_fair_use_point(matrix)
+
+    monkeypatch.setattr(audit_module, "check_fair_use_point", counted)
+    ds = gen_misspecification()
+    cfg = small_cfg()
+    rep = audit(ds, ds, Strategy.ONEHOT, (AUC, ERROR_RATE), cfg)
+    # In-sample, the generalization rows read the error-rate summary.
+    assert calls == ["auc", "error_rate"]
+    table = MarginTable(rep.model, ds)
+    assert rep.generalization == \
+        audit_module._generalization_rows(table, cfg)
+    calls.clear()
+    audit(ds, ds, Strategy.ONEHOT, (AUC,), cfg)
+    assert calls == ["auc", "error_rate"]
+    # A test set that is another object gets its own training summary.
+    calls.clear()
+    audit(ds, ds.subset(np.arange(ds.n)), Strategy.ONEHOT, (ERROR_RATE,),
+          cfg)
+    assert calls == ["error_rate", "error_rate"]
 
 
 def test_decoupled_audit_renders_cells_flags_ece_bins_and_bounds():

@@ -2,11 +2,15 @@
 
 import csv
 import io
+import string
+import struct
 import time
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from fairuse import dataset as dataset_module
@@ -250,10 +254,9 @@ def test_rows_are_stored_as_cell_codes_and_groups_are_derived():
         ds.space = space
 
 
-def test_load_csv_errors_keep_row_numbers_across_blocks(monkeypatch):
-    monkeypatch.setattr(dataset_module, "_BLOCK_ROWS", 3)
+def test_load_csv_errors_keep_row_numbers():
     good = "1.0,a,1\n2.0,b,-1\n"
-    head = "x1,g:g,y\n" + good * 3  # rows 1-6 fill two blocks
+    head = "x1,g:g,y\n" + good * 3  # rows 1-6
     ds = loads_csv(head + "\n" + good)  # a blank row 7 is skipped
     assert ds.n == 8
     assert [str(g) for g in ds.groups] == ["a", "b"] * 4
@@ -275,16 +278,23 @@ def test_load_csv_errors_keep_row_numbers_across_blocks(monkeypatch):
         loads_csv(head + "1.0,c,1\n", CsvSchema(domains={"g": ("a", "b")}))
 
 
-def test_load_and_split_200k_rows_is_fast(tmp_path):
-    # 200k planted rows (m = 4). Reading, splitting and the cell codes of
-    # both parts took 2.8 s when every row's GroupId was built and
-    # validated; columnar ingest takes about 0.6 s. Best of three.
-    path = tmp_path / "tall.csv"
+@pytest.fixture(scope="module")
+def tall_csv(tmp_path_factory):
+    """200k planted rows (m = 4, two features)."""
+    path = tmp_path_factory.mktemp("tall") / "tall.csv"
     save_csv(gen_planted_violation(m=4, n_per_group=50000, seed=0), path)
+    return path
+
+
+def test_load_and_split_200k_rows_is_fast(tall_csv):
+    # Reading, splitting and the cell codes of both parts took 2.8 s when
+    # every row's GroupId was built and validated, 0.6 s with columnar
+    # ingest in blocks, and takes about 0.3 s with one np.loadtxt pass.
+    # Best of three.
     best = float("inf")
     for _ in range(3):
         start = time.perf_counter()
-        train, test = split(load_csv(path), 0.8, seed=0)
+        train, test = split(load_csv(tall_csv), 0.8, seed=0)
         train.cell_indices, test.cell_indices
         best = min(best, time.perf_counter() - start)
     assert train.n + test.n == 200000
@@ -332,10 +342,9 @@ def test_split_equals_the_row_by_row_reference():
         assert train.groups == tuple(ds.groups[i] for i in want_train)
 
 
-def test_load_csv_codes_equal_a_row_by_row_parse(monkeypatch):
-    monkeypatch.setattr(dataset_module, "_BLOCK_ROWS", 4)
+def test_load_csv_codes_equal_a_row_by_row_parse():
     rng = np.random.default_rng(5)
-    # Later blocks bring new values of both attributes, in unsorted order.
+    # Later rows bring new values of both attributes, in unsorted order.
     ages = ["old", "mid", "young", "teen"]
     sexes = ["m", "f", "x"]
     lines = ["y,g:age,x1,g:sex,x2"]
@@ -354,3 +363,131 @@ def test_load_csv_codes_equal_a_row_by_row_parse(monkeypatch):
     assert ds.cell_indices.tolist() == want
     assert ds.features.tolist() == [[float(r[2]), float(r[4])] for r in rows]
     assert ds.labels.tolist() == [1 if r[0] == "1" else -1 for r in rows]
+
+
+def test_load_csv_200k_rows_traced_peak(tall_csv):
+    # The csv.reader block loader peaked at 25.6 MiB here and the
+    # np.loadtxt pass at 15.3 MiB; the result itself holds 6.1 MiB.
+    load_csv(tall_csv)
+    tracemalloc.start()
+    try:
+        load_csv(tall_csv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 22 * 2**20
+
+
+# The expected values below are what the csv.reader block loader that
+# preceded the np.loadtxt pass returned on the same text.
+HEAD = "x1,g:g,y\n"
+AB = CsvSchema(domains={"g": ("a", "b")})
+
+
+def _columns(ds):
+    return (ds.features.tolist(), ds.labels.tolist(),
+            [g.values for g in ds.groups])
+
+
+def test_load_csv_reads_quoted_group_values():
+    ds = loads_csv(HEAD + '1.0,"a,b",1\n2.0,"a""b",-1\n3.0,"a\nb",1\n'
+                   '4.0,"a,b",-1\n')
+    assert ds.space.domains == (("a\nb", 'a"b', "a,b"),)
+    assert _columns(ds) == ([[1.0], [2.0], [3.0], [4.0]], [1, -1, 1, -1],
+                            [("a,b",), ('a"b',), ("a\nb",), ("a,b",)])
+    with pytest.raises(DomainError, match=r"observed values"):
+        loads_csv(HEAD + '1.0,"a,b",1\n', AB)
+
+
+def test_load_csv_reads_crlf_and_skips_blank_lines(tmp_path):
+    want = ([[1.0], [2.0]], [1, -1], [("a",), ("b",)])
+    crlf = "x1,g:g,y\r\n1.0,a,1\r\n\r\n2.0,b,-1\r\n"
+    path = tmp_path / "crlf.csv"
+    path.write_bytes(crlf.encode("utf-8"))
+    assert _columns(load_csv(path)) == want
+    assert _columns(loads_csv(crlf)) == want
+    assert _columns(loads_csv(HEAD + "\n1.0,a,1\n\n\n2.0,b,-1\n\n")) == want
+    # Spaces around a number are not part of it; a group value keeps them.
+    ds = loads_csv(HEAD + " 1.0 , a, 1\n\xa02.0\t,b,\t-1\n")
+    assert ds.features.tolist() == [[1.0], [2.0]]
+    assert ds.space.domains == ((" a", "b"),)
+
+
+def test_load_csv_rejects_bad_rows_by_number():
+    cases = [("1.0,a,1\n \t \n2.0,b,-1\n", "row 2: 1 cells for 3 columns"),
+             ("1.0,a,1\n2.0,b,-1,7\n", "row 2: 4 cells for 3 columns"),
+             ("1.0,a,1\nnan,b,-1\n",
+              "row 2: feature 'x1' value 'nan' is not finite"),
+             ("1.0,a,1\n-inf,b,-1\n",
+              "row 2: feature 'x1' value '-inf' is not finite"),
+             ("1.0,a,1\n1_000,b,-1\n",
+              "row 2: feature 'x1' value '1_000' is not numeric"),
+             ("1.0,a,1\n\u0661\u0662,b,-1\n",
+              "row 2: feature 'x1' value '\u0661\u0662' is not numeric"),
+             ("1.0,a,1\n2.0,b,-1_0\n", "row 2: label '-1_0' is not numeric"),
+             ("1.0,a,1\n2.0,b,\u0661\n",
+              "row 2: label '\u0661' is not numeric")]
+    for body, message in cases:
+        for schema in (None, AB):
+            with pytest.raises(ParseError) as err:
+                loads_csv(HEAD + body, schema)
+            assert str(err.value) == message
+
+
+def test_load_csv_header_only_and_one_row_files():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="has 0 value"):
+            loads_csv(HEAD)
+        empty = loads_csv(HEAD, AB)
+        assert empty.n == 0 and empty.features.shape == (0, 1)
+        with pytest.raises(DomainError, match="has 1 value"):
+            loads_csv(HEAD + "1.5,b,-1\n")
+        one = loads_csv(HEAD + "1.5,b,-1\n", AB)
+    assert _columns(one) == ([[1.5]], [-1], [("b",)])
+
+
+def test_load_csv_reads_columns_by_position():
+    # A repeated feature name still names two columns.
+    ds = loads_csv("x1,x1,g:g,y\n1,2,a,1\n3,4,b,-1\n")
+    assert ds.feature_names == ("x1", "x1")
+    assert ds.features.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+    with pytest.raises(SchemaError, match="appears 2 times"):
+        loads_csv("y,x1,g:g,y\n0,2,a,1\n1,4,b,-1\n")
+
+
+# Digits, the other characters of a float, ASCII whitespace, one
+# non-ASCII space (U+00A0), one ASCII separator that str.strip() removes
+# (U+001C), the letters of inf and nan, and one non-ASCII digit (U+0661).
+NUMBER_CHARS = (string.digits + "._+-eE" + string.whitespace + "\xa0\x1c"
+                + "naif" + "\u0661")
+
+
+@given(st.text(alphabet=NUMBER_CHARS, max_size=8))
+@example("1_000")
+@example("\u0661\u0662")
+@example("-nan")
+@example("+inf")
+@example(" 1e5\t")
+@example("\xa02.5\x1c")
+def test_number_grammar_matches_np_loadtxt(cell):
+    """The re-scan accepts a cell exactly when np.loadtxt parses it, with
+    the same float bits."""
+    fields = [("c0", "f8"), ("c1", "O")]
+    lines = ['"' + cell + '",a\n']
+    if not set(cell) & set("\r\n"):
+        lines.append(cell + ",a\n")
+    for line in lines:
+        try:
+            want = np.loadtxt(io.StringIO(line, newline=""), dtype=fields,
+                              delimiter=",", comments=None, quotechar='"',
+                              ndmin=1)["c0"][0]
+        except ValueError:
+            want = None
+        try:
+            got = dataset_module._number(cell)
+        except ValueError:
+            got = None
+        assert (got is None) == (want is None), repr(line)
+        if got is not None:
+            assert struct.pack("<d", got) == struct.pack("<d", want)
