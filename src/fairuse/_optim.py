@@ -6,11 +6,11 @@ the max-norm of the penalized logistic gradient below a tolerance by
 damped, then pure, Newton steps, and raises ConvergenceError rather than
 returning a silently unconverged fit.
 train_hinge solves the average-hinge-loss minimization exactly as a linear
-program.
+program. expit is the logistic sigmoid that the trainer and every score
+use; it is numpy's, so an audit loads no scipy module.
 """
 
 import numpy as np
-from scipy.special import expit
 
 
 class ConvergenceError(RuntimeError):
@@ -19,6 +19,16 @@ class ConvergenceError(RuntimeError):
     def __init__(self, message, grad_norm):
         super().__init__(message)
         self.grad_norm = float(grad_norm)
+
+
+def expit(x):
+    """Logistic sigmoid 1 / (1 + exp(-x)), scipy.special.expit's formula.
+
+    Margins beyond about +-709 overflow or underflow exp and give the
+    limits 1 and 0 without a warning, as scipy's version does.
+    """
+    with np.errstate(over="ignore", under="ignore"):
+        return 1.0 / (1.0 + np.exp(-x))
 
 
 def cell_margins(w, x, codes, cells):

@@ -57,10 +57,10 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.special import expit
 
 from . import theory
 from ._jsontext import dumps
+from ._optim import expit
 from .dataset import tally
 from .groups import ALL, TRUTHFUL, WITHHELD, GroupId, GroupSpace
 # group_risk, metric_value and MarginTable stay importable from this
@@ -829,11 +829,16 @@ class FairUseReport:
                  "p_adjusted,family_size,verdict"]
         for r in self.results:
             lines.append(",".join([
-                r.metric, r.test, r.kind, f'"{r.group}"',
-                f'"{r.comparator_label}"', str(r.n),
+                r.metric, r.test, r.kind, _csv_quoted(str(r.group)),
+                _csv_quoted(r.comparator_label), str(r.n),
                 _csv_num(r.estimate), _csv_num(r.p_raw),
                 _csv_num(r.p_adjusted), str(r.family_size), r.verdict]))
         return "\n".join(lines) + "\n"
+
+
+def _csv_quoted(text):
+    """text as one quoted CSV field, its own quotes doubled (RFC 4180)."""
+    return '"' + text.replace('"', '""') + '"'
 
 
 def _csv_num(v):

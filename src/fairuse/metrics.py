@@ -24,8 +24,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
+from ._optim import expit
 from .groups import TRUTHFUL, WITHHELD
 
 ERROR_RATE_TAG = "error_rate"

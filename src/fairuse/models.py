@@ -28,10 +28,9 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.special import expit
 
 from ._exhaustive import ExhaustiveSizeError, train_zero_one
-from ._optim import (ConvergenceError, cell_margins, train_hinge,
+from ._optim import (ConvergenceError, cell_margins, expit, train_hinge,
                      train_logistic)
 from .groups import GroupSpace, WITHHELD
 

@@ -4,10 +4,12 @@ import copy
 import csv
 import json
 
+import numpy as np
 import pytest
 
 from fairuse.cli import main
-from fairuse.dataset import load_csv, save_csv, split
+from fairuse.dataset import Dataset, load_csv, save_csv, split
+from fairuse.groups import GroupSpace
 from fairuse.replicate import diff_tables
 from fairuse.synth import EXPECTED_TABLES
 
@@ -184,6 +186,26 @@ def test_audit_csv_report(mis_csv, tmp_path):
                        "n", "estimate", "p_raw", "p_adjusted",
                        "family_size", "verdict"]
     assert len(rows) == 1 + 32
+
+
+def test_audit_csv_report_round_trips_quotes_and_commas(tmp_path):
+    space = GroupSpace((("g", ('a"b', "c,d")),))
+    rng = np.random.default_rng(1)
+    x = rng.normal(size=(80, 2))
+    y = np.where(x[:, 0] + rng.normal(size=80) >= 0.0, 1, -1)
+    data = tmp_path / "quoted.csv"
+    save_csv(Dataset(x, y, tuple(space.cells()[i % 2] for i in range(80)),
+                     space), str(data))
+    assert [str(g) for g in load_csv(str(data)).space.cells()] == \
+        ['a"b', "c,d"]
+    out = tmp_path / "report.csv"
+    assert main(["audit", "--data", str(data), "--train-fraction", "1.0",
+                 "--bootstrap", "100", "--format", "csv",
+                 "--out", str(out)]) in (0, 3)
+    with open(out, newline="", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    assert {r["group"] for r in rows} == {'a"b', "c,d"}
+    assert {r["comparator"] for r in rows} == {'a"b', "c,d", "generic"}
 
 
 def test_audit_report_bytes_are_deterministic(mis_csv, tmp_path, capsys):

@@ -12,8 +12,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
-from scipy.special import expit
 
+from fairuse._optim import expit
 from fairuse.audit import (BOOTSTRAP, MCNEMAR, NOT_TESTABLE, AuditConfig,
                            MarginTable, _binom_tail_at_least, audit,
                            bootstrap_replicates, bootstrap_test)

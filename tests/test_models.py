@@ -1,6 +1,7 @@
 """Encodings, trainers, and personalized model plumbing."""
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -145,6 +146,35 @@ def logistic_objective(w, x1, y, lam, n_base):
     mask[:n_base] = 1.0
     return float(np.mean(np.logaddexp(0.0, -m))
                  + lam * np.sum(mask * w * w))
+
+
+@pytest.mark.parametrize("scale", [1e-6, 1.0, 10.0, 100.0, 745.0])
+def test_sigmoid_is_within_4_ulp_of_scipy_expit(scale):
+    x = np.random.default_rng(0).uniform(-scale, scale, size=10_000)
+    got, want = optim.expit(x), expit(x)
+    assert got.dtype == np.float64
+    # Both lie in [0, 1], where the int64 view of a float64 counts ulps.
+    assert np.abs(got.view(np.int64) - want.view(np.int64)).max() <= 4
+
+
+def test_sigmoid_limits_are_exact_and_silent():
+    x = np.array([0.0, -np.inf, np.inf, -800.0, 800.0, -745.0, 745.0,
+                  np.nan])
+    lm = LinearModel(np.array([1.0, 0.0]),
+                     build_feature_map(Strategy.GENERIC, AB, ("x1",)))
+    model = PersonalizedModel(Strategy.GENERIC, AB, lm, TrainConfig(),
+                              model=lm)
+    with np.errstate(all="raise"), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = optim.expit(x)
+        scalar = optim.expit(np.float64(-2.0))
+        # predict passes one numpy scalar margin, here past exp's range.
+        far = [predict(model, [v], AB.group("a")) for v in (-800.0, 800.0)]
+    assert got[:7].tolist() == [0.5, 0.0, 1.0, 0.0, 1.0, 0.0, 1.0]
+    assert np.isnan(got[7])
+    assert isinstance(scalar, np.float64)
+    assert float(scalar) == pytest.approx(float(expit(-2.0)), rel=1e-15)
+    assert far == [(0.0, -1), (1.0, 1)]
 
 
 @pytest.mark.parametrize("strategy", ["generic", "onehot", "intersectional"])

@@ -3,7 +3,9 @@ unnoticed.
 
 A change that means to alter report bytes updates these digests and says
 why. The data is small enough that BLAS takes its one-thread kernels, so
-the digests hold at any OPENBLAS_NUM_THREADS.
+the digests hold at any OPENBLAS_NUM_THREADS. numpy's exp, like BLAS,
+picks SIMD kernels by CPU, so another CPU may render the JSON
+weights differently in the last bits.
 """
 
 import hashlib
@@ -27,7 +29,7 @@ AUDITS = [
      ["--train-fraction", "1.0", "--metric", "error", "--bootstrap", "200",
       "--format", "json"],
      ".json", 0,
-     "49d62500f69ce42cd5d6334bd1f9b7e3cd725f64d3c271c8c1e2398b2f040fd8"),
+     "f7c90b6012e8ee1385c77b64199bdd3611dd4462748caca0ce9fffc345d955e2"),
 ]
 
 
