@@ -49,6 +49,13 @@ replicate at twice the observed gain is then an exact tie and counts on
 both sides. `mcnemar_test` counts b and c on the table's kept `wrong`
 bits, the rows the bootstrap's patterns were made from: b rows wrong
 under g's truthful model and right under the comparator, c the converse.
+
+Each (group, reported) set of `wrong` bits is made once, by the
+misreport matrix, whose error rates are their counts over n; the draw
+and McNemar read them again. An audit's m^2 McNemar tests meet far fewer
+distinct (b + c, k) splits, and each tail is summed once per table, in
+its `tails` memo, which lives as long as the audit. Raw and adjusted
+results are built by `_result` in one dict update each.
 """
 
 import math
@@ -60,7 +67,6 @@ import numpy as np
 
 from . import theory
 from ._jsontext import dumps
-from ._optim import expit
 from .dataset import tally
 from .groups import ALL, TRUTHFUL, WITHHELD, GroupId, GroupSpace
 # group_risk, metric_value and MarginTable stay importable from this
@@ -339,9 +345,28 @@ class HypothesisResult:
         }
 
 
+# The fields a raw result leaves at HypothesisResult's defaults.
+_UNADJUSTED = {"p_adjusted": None, "family_size": 0, "verdict": INCONCLUSIVE}
+
+
+def _result(base, **fields):
+    """HypothesisResult with `base`'s fields updated by `fields`.
+
+    It is made in one step, without __init__: the frozen dataclass's
+    keyword constructor sets its 15 fields one object.__setattr__ at a
+    time, several times the cost of one dict update, and an audit makes
+    m^2 raw and m^2 adjusted results per route. HypothesisResult has no
+    __post_init__ to skip. A raw result starts from `_UNADJUSTED` and
+    names every other field, `detail` included.
+    """
+    res = object.__new__(HypothesisResult)
+    res.__dict__.update(base, **fields)
+    return res
+
+
 def _not_testable(kind, test, metric_tag, g, comparator, n, alpha, reason):
-    return HypothesisResult(
-        kind=kind, test=test, metric=metric_tag, group=g,
+    return _result(
+        _UNADJUSTED, kind=kind, test=test, metric=metric_tag, group=g,
         comparator=comparator, n=n, estimate=float("nan"),
         p_violation=None, p_gain=None, p_raw=None, alpha=alpha,
         verdict=NOT_TESTABLE, detail={"reason": reason})
@@ -420,9 +445,9 @@ def bootstrap_replicates(table, g, comparators, metric, *, reps=2000,
         return n_p @ diffs / n, np.concatenate(parts)
     y = table.data.labels[rows]
     self_m = table.margins(g, g)
-    self_s = expit(self_m)
+    self_s = table.scores(g)[rows]
     comp_m = [table.margins(g, c) for c in comparators]
-    comp_s = [expit(m) for m in comp_m]
+    comp_s = [table.scores(c)[rows] for c in comparators]
     own = orient(metric, table.risk(metric, g, g).value)
     observed = np.array([orient(metric, table.risk(metric, g, c).value)
                          - own for c in comparators])
@@ -471,12 +496,15 @@ def bootstrap_test(table, g, comparator, metric, observed, gains, *,
                              alpha, "metric undefined on the observed rows")
     est = float(observed)
     reps = gains.size
-    valid = gains[~np.isnan(gains)]
-    n_undefined = reps - valid.size
+    undefined = np.isnan(gains)
+    n_undefined = int(np.count_nonzero(undefined))
     if n_undefined > _MAX_UNDEFINED_FRACTION * reps:
         return _not_testable(
             kind, BOOTSTRAP, metric.tag, g, comparator, n, alpha,
             f"{n_undefined} of {reps} replicates left the metric undefined")
+    # Error-rate replicates are never NaN: copy out the valid ones only
+    # when there are others.
+    valid = gains[~undefined] if n_undefined else gains
     shifted = valid - est
     denom = valid.size + 1
     p_violation = (1 + int(np.count_nonzero(shifted <= est))) / denom
@@ -487,11 +515,11 @@ def bootstrap_test(table, g, comparator, metric, observed, gains, *,
         p_raw = p_gain
     else:
         p_raw = 1.0
-    return HypothesisResult(
-        kind=kind, test=BOOTSTRAP, metric=metric.tag, group=g,
+    return _result(
+        _UNADJUSTED, kind=kind, test=BOOTSTRAP, metric=metric.tag, group=g,
         comparator=comparator, n=n, estimate=est, p_violation=p_violation,
         p_gain=p_gain, p_raw=p_raw, alpha=alpha,
-        detail={"reps": int(reps), "undefined_reps": int(n_undefined)})
+        detail={"reps": int(reps), "undefined_reps": n_undefined})
 
 
 def _binom_tail_at_least(n, k):
@@ -537,6 +565,14 @@ def _binom_tail_at_least(n, k):
     return (total if up else whole - total) / whole
 
 
+def _tail(memo, n, k):
+    """`_binom_tail_at_least(n, k)`, summed once per key of `memo`."""
+    p = memo.get((n, k))
+    if p is None:
+        p = memo[(n, k)] = _binom_tail_at_least(n, k)
+    return p
+
+
 def mcnemar_test(table, g, comparator, *, alpha=0.10):
     """Exact sign test on rows where the two predictions disagree.
 
@@ -546,7 +582,9 @@ def mcnemar_test(table, g, comparator, *, alpha=0.10):
     rate only; the estimate is (c - b) / n, matching the bootstrap's gain
     orientation. b + c = 0 gives p = 1 (no evidence either way). b and c
     are counted on the table's kept `wrong` bits, which the group's
-    bootstrap has already made.
+    bootstrap has already made, and each tail is looked up in the
+    table's `tails` memo before it is summed: the audit's m^2 tests per
+    route meet far fewer distinct (b + c, k) splits.
     """
     kind = RATIONALITY if comparator is WITHHELD else ENVY
     n = int(table.rows(g).size)
@@ -555,17 +593,19 @@ def mcnemar_test(table, g, comparator, *, alpha=0.10):
                              n, alpha, "fewer than 2 rows in the group")
     own = table.wrong(g, g)
     other = table.wrong(g, comparator)
-    b = int(np.count_nonzero(own & ~other))
-    c = int(np.count_nonzero(other & ~own))
+    # b + c rows disagree, and c - b is the difference of the error counts.
+    disagree = int(np.count_nonzero(own ^ other))
+    gap = int(np.count_nonzero(other)) - int(np.count_nonzero(own))
+    b, c = (disagree - gap) // 2, (disagree + gap) // 2
     est = (c - b) / n
     if b + c == 0:
         p_violation = p_gain = p_raw = 1.0
     else:
-        p_violation = _binom_tail_at_least(b + c, b)
-        p_gain = _binom_tail_at_least(b + c, c)
+        p_violation = _tail(table.tails, b + c, b)
+        p_gain = _tail(table.tails, b + c, c)
         p_raw = p_violation if b >= c else p_gain
-    return HypothesisResult(
-        kind=kind, test=MCNEMAR, metric=ERROR_RATE_TAG, group=g,
+    return _result(
+        _UNADJUSTED, kind=kind, test=MCNEMAR, metric=ERROR_RATE_TAG, group=g,
         comparator=comparator, n=n, estimate=est, p_violation=p_violation,
         p_gain=p_gain, p_raw=p_raw, alpha=alpha,
         detail={"b": b, "c": c})
@@ -584,28 +624,21 @@ def bonferroni(results, alpha=None):
                     for r in results if r.testable)
     out = []
     for r in results:
-        # The adjusted result is a copy of r's __dict__ with the adjusted
-        # fields set, made without __init__: the frozen dataclass's keyword
-        # constructor, which dataclasses.replace calls, sets its 15 fields
-        # one object.__setattr__ at a time (several times the cost), and
-        # an audit adjusts m^2 results per route. HypothesisResult has no
-        # __post_init__ to skip.
-        adjusted = object.__new__(HypothesisResult)
-        fields = adjusted.__dict__
-        fields.update(r.__dict__)
-        fields["alpha"] = a = r.alpha if alpha is None else alpha
-        fields["family_size"] = fs = sizes.get((r.metric, r.test, r.kind), 0)
+        a = r.alpha if alpha is None else alpha
+        fs = sizes.get((r.metric, r.test, r.kind), 0)
         if not r.testable:
-            fields["verdict"] = NOT_TESTABLE
+            out.append(_result(r.__dict__, alpha=a, family_size=fs,
+                               verdict=NOT_TESTABLE))
+            continue
+        p_adj = min(1.0, fs * r.p_raw)
+        if r.estimate == 0 or p_adj > a:
+            verdict = INCONCLUSIVE
+        elif r.estimate < 0:
+            verdict = SIGNIFICANT_VIOLATION
         else:
-            fields["p_adjusted"] = p_adj = min(1.0, fs * r.p_raw)
-            if r.estimate == 0 or p_adj > a:
-                fields["verdict"] = INCONCLUSIVE
-            elif r.estimate < 0:
-                fields["verdict"] = SIGNIFICANT_VIOLATION
-            else:
-                fields["verdict"] = SIGNIFICANT_GAIN
-        out.append(adjusted)
+            verdict = SIGNIFICANT_GAIN
+        out.append(_result(r.__dict__, alpha=a, family_size=fs,
+                           p_adjusted=p_adj, verdict=verdict))
     return out
 
 
@@ -1078,7 +1111,6 @@ def audit(train, test, strategy=Strategy.ONEHOT, metrics=(ERROR_RATE,),
     model = train_personalized(train, strategy, cfg.train_config)
     cells = train.space.cells()
     table = MarginTable(model, test).fill()
-    train_table = table if train is test else MarginTable(model, train)
     matrices = {}
     points = {}
     raw_results = []
@@ -1092,8 +1124,10 @@ def audit(train, test, strategy=Strategy.ONEHOT, metrics=(ERROR_RATE,),
             observed, gains = bootstrap_replicates(
                 table, g, comps, metric, reps=cfg.bootstrap_reps,
                 seed=np.random.SeedSequence([cfg.seed, mi, gi]))
+            # One contiguous row of replicates per comparator.
+            columns = gains.T.copy()
             boot += [bootstrap_test(table, g, comp, metric, observed[j],
-                                    gains[:, j], alpha=cfg.alpha)
+                                    columns[j], alpha=cfg.alpha)
                      for j, comp in enumerate(comps)]
             if metric.tag == ERROR_RATE_TAG:
                 exact += [mcnemar_test(table, g, comp, alpha=cfg.alpha)
@@ -1103,8 +1137,14 @@ def audit(train, test, strategy=Strategy.ONEHOT, metrics=(ERROR_RATE,),
             raw_results += sorted(route, key=lambda r: r.kind == ENVY)
     results = tuple(bonferroni(raw_results, cfg.alpha))
     # An in-sample audit has already summarised the training table's
-    # error rates if it audits them.
-    train_point = points.get(ERROR_RATE_TAG) if train_table is table else None
+    # error rates if it audits them. A split audit reads its training
+    # table only here, so its columns and bits are freed before the
+    # report is built.
+    if train is test:
+        generalization = _generalization_rows(
+            table, cfg, points.get(ERROR_RATE_TAG))
+    else:
+        generalization = _generalization_rows(MarginTable(model, train), cfg)
     populations = {}
     for metric in metrics:
         populations[metric.tag] = _population_row(
@@ -1116,7 +1156,7 @@ def audit(train, test, strategy=Strategy.ONEHOT, metrics=(ERROR_RATE,),
         train_equals_test=_datasets_equal(train, test),
         matrices=matrices, points=points, populations=populations,
         results=results,
-        generalization=_generalization_rows(train_table, cfg, train_point),
+        generalization=generalization,
         identical_pairs=identical_prediction_pairs(table))
     from .interventions import data_minimization
     report.suggestions = tuple(data_minimization(report))

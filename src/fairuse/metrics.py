@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._optim import expit
-from .groups import TRUTHFUL, WITHHELD
+from .groups import ALL, TRUTHFUL, WITHHELD
 
 ERROR_RATE_TAG = "error_rate"
 AUC_TAG = "auc"
@@ -112,8 +112,9 @@ def orient(metric, value):
 
 
 def error_rate_value(margins, labels):
-    preds = np.where(margins >= 0.0, 1, -1)
-    return float(np.mean(preds != labels))
+    """Fraction of rows whose margin sign misses the label: a count of
+    misclassified rows over n, so k / n correctly rounded."""
+    return np.count_nonzero((margins >= 0.0) != (labels == 1)) / labels.size
 
 
 def auc_value(scores, labels):
@@ -227,35 +228,37 @@ def _ece_counts(counts, scores, margins, labels, bins):
     return total
 
 
-def risk_from_margins(metric, margins, labels, g, reported):
-    """RiskEstimate of `metric` on rows with these margins and labels."""
-    if labels.size == 0:
-        value = float("nan")
-    else:
-        scores = None if metric.tag == ERROR_RATE_TAG else expit(margins)
-        value = metric_value(metric, scores, margins, labels)
-    return RiskEstimate(value, int(labels.size), metric, g, reported,
-                        defined=not math.isnan(value))
-
-
 class MarginTable:
     """Margins of one model on every row of one dataset.
 
     One column per reported value (a cell, WITHHELD or TRUTHFUL), each
     computed over all rows on first use by `model.margins` (or
     `model.margins_truthful`) and then kept, plus the row indices of each
-    true group. `margins(g, reported)` slices a column to group g's rows;
-    `risk(metric, g, reported)` is evaluated once per key and then kept,
-    as is `wrong(g, reported)`, the rows' misclassification bits. The
-    audit's tests take a table as their first argument and read `model`
-    and `data` from it.
+    true group and whether each of its rows is positive. Everything below
+    is made on first use of its key and then kept:
+
+    - `scores(reported)`, a column's sigmoid, for AUC and ECE;
+    - `wrong(g, reported)`, the misclassification bits of group g's rows,
+      which the error-rate risk counts and the audit's pattern draw and
+      McNemar test read;
+    - `risk(metric, g, reported)`, a RiskEstimate;
+    - `tails`, a dict in which `audit.mcnemar_test` keeps each binomial
+      tail it sums, so a table sums each (n, k) once.
+
+    Columns are kept whole, so a table holds one float per row and
+    reported value, two for AUC and ECE. A table lives for one audit, and
+    so does each memo. The audit's tests take a table as their first
+    argument and read `model` and `data` from it.
     """
 
     def __init__(self, model, data):
         self.model = model
         self.data = data
+        self.tails = {}
         self._columns = {}
+        self._scores = {}
         self._rows = {}
+        self._positive = {}
         self._risks = {}
         self._wrong = {}
 
@@ -271,6 +274,13 @@ class MarginTable:
             self._columns[reported] = col
         return col
 
+    def scores(self, reported):
+        """Sigmoid of every row's margin when each reports `reported`."""
+        col = self._scores.get(reported)
+        if col is None:
+            col = self._scores[reported] = expit(self.column(reported))
+        return col
+
     def rows(self, g):
         """Row indices of true group g."""
         rows = self._rows.get(g)
@@ -282,14 +292,37 @@ class MarginTable:
         """Margins of group g's rows when they report `reported`."""
         return self.column(reported)[self.rows(g)]
 
+    def positive(self, g):
+        """Whether each of group g's rows has label +1."""
+        pos = self._positive.get(g)
+        if pos is None:
+            pos = self._positive[g] = self.data.labels[self.rows(g)] == 1
+        return pos
+
     def risk(self, metric, g, reported):
-        """RiskEstimate of `metric` on group g's rows under `reported`."""
+        """RiskEstimate of `metric` on group g's rows under `reported`.
+
+        A cell's error rate counts its kept `wrong` bits. The population
+        (g = ALL) runs the metric kernel on its rows instead: nothing else
+        reads its bits, so they are not kept."""
         key = (metric, g, reported)
         est = self._risks.get(key)
         if est is None:
-            est = self._risks[key] = risk_from_margins(
-                metric, self.margins(g, reported),
-                self.data.labels[self.rows(g)], g, reported)
+            rows = self.rows(g)
+            n = int(rows.size)
+            if n == 0:
+                value = float("nan")
+            elif metric.tag == ERROR_RATE_TAG and g is not ALL:
+                value = np.count_nonzero(self.wrong(g, reported)) / n
+            else:
+                scores = None if metric.tag == ERROR_RATE_TAG \
+                    else self.scores(reported)[rows]
+                value = metric_value(metric, scores,
+                                     self.margins(g, reported),
+                                     self.data.labels[rows])
+            est = self._risks[key] = RiskEstimate(
+                value, n, metric, g, reported,
+                defined=not math.isnan(value))
         return est
 
     def wrong(self, g, reported):
@@ -298,9 +331,8 @@ class MarginTable:
         key = (g, reported)
         wrong = self._wrong.get(key)
         if wrong is None:
-            positive = self.data.labels[self.rows(g)] == 1
             wrong = self._wrong[key] = \
-                (self.margins(g, reported) >= 0.0) != positive
+                (self.margins(g, reported) >= 0.0) != self.positive(g)
         return wrong
 
     def fill(self):

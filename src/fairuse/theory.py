@@ -24,7 +24,7 @@ from typing import Optional
 import numpy as np
 
 from .groups import TRUTHFUL, WITHHELD
-from .metrics import MarginTable
+from .metrics import MarginTable, error_rate_value
 from .models import LinearModel, PersonalizedModel, Strategy, TrainConfig, \
     as_strategy, build_feature_map
 
@@ -256,18 +256,17 @@ def trained_loss(loss, margins, labels):
     """Mean surrogate (or 0-1) loss of margins against labels in {-1,+1}.
 
     loss is a canonical TrainConfig loss name: "logistic" (softplus),
-    "hinge", or "zero_one".
+    "hinge", or "zero_one" (the audit's error rate, `error_rate_value`).
     """
     margins = np.asarray(margins, dtype=float)
     labels = np.asarray(labels)
+    if loss == "zero_one":
+        return error_rate_value(margins, labels)
     z = labels * margins
     if loss == "logistic":
         return float(np.mean(np.logaddexp(0.0, -z)))
     if loss == "hinge":
         return float(np.mean(np.maximum(0.0, 1.0 - z)))
-    if loss == "zero_one":
-        preds = np.where(margins >= 0.0, 1, -1)
-        return float(np.mean(preds != labels))
     raise ValueError(f"unknown loss {loss!r}")
 
 
@@ -368,13 +367,12 @@ def check_prop2_premise(personalized, decoupled_minimizers, train,
         own = matrix[gi, gi + 1]
         if math.isnan(own):
             continue
+        # A row with a finite own loss is finite throughout: its group has
+        # rows, and each loss of finite margins is finite.
         for col in range(matrix.shape[1]):
             if col == gi + 1:
                 continue
-            other = matrix[gi, col]
-            if math.isnan(other):
-                continue
-            worst = max(worst, own - other)
+            worst = max(worst, own - matrix[gi, col])
     return Prop2Check(
         premise=premise, all_hold=all(premise.values()), matrix=matrix,
         matrix_ok=worst <= tol, worst_violation=worst, tolerance=tol)

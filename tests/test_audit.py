@@ -472,6 +472,35 @@ def test_bonferroni_zero_estimate_and_alpha_override():
     assert out.verdict == INCONCLUSIVE and out.alpha == 0.0001
 
 
+def test_result_helper_equals_the_keyword_constructor():
+    # audit._result builds results without __init__: a raw one equals the
+    # constructor's on the same fields, the defaults (detail, verdict,
+    # p_adjusted, family_size) included, and an adjusted one equals
+    # dataclasses.replace.
+    audit_module = importlib.import_module("fairuse.audit")
+    build, unadjusted = audit_module._result, audit_module._UNADJUSTED
+    fields = dict(kind=ENVY, test=MCNEMAR, metric="error_rate",
+                  group=AB.group("a"), comparator=AB.group("b"), n=10,
+                  estimate=-0.2, p_violation=0.03, p_gain=0.99, p_raw=0.03,
+                  alpha=0.05)
+    want = HypothesisResult(**fields)
+    got = build(unadjusted, detail={}, **fields)
+    assert type(got) is HypothesisResult
+    assert got == want and vars(got) == vars(want)
+    assert (got.detail, got.verdict, got.p_adjusted, got.family_size) == \
+        ({}, INCONCLUSIVE, None, 0)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        got.verdict = NOT_TESTABLE
+    detail = {"b": 3, "c": 1}
+    assert vars(build(unadjusted, detail=detail, **fields)) == \
+        vars(HypothesisResult(detail=detail, **fields))
+    changes = dict(p_adjusted=0.09, family_size=3,
+                   verdict=SIGNIFICANT_VIOLATION)
+    assert vars(build(vars(want), **changes)) == \
+        vars(dataclasses.replace(want, **changes))
+    assert want.verdict == INCONCLUSIVE and unadjusted["family_size"] == 0
+
+
 _RESULTS = st.builds(
     _result,
     metric=st.sampled_from(["error_rate", "auc"]),

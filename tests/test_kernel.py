@@ -528,8 +528,12 @@ def test_audit_draws_once_per_group_and_metric(monkeypatch):
 def test_audit_evaluates_each_observed_risk_once(monkeypatch):
     # The misreport matrix, the bootstrap tests, the population row and the
     # in-sample generalization rows read one memoized risk per (metric,
-    # group, reported): m * (m + 1) matrix entries plus two population
-    # risks per metric, and no extra self evaluation per comparator.
+    # group, reported). AUC and ECE run the metric kernel on m * (m + 1)
+    # matrix entries plus two population risks, with no extra self
+    # evaluation per comparator. A cell's error rate counts its kept
+    # wrong bits, so only the two population error rates run the kernel,
+    # and each (group, reported) wrong-bit array is made once: every read
+    # returns the same array.
     ds = gen_planted_violation(m=4, n_per_group=30, seed=2)
     metrics_module = importlib.import_module("fairuse.metrics")
     calls = []
@@ -539,13 +543,27 @@ def test_audit_evaluates_each_observed_risk_once(monkeypatch):
         calls.append(args[0])
         return real(*args, **kwargs)
 
+    bits = {}
+    real_wrong = MarginTable.wrong
+
+    def kept(table, g, reported):
+        out = real_wrong(table, g, reported)
+        bits.setdefault((g, reported), []).append(out)
+        return out
+
     monkeypatch.setattr(metrics_module, "metric_value", counted)
     monkeypatch.setattr(audit_module, "metric_value", counted)
+    monkeypatch.setattr(MarginTable, "wrong", kept)
     m = ds.space.m
+    cells = ds.space.cells()
     metrics = (ERROR_RATE, AUC, ECE)
     audit(ds, ds, Strategy.ONEHOT, metrics, AuditConfig(bootstrap_reps=100))
-    assert len(calls) == len(metrics) * (m * (m + 1) + 2)
-    assert all(calls.count(k) == m * (m + 1) + 2 for k in metrics)
+    assert calls.count(ERROR_RATE) == 2
+    assert calls.count(AUC) == calls.count(ECE) == m * (m + 1) + 2
+    assert len(calls) == 2 + 2 * (m * (m + 1) + 2)
+    assert set(bits) == {(g, r) for g in cells for r in (WITHHELD,) + cells}
+    for arrays in bits.values():
+        assert all(a is arrays[0] for a in arrays)
 
 
 def test_margin_table_risk_is_memoized():
@@ -681,3 +699,52 @@ def test_binom_tail_far_from_the_mode_is_fast():
     assert 0.0 < _binom_tail_at_least(50000, 28738) < 1e-240
     assert _binom_tail_at_least(50000, 45063) == 0.0
     assert time.perf_counter() - start < 0.5
+
+
+@given(st.integers(1, 5000).flatmap(
+    lambda n: st.tuples(st.just(n), st.integers(0, n),
+                        st.integers(0, 2 ** 32 - 1))))
+def test_wrong_bit_count_over_n_is_the_mean_of_mismatches(case):
+    # A cell's error rate is its count of wrong bits over n; the mean of
+    # +-1 prediction mismatches it replaces is k / n correctly rounded too.
+    # Margins of exactly 0 predict +1.
+    n, k, seed = case
+    rng = np.random.default_rng(seed)
+    y = np.where(rng.random(n) < 0.5, 1, -1)
+    wrong = np.zeros(n, dtype=bool)
+    wrong[rng.permutation(n)[:k]] = True
+    size = rng.choice([0.0, 0.5, 3.0], size=n)
+    m = np.where(wrong, -y, y) * size
+    m[(m == 0.0) & (wrong == (y == 1))] = -1.0
+    bits = (m >= 0.0) != (y == 1)
+    assert np.count_nonzero(bits) == k
+    want = float(np.mean(np.where(m >= 0, 1, -1) != y))
+    assert np.count_nonzero(bits) / n == want
+    assert metric_value(ERROR_RATE, None, m, y) == want
+
+
+def test_audit_sums_each_mcnemar_tail_once_per_call(monkeypatch):
+    # The m^2 McNemar tests of an audit meet far fewer distinct (b + c, k)
+    # splits; each is summed once, and a second audit sums them again, as
+    # the memo lives in the audit's MarginTable.
+    ds = gen_exchangeable_null(m=8, n_per_group=30, seed=0)
+    sums = []
+    real = audit_module._binom_tail_at_least
+
+    def counted(n, k):
+        sums.append((n, k))
+        return real(n, k)
+
+    monkeypatch.setattr(audit_module, "_binom_tail_at_least", counted)
+    cfg = AuditConfig(bootstrap_reps=100)
+    report = audit(ds, ds, Strategy.ONEHOT, (ERROR_RATE,), cfg)
+    first = list(sums)
+    splits = [r.detail for r in report.results if r.test == MCNEMAR]
+    assert len(splits) == 64
+    want = {(d["b"] + d["c"], k) for d in splits if d["b"] + d["c"]
+            for k in (d["b"], d["c"])}
+    assert len(first) == len(set(first)) == len(want) < 2 * len(splits)
+    assert set(first) == want
+    sums.clear()
+    audit(ds, ds, Strategy.ONEHOT, (ERROR_RATE,), cfg)
+    assert sums == first

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from fairuse.dataset import Dataset
 from fairuse.groups import GroupSpace
 from fairuse.models import (LinearModel, PersonalizedModel, Strategy,
                             TrainConfig, build_feature_map,
@@ -230,6 +231,29 @@ def test_premise_failure_pinpoints_the_harmed_group():
     assert check.implication_holds
     json_out = check.to_jsonable()
     assert json_out["premise"][str(fy)] is False
+
+
+def test_premise_skips_a_declared_group_without_rows():
+    # The declared domain holds c, but no row is in c: its premise holds
+    # vacuously, its trained-loss row is NaN, and the worst violation is
+    # taken over the groups that have rows.
+    space = GroupSpace((("g", ("a", "b", "c")),))
+    a, b, c = space.cells()
+    rng = np.random.default_rng(0)
+    x = rng.normal(size=(80, 2))
+    y = np.where(x[:, 0] + 0.3 * rng.normal(size=80) > 0, 1, -1)
+    ds = Dataset(x, y, [a, b] * 40, space)
+    cfg = TrainConfig(l2_penalty=1e-3)
+    onehot = train_personalized(ds, Strategy.ONEHOT, cfg)
+    dec = train_personalized(ds, Strategy.DECOUPLED, cfg)
+    check = check_prop2_premise(onehot, dec, ds)
+    assert check.premise[c] is True
+    assert np.isnan(check.matrix[2]).all()
+    assert np.isfinite(check.matrix[:2]).all()
+    gaps = [check.matrix[gi, gi + 1] - check.matrix[gi, col]
+            for gi in range(2) for col in range(4) if col != gi + 1]
+    assert check.worst_violation == max([0.0] + gaps)
+    assert check.to_jsonable()["premise"][str(c)] is True
 
 
 def test_premise_rejects_wrong_minimizer_strategy():
