@@ -246,9 +246,9 @@ class MarginTable:
       tail it sums, so a table sums each (n, k) once.
 
     Columns are kept whole, so a table holds one float per row and
-    reported value, two for AUC and ECE. A table lives for one audit, and
-    so does each memo. The audit's tests take a table as their first
-    argument and read `model` and `data` from it.
+    reported value, two for AUC and ECE. `audit` makes its tables per
+    call, so no memo outlives an audit. The audit's tests take a table as
+    their first argument and read `model` and `data` from it.
     """
 
     def __init__(self, model, data):
