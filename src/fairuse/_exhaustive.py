@@ -3,7 +3,8 @@
 The trainer is exact or refuses. It collapses rows to distinct encoded
 points, then follows one of two routes:
 
-  * one encoded feature: enumerate every threshold labeling;
+  * one encoded feature: cost every threshold labeling from running sums
+    of the per-point counts, and tie-break those at the least cost;
   * at most 14 distinct points: enumerate all labelings in ascending cost
     order and keep the cheapest linearly realizable one.
 
@@ -87,34 +88,33 @@ def _pick(points, candidates):
     return best
 
 
-def _labeling_cost(labeling, neg, pos):
-    return float(np.where(labeling, neg, pos).sum())
+def _threshold_labelings(neg, pos):
+    """The least-cost labelings realizable in one dimension, and their cost.
+
+    Those are the upsets (+1 on points k and up) and downsets (+1 below
+    point k) of the sorted points, k = 0..d. Each one's cost comes from
+    running sums of the per-point counts, so only the labelings at the
+    least cost are built.
+    """
+    d = neg.size
+    cum_neg = np.concatenate([[0.0], np.cumsum(neg)])
+    cum_pos = np.concatenate([[0.0], np.cumsum(pos)])
+    up = cum_neg[-1] - cum_neg + cum_pos
+    down = cum_neg + cum_pos[-1] - cum_pos
+    best = min(up.min(), down.min())
+    index = np.arange(d)
+    labelings = [index >= k for k in np.flatnonzero(up == best)]
+    labelings += [index < k for k in np.flatnonzero(down == best)]
+    return labelings, float(best)
 
 
 def _threshold_route(points, neg, pos):
-    """All labelings realizable in one dimension: upsets and downsets."""
-    d = points.shape[0]
-    candidates = []
-    base = np.zeros(d, dtype=bool)
-    for j in range(d + 1):
-        up = base.copy()
-        up[d - j:] = True
-        candidates.append(up)
-        down = base.copy()
-        down[:j] = True
-        candidates.append(down)
-    return _best_of_labelings(points, neg, pos, candidates)
-
-
-def _best_of_labelings(points, neg, pos, candidates):
-    costs = [_labeling_cost(c, neg, pos) for c in candidates]
-    best_cost = min(costs)
-    at_best = [c for c, cost in zip(candidates, costs)
-               if cost == best_cost]
-    fit = _pick(points, at_best)
+    """Best labeling realizable in one dimension: an upset or downset."""
+    candidates, cost = _threshold_labelings(neg, pos)
+    fit = _pick(points, candidates)
     if fit is None:
         raise RuntimeError("no candidate labeling was realizable")
-    return fit[0], best_cost
+    return fit[0], cost
 
 
 def _exact_route(points, neg, pos):

@@ -47,15 +47,17 @@ sum of those differences over n, (c - b) / n in McNemar's terms; AUC's
 and ECE's are the point values, the same kernel on one all-ones row. A
 replicate at twice the observed gain is then an exact tie and counts on
 both sides. `mcnemar_test` counts b and c on the table's kept `wrong`
-bits, the rows the bootstrap's patterns were made from: b rows wrong
+rows, the bits the bootstrap's patterns were made from: b rows wrong
 under g's truthful model and right under the comparator, c the converse.
 
-Each (group, reported) set of `wrong` bits is made once, by the
-misreport matrix, whose error rates are their counts over n; the draw
-and McNemar read them again. An audit's m^2 McNemar tests meet far fewer
-distinct (b + c, k) splits, and each tail is summed once per table, in
-its `tails` memo, which lives as long as the audit. Raw and adjusted
-results are built by `_result` in one dict update each.
+A `MisreportMatrix` is one (m, m+1) array of risks, NaN where
+undefined. Its error rates count each group's (m+1, n_g) bit matrix in
+the table along the rows, over n; the pattern draw reads that matrix
+whole and McNemar two of its rows. Point checks read gains from the
+array in one expression (`metrics.gain_matrix`). An audit's m^2 McNemar
+tests meet far fewer distinct (b + c, k) splits, and each tail is summed
+once per table, in its `tails` memo, which lives as long as the audit.
+Raw and adjusted results are built by `_result` in one dict update each.
 """
 
 import math
@@ -72,8 +74,9 @@ from .groups import ALL, TRUTHFUL, WITHHELD, GroupId, GroupSpace
 # group_risk, metric_value and MarginTable stay importable from this
 # module for callers that look them up here.
 from .metrics import (ERROR_RATE, ERROR_RATE_TAG, MarginTable,  # noqa: F401
-                      MetricKind, RiskEstimate, group_risk, metric_value,
-                      orient, resample_counts, resampled_values)
+                      MetricKind, RiskEstimate, gain_matrix, group_risk,
+                      metric_value, orient, resample_counts,
+                      resampled_values)
 from .models import Strategy, TrainConfig, as_strategy, build_feature_map, \
     train_personalized
 
@@ -122,46 +125,48 @@ def _f(value):
 class MisreportMatrix:
     """All (true group, reported group) risks for one model and metric.
 
-    Rows are true groups; columns are every reportable cell plus the
-    paired generic model (reported = WITHHELD). Entries for empty groups
-    or undefined metrics carry defined=False and never silently compare.
+    values[i] holds cell i's risk under the paired generic model
+    (WITHHELD) and then under a report of each cell; NaN (an empty group
+    or an undefined metric) never silently compares. n holds each
+    group's rows; the error rate keeps its misclassified-row counts.
     """
 
     metric: MetricKind
     space: GroupSpace
-    entries: dict
-
-    def entry(self, g, reported):
-        """RiskEstimate for true group g under a reported group."""
-        return self.entries[(g, reported)]
-
-    def row(self, g):
-        """Mapping reported -> RiskEstimate for one true group."""
-        cols = (WITHHELD,) + self.space.cells()
-        return {r: self.entries[(g, r)] for r in cols}
+    values: np.ndarray
+    n: np.ndarray
+    counts: Optional[np.ndarray] = None
 
     def to_jsonable(self):
-        rows = []
-        for g in self.space.cells():
-            row = {
-                "group": str(g),
-                "n": self.entry(g, g).n_effective,
-                "generic": _f(self.entry(g, WITHHELD).value),
-                "reported": {str(r): _f(self.entry(g, r).value)
-                             for r in self.space.cells()},
-            }
-            rows.append(row)
-        return {"metric": self.metric.tag, "rows": rows}
+        cells = [str(c) for c in self.space.cells()]
+        return {"metric": self.metric.tag, "rows": [
+            {"group": g, "n": n, "generic": _f(row[0]),
+             "reported": dict(zip(cells, map(_f, row[1:])))}
+            for g, n, row in zip(cells, self.n.tolist(),
+                                 self.values.tolist())]}
 
 
 def misreport_matrix(table, metric):
-    """Every (true group, reported) risk read from a MarginTable."""
+    """Every (true group, reported) risk read from a MarginTable: error
+    rates count each group's `wrong_matrix` rows, AUC and ECE read the
+    table's risks."""
     space = table.data.space
-    entries = {}
-    for g in space.cells():
-        for reported in (WITHHELD,) + space.cells():
-            entries[(g, reported)] = table.risk(metric, g, reported)
-    return MisreportMatrix(metric, space, entries)
+    cells = space.cells()
+    counts = None
+    if metric.tag == ERROR_RATE_TAG:
+        counts = np.array([np.count_nonzero(table.wrong_matrix(g), axis=1)
+                           for g in cells])
+    else:
+        values = np.array([[table.risk(metric, g, r).value
+                            for r in (WITHHELD,) + cells] for g in cells])
+    # n is read after the risks: on an unfilled table the first group's
+    # risks compute every column, and other groups' row indices read
+    # before them would add to that peak.
+    n = np.array([table.rows(g).size for g in cells])
+    if counts is not None:
+        with np.errstate(invalid="ignore"):
+            values = counts / n[:, None]  # k / n correctly rounded
+    return MisreportMatrix(metric, space, values, n, counts)
 
 
 @dataclass(frozen=True)
@@ -171,8 +176,8 @@ class PointGains:
     rationality_gain > 0 means the group prefers its personalized model to
     the generic one; envy gains > 0 mean truthful reporting beats
     misreporting as the keyed group. NaN marks a non-evaluable comparison.
-    The two *_count fields are those gains in rows (see `_gain_rows`):
-    an int for the error rate, a float for AUC and ECE.
+    The two *_count fields are those gains in rows: an int difference of
+    misclassified rows for the error rate, gain * n for AUC and ECE.
     """
 
     group: GroupId
@@ -229,65 +234,43 @@ class PointSummary:
         }
 
 
-def _gain_rows(matrix, g, reported, gain):
-    """Group g's point gain over `reported` in rows (NaN stays NaN).
-
-    For the error rate it is the exact int difference of misclassified
-    rows. A rate k / n is k / n correctly rounded, so rate * n lies within
-    k * 2**-52 of k and rounds back to it. AUC and ECE give gain * n.
-    """
-    own = matrix.entry(g, g)
-    if matrix.metric.tag != ERROR_RATE_TAG or math.isnan(gain):
-        return gain * own.n_effective
-    other = matrix.entry(g, reported)
-    return round(other.value * other.n_effective) \
-        - round(own.value * own.n_effective)
-
-
 def check_fair_use_point(matrix):
     """Evaluate rationality and envy-freeness on matrix point estimates.
 
     A violation is a strictly negative gain; comparisons involving an
-    undefined risk are skipped (they surface later as NotTestable).
+    undefined risk are skipped (they surface later as NotTestable). A
+    group's least envy gain breaks ties by the smaller group name.
     """
-    gains = {}
-    rat_viol = []
-    envy_viol = []
-    for g in matrix.space.cells():
-        own = matrix.entry(g, g)
-        n = own.n_effective
-        own_val = orient(matrix.metric, own.value) if own.defined else None
-        generic = matrix.entry(g, WITHHELD)
-        if own_val is not None and generic.defined:
-            rat = orient(matrix.metric, generic.value) - own_val
-        else:
-            rat = float("nan")
-        envy = {}
-        for other in matrix.space.cells():
-            if other == g:
-                continue
-            mis = matrix.entry(g, other)
-            if own_val is not None and mis.defined:
-                envy[other] = orient(matrix.metric, mis.value) - own_val
-            else:
-                envy[other] = float("nan")
-        finite = {o: v for o, v in envy.items() if not math.isnan(v)}
-        if finite:
-            argmin = min(finite, key=lambda o: (finite[o], str(o)))
-            min_gain = finite[argmin]
-        else:
-            argmin, min_gain = None, float("nan")
-        gains[g] = PointGains(
-            g, n, rat, envy, min_gain, argmin,
-            _gain_rows(matrix, g, WITHHELD, rat),
-            _gain_rows(matrix, g, argmin, min_gain))
-        if not math.isnan(rat) and rat < 0:
-            rat_viol.append(g)
-        for other, v in envy.items():
-            if not math.isnan(v) and v < 0:
-                envy_viol.append((g, other))
-    return PointSummary(matrix.metric, gains, tuple(rat_viol),
-                        tuple(envy_viol))
+    cells = matrix.space.cells()
+    m = len(cells)
+    gains = gain_matrix(orient(matrix.metric, matrix.values))
+    # Gains in rows: exact int differences of misclassified rows for the
+    # error rate, gain * n for AUC and ECE.
+    in_rows = (gains * matrix.n[:, None] if matrix.counts is None
+               else gain_matrix(matrix.counts)).tolist()
+    envy = gains[:, 1:].copy()
+    envy[np.arange(m), np.arange(m)] = np.nan
+    least = np.fmin.reduce(envy, axis=1)
+    # Of the cells tied at the least gain, take the one whose name ranks
+    # first.
+    name_rank = np.argsort(np.argsort([str(c) for c in cells]))
+    argmin = np.argmin(np.where(envy == least[:, None], name_rank, m), axis=1)
+    out = {}
+    for gi, (g, n, row) in enumerate(zip(cells, matrix.n.tolist(),
+                                         gains.tolist())):
+        others = cells[:gi] + cells[gi + 1:]
+        rat = row[0]
+        j = None if math.isnan(least[gi]) else int(argmin[gi])
+        min_gain = float("nan") if j is None else row[j + 1]
+        out[g] = PointGains(
+            g, n, rat, dict(zip(others, row[1:gi + 1] + row[gi + 2:])),
+            min_gain, None if j is None else cells[j],
+            rat if math.isnan(rat) else in_rows[gi][0],
+            min_gain if j is None else in_rows[gi][j + 1])
+    return PointSummary(
+        matrix.metric, out,
+        tuple(cells[i] for i in np.flatnonzero(gains[:, 0] < 0)),
+        tuple((cells[i], cells[j]) for i, j in np.argwhere(envy < 0)))
 
 
 @dataclass(frozen=True)
@@ -372,15 +355,6 @@ def _not_testable(kind, test, metric_tag, g, comparator, n, alpha, reason):
         verdict=NOT_TESTABLE, detail={"reason": reason})
 
 
-def _loss_diffs(wrong, g, comparators):
-    """(rows, k) error differences from `wrong`, which maps a reported
-    value to whether each row (or pattern) is misclassified under it: 1.0
-    where comparators[j] is wrong and g's truthful model right, -1.0 for
-    the converse, else 0."""
-    return np.stack([wrong[c] for c in comparators], axis=1) \
-        .astype(float) - wrong[g][:, None]
-
-
 def _patterns(wrong):
     """Distinct columns of a (k, n) bool matrix, in lexicographic order:
     the index of each one's first occurrence and how many columns share
@@ -432,11 +406,12 @@ def bootstrap_replicates(table, g, comparators, metric, *, reps=2000,
     if metric.tag == ERROR_RATE_TAG:
         # Patterns span every reported value, whatever the comparators,
         # so a one-comparator call makes the same draw.
-        reported = (WITHHELD,) + table.data.space.cells()
-        wrong = np.stack([table.wrong(g, r) for r in reported])
-        first, n_p = _patterns(wrong)
-        diffs = _loss_diffs(dict(zip(reported, wrong[:, first])), g,
-                            comparators)
+        first, n_p = _patterns(table.wrong_matrix(g))
+        # (patterns, k) error differences: 1.0 where comparators[j] is
+        # wrong and g's truthful model right, -1.0 for the converse.
+        own = table.wrong(g, g)[first][:, None].astype(float)
+        diffs = np.stack([table.wrong(g, c)[first] for c in comparators],
+                         axis=1) - own
         step = max(1, _INDEX_CHUNK_ENTRIES // n_p.size)
         for start in range(0, reps, step):
             counts = rng.multinomial(n, n_p / n,
@@ -762,7 +737,7 @@ class GeneralizationRow:
         }
 
 
-def identical_prediction_pairs(table, atol=_IDENTICAL_ATOL):
+def identical_prediction_pairs(table):
     """Ordered pairs of cells whose reported predictions always agree.
 
     Compares the table's margin columns over all rows for every pair of
@@ -778,9 +753,10 @@ def identical_prediction_pairs(table, atol=_IDENTICAL_ATOL):
     pairs = []
     for i in range(len(cells)):
         agree = np.isclose(head[i + 1:], head[i], rtol=0.0,
-                           atol=atol).all(axis=1)
+                           atol=_IDENTICAL_ATOL).all(axis=1)
         for j in i + 1 + np.flatnonzero(agree):
-            if np.allclose(margins[i], margins[j], rtol=0.0, atol=atol):
+            if np.allclose(margins[i], margins[j], rtol=0.0,
+                           atol=_IDENTICAL_ATOL):
                 pairs.append((cells[i], cells[j]))
     return tuple(pairs)
 
@@ -941,11 +917,10 @@ def render_markdown(report):
             f" {c} |" for c in cells)
         lines.append(header)
         lines.append("|---" * (3 + len(cells)) + "|")
-        for g in cells:
-            row = matrix.row(g)
-            vals = "".join(f" {_fmt(row[c].value)} |" for c in cells)
-            lines.append(f"| {g} | {matrix.entry(g, g).n_effective} | "
-                         f"{_fmt(row[WITHHELD].value)} |{vals}")
+        for g, n, row in zip(cells, matrix.n.tolist(),
+                             matrix.values.tolist()):
+            vals = "".join(f" {_fmt(v)} |" for v in row[1:])
+            lines.append(f"| {g} | {n} | {_fmt(row[0])} |{vals}")
         lines += ["", f"### Point gains ({tag})", ""]
         lines.append("| group | n | rationality gain | min envy gain | "
                      "envied group |")
@@ -1006,7 +981,7 @@ def _datasets_equal(a, b):
             and np.array_equal(a.cell_indices, b.cell_indices))
 
 
-def _population_row(metric, point, results, table):
+def _population_row(metric, matrix, point, results, table):
     generic = table.risk(metric, ALL, WITHHELD)
     personal = table.risk(metric, ALL, TRUTHFUL)
     if generic.defined and personal.defined:
@@ -1023,12 +998,13 @@ def _population_row(metric, point, results, table):
         worst_pair = (worst, rat[worst])
     else:
         best_pair = worst_pair = None
-    point_rat_gain = sum(1 for v in rat.values() if v > 0)
-    point_rat_viol = sum(1 for v in rat.values() if v < 0)
-    envy_vals = [v for pg in point.gains.values()
-                 for v in pg.envy_gains.values() if not math.isnan(v)]
-    point_envy_gain = sum(1 for v in envy_vals if v > 0)
-    point_envy_viol = sum(1 for v in envy_vals if v < 0)
+    # Column 0 holds the rationality gains; the zero gains of the diagonal
+    # count on neither side among the envy columns.
+    gains = gain_matrix(orient(metric, matrix.values))
+    point_rat_gain = int(np.count_nonzero(gains[:, 0] > 0))
+    point_rat_viol = int(np.count_nonzero(gains[:, 0] < 0))
+    point_envy_gain = int(np.count_nonzero(gains[:, 1:] > 0))
+    point_envy_viol = int(np.count_nonzero(gains[:, 1:] < 0))
 
     def subjects(kind, verdict):
         return len({(r.group, r.comparator_label) for r in results
@@ -1148,7 +1124,8 @@ def audit(train, test, strategy=Strategy.ONEHOT, metrics=(ERROR_RATE,),
     populations = {}
     for metric in metrics:
         populations[metric.tag] = _population_row(
-            metric, points[metric.tag], results, table)
+            metric, matrices[metric.tag], points[metric.tag], results,
+            table)
     report = FairUseReport(
         strategy=strategy, space=train.space, config=cfg,
         metrics=tuple(metrics), model=model, train_tally=tally(train),

@@ -24,7 +24,8 @@ from ._jsontext import dumps
 from .groups import TRUTHFUL, WITHHELD
 # group_risk stays importable from this module for callers that look it
 # up here.
-from .metrics import ERROR_RATE, MarginTable, group_risk  # noqa: F401
+from .metrics import (ERROR_RATE, MarginTable, gain_matrix,  # noqa: F401
+                      group_risk, orient)
 from .models import Strategy
 
 __all__ = [
@@ -57,8 +58,9 @@ class Advice:
 class AssignmentPlan:
     """A per-group choice of prediction source with projected risks.
 
-    Risks are error rates on the plan's evaluation sample (the audit test
-    split for the generic plan, the validation split for best-of-three);
+    Risks are the plan metric's values on its evaluation sample (the
+    audit test split for the generic plan, the validation split for
+    best-of-three, which uses the error rate);
     population risks weight groups by their sample sizes. NaN marks
     groups absent from the evaluation sample.
     """
@@ -181,9 +183,10 @@ def assign_generic_on_violation(report, strictness="point",
 
     strictness "point" triggers on point-estimate violations (the
     default); "significant" only on Bonferroni-significant ones. The
-    returned plan's projected risk never exceeds the baseline for any
-    group and strictly improves exactly the reassigned groups, evaluated
-    on the audit's test sample.
+    returned plan's projected risk is never worse than the baseline for
+    any group, in the metric's own direction (a higher AUC is better), and
+    strictly improves exactly the reassigned groups, evaluated on the
+    audit's test sample.
     """
     if strictness not in _STRICTNESS:
         raise ValueError(f"strictness must be one of {_STRICTNESS}")
@@ -192,28 +195,24 @@ def assign_generic_on_violation(report, strictness="point",
     matrix = report.matrices[metric]
     space = report.space
     violators = _violating_groups(report, metric, strictness)
+    # Rationality gains, oriented so that a negative one means the
+    # generic model did better, whichever way the metric points.
+    rationality = gain_matrix(orient(matrix.metric, matrix.values))[:, 0]
     assignments = {}
     baseline = {}
     projected = {}
     sizes = {}
-    for g in space.cells():
-        own = matrix.entry(g, g)
-        gen = matrix.entry(g, WITHHELD)
-        sizes[g] = own.n_effective
-        baseline[g] = own.value if own.defined else float("nan")
+    for gi, (g, n, row) in enumerate(zip(space.cells(), matrix.n.tolist(),
+                                         matrix.values.tolist())):
+        sizes[g] = n
+        baseline[g] = projected[g] = row[gi + 1]
+        assignments[g] = PERSONALIZED
         if g in violators:
             assignments[g] = GENERIC
-            projected[g] = gen.value if gen.defined else float("nan")
-        else:
-            assignments[g] = PERSONALIZED
-            projected[g] = baseline[g]
-    for g in space.cells():
-        if math.isnan(baseline[g]) or math.isnan(projected[g]):
-            continue
-        assert projected[g] <= baseline[g], (
-            f"reassignment worsened group {g}")
-        if assignments[g] == GENERIC and strictness == "point":
-            assert projected[g] < baseline[g], (
+            projected[g] = row[0]
+            # NaN gains (undefined risks) pass both checks.
+            assert not rationality[gi] > 0, f"reassignment worsened group {g}"
+            assert not (strictness == "point" and rationality[gi] >= 0), (
                 f"reassigned group {g} saw no strict improvement")
     resolved, remaining = _split_resolved(report, metric, assignments)
     plan = AssignmentPlan(

@@ -6,9 +6,13 @@ internally flipped to 1 - AUC when differencing (see `orient`), so a
 positive gain always means the group prefers truthful personalized use.
 
 `MarginTable` holds one model's margins over every row of one dataset,
-one column per reported value. It lives here, below `audit`, `theory`
-and `interventions`, so that each of them reads group margins from one
-table instead of recomputing them group by group; `audit` re-exports it.
+one column per reported value, and each group's misclassification bits
+under every report as one bool matrix. It lives here, below `audit`,
+`theory` and `interventions`, so that each of them reads group margins
+from one table instead of recomputing them group by group; `audit`
+re-exports it. `gain_matrix` turns an (m, m+1) risk matrix, generic
+column first, into every group's gains over its own truthful risk; the
+audit's point checks and the training-loss premise check both use it.
 
 `resampled_values` is the count-weighted form of `metric_value`: one
 metric value per row of a (replicates, rows) count matrix, with no
@@ -109,6 +113,15 @@ def orient(metric, value):
     if metric.lower_is_better:
         return value
     return 1.0 - value
+
+
+def gain_matrix(values):
+    """Gains of an (m, m+1) lower-is-better risk matrix whose column 0 is
+    the generic model and column j+1 reports cell j: each entry minus its
+    row's own truthful entry, values[i, i+1]. NaN stays NaN, and integer
+    counts give integer gains."""
+    m = values.shape[0]
+    return values - values[np.arange(m), np.arange(1, m + 1)][:, None]
 
 
 def error_rate_value(margins, labels):
@@ -234,19 +247,21 @@ class MarginTable:
     One column per reported value (a cell, WITHHELD or TRUTHFUL), each
     computed over all rows on first use by `model.margins` (or
     `model.margins_truthful`) and then kept, plus the row indices of each
-    true group and whether each of its rows is positive. Everything below
-    is made on first use of its key and then kept:
+    true group. Everything below is made on first use of its key and then
+    kept:
 
     - `scores(reported)`, a column's sigmoid, for AUC and ECE;
-    - `wrong(g, reported)`, the misclassification bits of group g's rows,
-      which the error-rate risk counts and the audit's pattern draw and
-      McNemar test read;
+    - `wrong_matrix(g)`, group g's misclassification bits, one (m+1, n_g)
+      bool matrix: row 0 under WITHHELD, row j+1 under cell j. Each row
+      is filled once, by `wrong(g, reported)` from the margins and the
+      group's labels, and the same array is returned on every read;
     - `risk(metric, g, reported)`, a RiskEstimate;
     - `tails`, a dict in which `audit.mcnemar_test` keeps each binomial
       tail it sums, so a table sums each (n, k) once.
 
     Columns are kept whole, so a table holds one float per row and
-    reported value, two for AUC and ECE. `audit` makes its tables per
+    reported value, two for AUC and ECE, and one bool per row and
+    reported value for the error rate. `audit` makes its tables per
     call, so no memo outlives an audit. The audit's tests take a table as
     their first argument and read `model` and `data` from it.
     """
@@ -258,9 +273,11 @@ class MarginTable:
         self._columns = {}
         self._scores = {}
         self._rows = {}
-        self._positive = {}
         self._risks = {}
-        self._wrong = {}
+        self._bits = {}
+        cells = data.space.cells()
+        self._reported = (WITHHELD,) + cells
+        self._slots = {r: i for i, r in enumerate(self._reported)}
 
     def column(self, reported):
         """Margins of every row when each reports `reported`."""
@@ -292,19 +309,12 @@ class MarginTable:
         """Margins of group g's rows when they report `reported`."""
         return self.column(reported)[self.rows(g)]
 
-    def positive(self, g):
-        """Whether each of group g's rows has label +1."""
-        pos = self._positive.get(g)
-        if pos is None:
-            pos = self._positive[g] = self.data.labels[self.rows(g)] == 1
-        return pos
-
     def risk(self, metric, g, reported):
         """RiskEstimate of `metric` on group g's rows under `reported`.
 
-        A cell's error rate counts its kept `wrong` bits. The population
-        (g = ALL) runs the metric kernel on its rows instead: nothing else
-        reads its bits, so they are not kept."""
+        A cell's error rate counts its `wrong` bits. The population
+        (g = ALL) and the truthful column run the metric kernel instead:
+        nothing else reads their bits, so they are not kept."""
         key = (metric, g, reported)
         est = self._risks.get(key)
         if est is None:
@@ -312,7 +322,8 @@ class MarginTable:
             n = int(rows.size)
             if n == 0:
                 value = float("nan")
-            elif metric.tag == ERROR_RATE_TAG and g is not ALL:
+            elif metric.tag == ERROR_RATE_TAG and g is not ALL \
+                    and reported is not TRUTHFUL:
                 value = np.count_nonzero(self.wrong(g, reported)) / n
             else:
                 scores = None if metric.tag == ERROR_RATE_TAG \
@@ -327,20 +338,34 @@ class MarginTable:
 
     def wrong(self, g, reported):
         """Whether each of group g's rows is misclassified under
-        `reported`, as a bool array."""
-        key = (g, reported)
-        wrong = self._wrong.get(key)
-        if wrong is None:
-            wrong = self._wrong[key] = \
-                (self.margins(g, reported) >= 0.0) != self.positive(g)
-        return wrong
+        `reported` (WITHHELD or a cell): its row of `wrong_matrix(g)`,
+        filled on first use."""
+        bits = self._bits.get(g)
+        if bits is None:
+            rows = self.rows(g)
+            k = len(self._reported)
+            bits = self._bits[g] = (np.empty((k, rows.size), dtype=bool),
+                                    [None] * k, self.data.labels[rows] == 1)
+        matrix, views, positive = bits
+        i = self._slots[reported]
+        if views[i] is None:
+            views[i] = matrix[i]
+            np.not_equal(self.margins(g, reported) >= 0.0, positive,
+                         out=views[i])
+        return views[i]
+
+    def wrong_matrix(self, g):
+        """Group g's (m+1, n_g) misclassification bits, every row filled:
+        row 0 under WITHHELD, row j+1 under cell j."""
+        for r in self._reported:
+            row = self.wrong(g, r)
+        return row.base
 
     def fill(self):
         """Compute every cell and WITHHELD column and every group's rows."""
-        cells = self.data.space.cells()
-        for r in (WITHHELD,) + cells:
+        for r in self._reported:
             self.column(r)
-        for g in cells:
+        for g in self.data.space.cells():
             self.rows(g)
         return self
 

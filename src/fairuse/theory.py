@@ -24,7 +24,7 @@ from typing import Optional
 import numpy as np
 
 from .groups import TRUTHFUL, WITHHELD
-from .metrics import MarginTable, error_rate_value
+from .metrics import MarginTable, error_rate_value, gain_matrix
 from .models import LinearModel, PersonalizedModel, Strategy, TrainConfig, \
     as_strategy, build_feature_map
 
@@ -362,17 +362,11 @@ def check_prop2_premise(personalized, decoupled_minimizers, train,
         dec = trained_loss(loss, decoupled.margins(g, TRUTHFUL),
                            train.labels[rows])
         premise[g] = bool(abs(matrix[gi, gi + 1] - dec) <= tol)
-    worst = 0.0
-    for gi in range(matrix.shape[0]):
-        own = matrix[gi, gi + 1]
-        if math.isnan(own):
-            continue
-        # A row with a finite own loss is finite throughout: its group has
-        # rows, and each loss of finite margins is finite.
-        for col in range(matrix.shape[1]):
-            if col == gi + 1:
-                continue
-            worst = max(worst, own - matrix[gi, col])
+    # An empty group's row is NaN throughout and is skipped; every other
+    # row is finite, and its own entry's zero gain cannot raise `worst`.
+    gains = gain_matrix(matrix)
+    worst = max(0.0, float(np.max(-gains, initial=0.0,
+                                  where=~np.isnan(gains))))
     return Prop2Check(
         premise=premise, all_hold=all(premise.values()), matrix=matrix,
         matrix_ok=worst <= tol, worst_violation=worst, tolerance=tol)

@@ -207,3 +207,58 @@ def bonferroni_by_replace(results, alpha=None):
         out.append(dataclasses.replace(r, alpha=a, p_adjusted=p_adjusted,
                                        family_size=size, verdict=verdict))
     return out
+
+
+def threshold_labelings_1d(neg, pos):
+    """Least-cost threshold labelings of d sorted 1-D points, by building
+    every one: the upsets and downsets, +1 on the last or first j points
+    for j = 0..d, each costed as its misclassified negatives plus
+    positives.
+
+    Returns:
+        (labelings, cost): the set of least-cost labelings as bool-array
+        bytes, and that cost.
+    """
+    neg = np.asarray(neg, dtype=float)
+    pos = np.asarray(pos, dtype=float)
+    d = neg.size
+    candidates = []
+    for j in range(d + 1):
+        up = np.zeros(d, dtype=bool)
+        up[d - j:] = True
+        down = np.zeros(d, dtype=bool)
+        down[:j] = True
+        candidates += [up, down]
+    costs = [float(np.where(c, neg, pos).sum()) for c in candidates]
+    best = min(costs)
+    return {c.tobytes() for c, cost in zip(candidates, costs)
+            if cost == best}, best
+
+
+def point_gains_by_loops(rows, names, lower_is_better):
+    """Point gains of a misreport matrix, entry by entry.
+
+    rows[i] is group i's risk under the generic model, then under a
+    report of each group, as floats with NaN for undefined. Returns
+    (rationality, envy, argmin, rationality_violations, envy_violations):
+    per group its generic gain, its {j: gain} over every other group j,
+    and the j of its least finite envy gain with ties to the smaller name
+    (None if none is finite); then the violating i and (i, j), in order.
+    """
+    def oriented(v):
+        return v if lower_is_better else 1.0 - v
+
+    rationality, envy, argmin, rat_viol, envy_viol = [], [], [], [], []
+    for i, row in enumerate(rows):
+        own = oriented(row[i + 1])
+        rationality.append(oriented(row[0]) - own)
+        if rationality[-1] < 0:
+            rat_viol.append(i)
+        gains = {j: oriented(row[j + 1]) - own
+                 for j in range(len(rows)) if j != i}
+        envy.append(gains)
+        envy_viol += [(i, j) for j, v in gains.items() if v < 0]
+        finite = [j for j, v in gains.items() if not math.isnan(v)]
+        argmin.append(min(finite, key=lambda j: (gains[j], names[j]))
+                      if finite else None)
+    return rationality, envy, argmin, rat_viol, envy_viol

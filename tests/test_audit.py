@@ -23,14 +23,15 @@ from fairuse.audit import (_IDENTICAL_PREFIX_ROWS, BOOTSTRAP, ENVY,
                            misreport_matrix)
 from fairuse.dataset import Dataset, split
 from fairuse.groups import ALL, WITHHELD, GroupSpace
-from fairuse.metrics import (AUC, ECE, ERROR_RATE, RiskEstimate,
-                             metric_from_name, metric_value)
+from fairuse.metrics import (AUC, ECE, ERROR_RATE, metric_from_name,
+                             metric_value)
 from fairuse.models import (LinearModel, PersonalizedModel, Strategy,
                             TrainConfig, build_feature_map,
                             train_personalized, train_zero_one_exhaustive)
 from fairuse.synth import gen_group_specific_effects, gen_misspecification
 
-from oracles import binom_tail, bonferroni_by_replace, mcnemar_counts
+from oracles import (binom_tail, bonferroni_by_replace, mcnemar_counts,
+                     point_gains_by_loops)
 
 AB = GroupSpace((("g", ("a", "b")),))
 
@@ -70,18 +71,22 @@ def test_misreport_matrix_matches_manual_loop():
                                TrainConfig(l2_penalty=1e-3))
     for metric in (ERROR_RATE, AUC, ECE):
         matrix = misreport_matrix(MarginTable(model, ds), metric)
-        for g in AB.cells():
+        assert matrix.values.shape == (2, 3)
+        assert (matrix.counts is None) == (metric is not ERROR_RATE)
+        for gi, g in enumerate(AB.cells()):
             rows = ds.rows_for(g)
             x = ds.features[rows]
             y = ds.labels[rows]
-            for reported in (WITHHELD,) + AB.cells():
+            assert matrix.n[gi] == rows.size
+            # Column 0 is the generic model, column j + 1 cell j.
+            for col, reported in enumerate((WITHHELD,) + AB.cells()):
                 margins = model.margins(x, reported)
                 want = metric_value(metric, expit(margins), margins, y)
-                got = matrix.entry(g, reported)
-                assert got.value == pytest.approx(want, abs=1e-12)
-                assert got.n_effective == rows.size
-        row = matrix.row(AB.group("a"))
-        assert set(row) == {WITHHELD, AB.group("a"), AB.group("b")}
+                assert matrix.values[gi, col] == pytest.approx(want,
+                                                               abs=1e-12)
+                if matrix.counts is not None:
+                    assert matrix.counts[gi, col] == np.count_nonzero(
+                        np.where(margins >= 0, 1, -1) != y)
 
 
 def test_generic_model_matrix_rows_are_constant():
@@ -89,20 +94,26 @@ def test_generic_model_matrix_rows_are_constant():
     model = train_personalized(ds, Strategy.GENERIC,
                                TrainConfig(l2_penalty=1e-3))
     matrix = misreport_matrix(MarginTable(model, ds), ERROR_RATE)
-    for g in AB.cells():
-        vals = {matrix.entry(g, r).value
-                for r in (WITHHELD,) + AB.cells()}
-        assert len(vals) == 1
+    for row in matrix.values:
+        assert len(set(row.tolist())) == 1
 
 
 def _matrix(metric, space, table):
-    """Build a MisreportMatrix from {(g, reported): (value, n, defined)}."""
-    entries = {}
-    for (g, reported), (value, n, defined) in table.items():
-        entries[(g, reported)] = RiskEstimate(
-            value if defined else float("nan"), n, metric, g, reported,
-            defined=defined)
-    return MisreportMatrix(metric, space, entries)
+    """Build a MisreportMatrix from {(g, reported): (value, n, defined)};
+    an error-rate matrix also gets its misclassified-row counts."""
+    cells = space.cells()
+    values = np.full((len(cells), len(cells) + 1), np.nan)
+    n = np.zeros(len(cells), dtype=int)
+    for (g, reported), (value, size, defined) in table.items():
+        gi = cells.index(g)
+        col = 0 if reported is WITHHELD else cells.index(reported) + 1
+        n[gi] = size
+        if defined:
+            values[gi, col] = value
+    if metric is not ERROR_RATE:
+        return MisreportMatrix(metric, space, values, n)
+    counts = np.rint(np.nan_to_num(values) * n[:, None]).astype(int)
+    return MisreportMatrix(metric, space, values, n, counts)
 
 
 def test_point_check_on_handcrafted_error_matrix():
@@ -179,6 +190,50 @@ def test_point_check_argmin_breaks_ties_by_name():
     point = check_fair_use_point(matrix)
     assert point.gains[a].envy_min_gain == pytest.approx(-0.1)
     assert point.gains[a].envy_argmin == b
+    # Names, not cell order, break the tie: "a" is the last cell here.
+    space = GroupSpace((("g", ("z", "b", "a")),))
+    z, b, a = space.cells()
+    matrix = _matrix(ERROR_RATE, space, {
+        (z, WITHHELD): (0.5, 9, True), (z, z): (0.5, 9, True),
+        (z, b): (0.4, 9, True), (z, a): (0.4, 9, True),
+        (b, WITHHELD): (0.5, 9, True), (b, b): (0.5, 9, True),
+        (b, z): (0.5, 9, True), (b, a): (0.5, 9, True),
+        (a, WITHHELD): (0.5, 9, True), (a, a): (0.5, 9, True),
+        (a, z): (0.5, 9, True), (a, b): (0.5, 9, True),
+    })
+    assert check_fair_use_point(matrix).gains[z].envy_argmin == a
+
+
+@given(st.integers(2, 5).flatmap(lambda m: st.tuples(
+    st.permutations(["a", "b", "c", "d", "e"][:m]),
+    st.lists(st.lists(st.sampled_from([math.nan, 0.0, 0.25, 0.5, 1.0]),
+                      min_size=m + 1, max_size=m + 1),
+             min_size=m, max_size=m))), st.sampled_from([AUC, ECE]))
+def test_point_check_arrays_match_the_entry_loop(case, metric):
+    names, rows = case
+    space = GroupSpace((("g", tuple(names)),))
+    cells = space.cells()
+    matrix = MisreportMatrix(metric, space, np.array(rows),
+                             np.full(len(rows), 7))
+    point = check_fair_use_point(matrix)
+    rat, envy, argmin, rat_viol, envy_viol = point_gains_by_loops(
+        rows, names, metric.lower_is_better)
+    for i, g in enumerate(cells):
+        pg = point.gains[g]
+        assert np.array_equal([pg.rationality_gain], [rat[i]],
+                              equal_nan=True)
+        assert list(pg.envy_gains) == [cells[j] for j in envy[i]]
+        assert np.array_equal(list(pg.envy_gains.values()),
+                              list(envy[i].values()), equal_nan=True)
+        if argmin[i] is None:
+            assert pg.envy_argmin is None
+            assert math.isnan(pg.envy_min_gain)
+        else:
+            assert pg.envy_argmin == cells[argmin[i]]
+            assert pg.envy_min_gain == envy[i][argmin[i]]
+    assert point.rationality_violations == tuple(cells[i] for i in rat_viol)
+    assert point.envy_violations == tuple((cells[i], cells[j])
+                                          for i, j in envy_viol)
 
 
 def test_bootstrap_is_deterministic_in_the_seed():
@@ -613,11 +668,10 @@ def test_decoupled_matrix_diagonal_is_row_minimum():
     ds = gen_group_specific_effects()
     model = train_zero_one_exhaustive(ds, Strategy.DECOUPLED)
     matrix = misreport_matrix(MarginTable(model, ds), ERROR_RATE)
-    for g in ds.space.cells():
-        own = matrix.entry(g, g).value
+    for gi, row in enumerate(matrix.values):
+        own = row[gi + 1]
         assert own == 0.0
-        for reported in (WITHHELD,) + ds.space.cells():
-            assert own <= matrix.entry(g, reported).value
+        assert own <= row.min()
 
 
 def test_identical_prediction_pairs():

@@ -14,9 +14,9 @@ from fairuse.interventions import (DECOUPLED_SOURCE, GENERIC, PERSONALIZED,
                                    assign_best_of_three,
                                    assign_generic_on_violation,
                                    data_minimization)
-from fairuse.metrics import ERROR_RATE, RiskEstimate, group_risk
+from fairuse.metrics import AUC, ERROR_RATE, group_risk
 from fairuse.models import Strategy, train_personalized
-from fairuse.synth import gen_misspecification
+from fairuse.synth import gen_misspecification, gen_planted_violation
 
 AB = GroupSpace((("g", ("a", "b")),))
 TWO_BY_TWO = GroupSpace((("sex", ("f", "m")), ("age", ("o", "y"))))
@@ -70,6 +70,25 @@ def test_significant_strictness_matches_here(mis_report):
         plan.baseline_group_risks[fy]
 
 
+def test_auc_plan_reassigns_violators_and_raises_their_auc():
+    # A higher AUC is better: comparing raw AUCs as lower-is-better
+    # called every such reassignment a worsening and raised.
+    ds = gen_planted_violation(m=4, n_per_group=300, seed=0)
+    report = audit(ds, ds, Strategy.ONEHOT, (AUC,),
+                   AuditConfig(seed=0, bootstrap_reps=100))
+    violators = report.points["auc"].rationality_violations
+    assert violators
+    plan = assign_generic_on_violation(report, metric="auc")
+    assert set(plan.reassigned) == set(violators)
+    for g in ds.space.cells():
+        if g in violators:
+            assert plan.projected_group_risks[g] > \
+                plan.baseline_group_risks[g]
+        else:
+            assert plan.projected_group_risks[g] == \
+                plan.baseline_group_risks[g]
+
+
 def test_fair_audit_yields_an_identity_plan():
     ds = gen_misspecification()
     report = audit(ds, ds, Strategy.GENERIC, (ERROR_RATE,), CFG)
@@ -94,14 +113,14 @@ def test_plan_input_validation(mis_report):
 def _fabricated_report(space, own, generic):
     """Stand-in report whose matrix has the given diagonal and generic
     column; every misreport entry is a harmless 0.9."""
-    entries = {}
-    for g in space.cells():
-        entries[(g, WITHHELD)] = RiskEstimate(generic[str(g)], 10,
-                                              ERROR_RATE, g, WITHHELD)
-        for r in space.cells():
-            value = own[str(g)] if r == g else 0.9
-            entries[(g, r)] = RiskEstimate(value, 10, ERROR_RATE, g, r)
-    matrix = MisreportMatrix(ERROR_RATE, space, entries)
+    cells = space.cells()
+    values = np.full((len(cells), len(cells) + 1), 0.9)
+    for gi, g in enumerate(cells):
+        values[gi, 0] = generic[str(g)]
+        values[gi, gi + 1] = own[str(g)]
+    n = np.full(len(cells), 10)
+    matrix = MisreportMatrix(ERROR_RATE, space, values, n,
+                             np.rint(values * 10).astype(int))
     return SimpleNamespace(
         space=space, matrices={"error_rate": matrix},
         points={"error_rate": check_fair_use_point(matrix)}, results=())

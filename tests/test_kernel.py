@@ -532,8 +532,9 @@ def test_audit_evaluates_each_observed_risk_once(monkeypatch):
     # matrix entries plus two population risks, with no extra self
     # evaluation per comparator. A cell's error rate counts its kept
     # wrong bits, so only the two population error rates run the kernel,
-    # and each (group, reported) wrong-bit array is made once: every read
-    # returns the same array.
+    # and each (group, reported) row of wrong bits is made once: its
+    # margins are sliced inside `wrong` exactly once, and every read
+    # returns the same array, a row of the group's wrong-bit matrix.
     ds = gen_planted_violation(m=4, n_per_group=30, seed=2)
     metrics_module = importlib.import_module("fairuse.metrics")
     calls = []
@@ -544,16 +545,29 @@ def test_audit_evaluates_each_observed_risk_once(monkeypatch):
         return real(*args, **kwargs)
 
     bits = {}
+    made = []
+    filling = []
     real_wrong = MarginTable.wrong
+    real_margins = MarginTable.margins
 
     def kept(table, g, reported):
-        out = real_wrong(table, g, reported)
+        filling.append(True)
+        try:
+            out = real_wrong(table, g, reported)
+        finally:
+            filling.pop()
         bits.setdefault((g, reported), []).append(out)
         return out
+
+    def sliced(table, g, reported):
+        if filling:
+            made.append((g, reported))
+        return real_margins(table, g, reported)
 
     monkeypatch.setattr(metrics_module, "metric_value", counted)
     monkeypatch.setattr(audit_module, "metric_value", counted)
     monkeypatch.setattr(MarginTable, "wrong", kept)
+    monkeypatch.setattr(MarginTable, "margins", sliced)
     m = ds.space.m
     cells = ds.space.cells()
     metrics = (ERROR_RATE, AUC, ECE)
@@ -561,9 +575,16 @@ def test_audit_evaluates_each_observed_risk_once(monkeypatch):
     assert calls.count(ERROR_RATE) == 2
     assert calls.count(AUC) == calls.count(ECE) == m * (m + 1) + 2
     assert len(calls) == 2 + 2 * (m * (m + 1) + 2)
-    assert set(bits) == {(g, r) for g in cells for r in (WITHHELD,) + cells}
+    every = {(g, r) for g in cells for r in (WITHHELD,) + cells}
+    assert set(bits) == every
+    assert sorted(made, key=str) == sorted(every, key=str)
     for arrays in bits.values():
         assert all(a is arrays[0] for a in arrays)
+    for g in cells:
+        matrix = bits[(g, g)][0].base
+        assert matrix.shape == (m + 1, matrix.shape[1])
+        assert all(bits[(g, r)][0].base is matrix
+                   for r in (WITHHELD,) + cells)
 
 
 def test_margin_table_risk_is_memoized():

@@ -1,5 +1,7 @@
 """Encodings, trainers, and personalized model plumbing."""
 
+import re
+import time
 import tracemalloc
 import warnings
 
@@ -10,6 +12,7 @@ from hypothesis import strategies as st
 from scipy.optimize import minimize
 from scipy.special import expit
 
+import fairuse._exhaustive as exhaustive
 import fairuse._optim as optim
 import fairuse.models as models
 from fairuse.audit import AuditConfig
@@ -22,7 +25,7 @@ from fairuse.models import (ConvergenceError, ExhaustiveSizeError,
                             train_personalized, train_zero_one_exhaustive)
 from fairuse.synth import gen_exchangeable_null, gen_planted_violation
 
-from oracles import threshold_errors_1d
+from oracles import threshold_errors_1d, threshold_labelings_1d
 
 TWO_BY_TWO = GroupSpace((("sex", ("f", "m")), ("age", ("o", "y"))))
 AB = GroupSpace((("g", ("a", "b")),))
@@ -280,6 +283,39 @@ def test_exhaustive_1d_matches_threshold_scan(points):
     assert errors == threshold_errors_1d(xs[:, 0], ys)
 
 
+@given(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)).filter(
+    lambda c: c != (0, 0)), min_size=1, max_size=30))
+def test_threshold_labelings_match_the_enumeration(counts):
+    neg = np.array([c[0] for c in counts], dtype=float)
+    pos = np.array([c[1] for c in counts], dtype=float)
+    labelings, cost = exhaustive._threshold_labelings(neg, pos)
+    want, want_cost = threshold_labelings_1d(neg, pos)
+    assert cost == want_cost
+    # The all-+1 and all--1 labelings are both an upset and a downset.
+    assert {c.tobytes() for c in labelings} == want
+
+
+def test_exhaustive_1d_fit_of_20k_points_is_fast():
+    # Building and costing every threshold labeling took 1.84 s and
+    # 606 MB at 16,000 points, quadratic in both.
+    rng = np.random.default_rng(0)
+    n = 20_000
+    x = rng.normal(size=(n, 1))
+    y = np.where(rng.random(n) < expit(2.0 * x[:, 0]), 1, -1)
+    start = time.perf_counter()
+    w, errors = exhaustive.train_zero_one(x, y)
+    assert time.perf_counter() - start < 1.0
+    tracemalloc.start()
+    try:
+        exhaustive.train_zero_one(x, y)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2 ** 20
+    assert errors == np.count_nonzero(
+        np.where(x[:, 0] * w[0] + w[1] >= 0, 1, -1) != y)
+
+
 def test_exhaustive_2d_beats_dense_rule_grid():
     rng = np.random.default_rng(7)
     x = rng.normal(size=(12, 2)).round(1)
@@ -427,6 +463,34 @@ def test_convergence_error_carries_gradient_norm():
         train_generic(ds, TrainConfig(max_iterations=1,
                                       gradient_tolerance=1e-12))
     assert err.value.grad_norm > 1e-12
+
+
+def test_damped_newton_step_backtracks_and_still_converges(monkeypatch):
+    # Heavy-tailed features, two cells and a tiny ridge: the full Newton
+    # step overshoots, so Armijo halves it before accepting a step.
+    x = np.array([[-8.92, -51.56, -1.69], [3.41, 3.92, 126.4],
+                  [-1.84, 0.57, -1.36], [16.7, -3.36, 3.87],
+                  [-102.15, 89.55, -5.34], [0.72, -22.73, -20.11]])
+    codes = np.array([0, 0, 0, 0, 1, 1])
+    y = np.array([-1.0, 1.0, -1.0, 1.0, -1.0, -1.0])
+    cells = np.array([[0.0, 1.0], [1.0, 1.0]])
+    lam, tol = 1e-6, 1e-8
+    objective, grad = optim._logistic_objective, optim._logistic_grad
+    calls = []
+    monkeypatch.setattr(optim, "_logistic_objective",
+                        lambda *a: calls.append("O") or objective(*a))
+    monkeypatch.setattr(optim, "_logistic_grad",
+                        lambda *a: calls.append("G") or grad(*a))
+    w = optim.train_logistic(x, codes, cells, y, lam, tol, 10000)
+    # After the starting objective and gradient, a damped step evaluates
+    # the objective at t = 1, 1/2, ... until Armijo holds, then the
+    # gradient; a pure step evaluates the gradient, then the objective.
+    assert calls[:2] == ["O", "G"]
+    trail = "".join(calls[2:])
+    steps = re.findall("O+G|GO|G$", trail)
+    assert "".join(steps) == trail
+    assert sum(len(step) - 2 for step in steps if step[0] == "O") > 0
+    assert np.abs(grad(w, x, codes, cells, y, lam)).max() <= tol
 
 
 def _count_logistic_fits(monkeypatch):
