@@ -53,8 +53,9 @@ under g's truthful model and right under the comparator, c the converse.
 A `MisreportMatrix` is one (m, m+1) array of risks, NaN where
 undefined. Its error rates count each group's (m+1, n_g) bit matrix in
 the table along the rows, over n; the pattern draw reads that matrix
-whole and McNemar two of its rows. Point checks read gains from the
-array in one expression (`metrics.gain_matrix`). An audit's m^2 McNemar
+whole and McNemar two of its rows. The point check computes gains from
+the array in one expression (`metrics.gain_matrix`) and keeps them in
+its `PointSummary` for the population row and the planner. An audit's m^2 McNemar
 tests meet far fewer distinct (b + c, k) splits, and each tail is summed
 once per table, in its `tails` memo, which lives as long as the audit.
 Raw and adjusted results are built by `_result` in one dict update each.
@@ -209,12 +210,17 @@ class PointGains:
 
 @dataclass(frozen=True)
 class PointSummary:
-    """Point-estimate fair-use verdicts derived from one misreport matrix."""
+    """Point-estimate fair-use verdicts derived from one misreport matrix.
+
+    gain_array is the matrix's (m, m+1) oriented gains (`gain_matrix`):
+    column 0 the rationality gains, column j+1 the envy gains toward cell
+    j. It is not written to the report."""
 
     metric: MetricKind
     gains: dict
     rationality_violations: tuple
     envy_violations: tuple
+    gain_array: np.ndarray = field(compare=False, repr=False)
 
     @property
     def fair(self):
@@ -270,7 +276,8 @@ def check_fair_use_point(matrix):
     return PointSummary(
         matrix.metric, out,
         tuple(cells[i] for i in np.flatnonzero(gains[:, 0] < 0)),
-        tuple((cells[i], cells[j]) for i, j in np.argwhere(envy < 0)))
+        tuple((cells[i], cells[j]) for i, j in np.argwhere(envy < 0)),
+        gains)
 
 
 @dataclass(frozen=True)
@@ -981,7 +988,7 @@ def _datasets_equal(a, b):
             and np.array_equal(a.cell_indices, b.cell_indices))
 
 
-def _population_row(metric, matrix, point, results, table):
+def _population_row(metric, point, results, table):
     generic = table.risk(metric, ALL, WITHHELD)
     personal = table.risk(metric, ALL, TRUTHFUL)
     if generic.defined and personal.defined:
@@ -998,13 +1005,10 @@ def _population_row(metric, matrix, point, results, table):
         worst_pair = (worst, rat[worst])
     else:
         best_pair = worst_pair = None
-    # Column 0 holds the rationality gains; the zero gains of the diagonal
-    # count on neither side among the envy columns.
-    gains = gain_matrix(orient(metric, matrix.values))
+    # The zero gains of the diagonal count as no envy gain.
+    gains = point.gain_array
     point_rat_gain = int(np.count_nonzero(gains[:, 0] > 0))
-    point_rat_viol = int(np.count_nonzero(gains[:, 0] < 0))
     point_envy_gain = int(np.count_nonzero(gains[:, 1:] > 0))
-    point_envy_viol = int(np.count_nonzero(gains[:, 1:] < 0))
 
     def subjects(kind, verdict):
         return len({(r.group, r.comparator_label) for r in results
@@ -1015,9 +1019,9 @@ def _population_row(metric, matrix, point, results, table):
         metric=metric, generic_risk=generic, personalized_risk=personal,
         overall_gain=overall, best_gain=best_pair, worst_gain=worst_pair,
         point_rationality_gains=point_rat_gain,
-        point_rationality_violations=point_rat_viol,
+        point_rationality_violations=len(point.rationality_violations),
         point_envy_gains=point_envy_gain,
-        point_envy_violations=point_envy_viol,
+        point_envy_violations=len(point.envy_violations),
         significant_rationality_gains=subjects(RATIONALITY,
                                                SIGNIFICANT_GAIN),
         significant_rationality_violations=subjects(RATIONALITY,
@@ -1124,8 +1128,7 @@ def audit(train, test, strategy=Strategy.ONEHOT, metrics=(ERROR_RATE,),
     populations = {}
     for metric in metrics:
         populations[metric.tag] = _population_row(
-            metric, matrices[metric.tag], points[metric.tag], results,
-            table)
+            metric, points[metric.tag], results, table)
     report = FairUseReport(
         strategy=strategy, space=train.space, config=cfg,
         metrics=tuple(metrics), model=model, train_tally=tally(train),

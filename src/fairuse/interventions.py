@@ -24,8 +24,7 @@ from ._jsontext import dumps
 from .groups import TRUTHFUL, WITHHELD
 # group_risk stays importable from this module for callers that look it
 # up here.
-from .metrics import (ERROR_RATE, MarginTable, gain_matrix,  # noqa: F401
-                      group_risk, orient)
+from .metrics import ERROR_RATE, MarginTable, group_risk  # noqa: F401
 from .models import Strategy
 
 __all__ = [
@@ -197,7 +196,7 @@ def assign_generic_on_violation(report, strictness="point",
     violators = _violating_groups(report, metric, strictness)
     # Rationality gains, oriented so that a negative one means the
     # generic model did better, whichever way the metric points.
-    rationality = gain_matrix(orient(matrix.metric, matrix.values))[:, 0]
+    rationality = report.points[metric].gain_array[:, 0]
     assignments = {}
     baseline = {}
     projected = {}

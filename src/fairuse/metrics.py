@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._optim import expit
-from .groups import ALL, TRUTHFUL, WITHHELD
+from .groups import TRUTHFUL, WITHHELD
 
 ERROR_RATE_TAG = "error_rate"
 AUC_TAG = "auc"
@@ -310,11 +310,9 @@ class MarginTable:
         return self.column(reported)[self.rows(g)]
 
     def risk(self, metric, g, reported):
-        """RiskEstimate of `metric` on group g's rows under `reported`.
-
-        A cell's error rate counts its `wrong` bits. The population
-        (g = ALL) and the truthful column run the metric kernel instead:
-        nothing else reads their bits, so they are not kept."""
+        """RiskEstimate of `metric` on group g's rows under `reported`,
+        from the metric kernel. The misreport matrix counts its error
+        rates from `wrong_matrix` instead and does not come here."""
         key = (metric, g, reported)
         est = self._risks.get(key)
         if est is None:
@@ -322,9 +320,6 @@ class MarginTable:
             n = int(rows.size)
             if n == 0:
                 value = float("nan")
-            elif metric.tag == ERROR_RATE_TAG and g is not ALL \
-                    and reported is not TRUTHFUL:
-                value = np.count_nonzero(self.wrong(g, reported)) / n
             else:
                 scores = None if metric.tag == ERROR_RATE_TAG \
                     else self.scores(reported)[rows]
@@ -358,8 +353,8 @@ class MarginTable:
         """Group g's (m+1, n_g) misclassification bits, every row filled:
         row 0 under WITHHELD, row j+1 under cell j."""
         for r in self._reported:
-            row = self.wrong(g, r)
-        return row.base
+            self.wrong(g, r)
+        return self._bits[g][0]
 
     def fill(self):
         """Compute every cell and WITHHELD column and every group's rows."""
