@@ -7,11 +7,17 @@ bytes with one recursive function that encodes the scalar members of a
 container inline: strings by json's own C `encode_basestring_ascii`,
 floats by `float.__repr__` with json's NaN and Infinity spellings, ints
 by `int.__repr__`, and the literals true, false and null.
+
+A list of flat records with the same keys, such as a report's test
+results, can be passed as one `Records(keys, rows)` leaf instead of a
+list of dicts. `dumps` writes it as that list of dicts, but builds the
+text of one record, keys and indent included, once per call as a
+%-format frame, and fills it from each row's encoded values.
 """
 
 from json.encoder import encode_basestring_ascii as _string
 
-__all__ = ["dumps"]
+__all__ = ["Records", "dumps"]
 
 _NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
@@ -31,6 +37,18 @@ _SCALARS = {
     bool: lambda value: "true" if value else "false",
     type(None): lambda value: "null",
 }
+
+
+class Records:
+    """A list of dicts that share `keys`, held as one value tuple per
+    dict: `rows[i][j]` is the value of `keys[j]` in dict i. Keys are
+    distinct str, in any order; values are anything `dumps` accepts."""
+
+    __slots__ = ("keys", "rows")
+
+    def __init__(self, keys, rows):
+        self.keys = tuple(keys)
+        self.rows = rows
 
 
 class _Keys(dict):
@@ -79,6 +97,8 @@ def _encode(value, newline, out, keys):
                 _encode(item, inner, out, keys)
             sep = later
         out(newline + "}")
+    elif type(value) is Records:
+        _records(value, newline, out, keys)
     elif isinstance(value, str):
         out(_string(value))
     elif isinstance(value, int):
@@ -90,6 +110,34 @@ def _encode(value, newline, out, keys):
                         f"is not JSON serializable")
 
 
+def _records(value, newline, out, keys):
+    """Append the text of a `Records` leaf, one frame fill per row."""
+    rows = value.rows
+    if not rows:
+        out("[]")
+        return
+    inner = newline + "  "
+    field = inner + "  "
+    order = sorted(range(len(value.keys)), key=value.keys.__getitem__)
+    body = ",".join(field + keys[value.keys[j]].replace("%", "%%") + "%s"
+                    for j in order)
+    body = "{" + body + inner + "}" if body else "{}"
+    first, later = "[" + inner + body, "," + inner + body
+
+    def other(item):
+        parts = []
+        _encode(item, field, parts.append, keys)
+        return "".join(parts)
+
+    if order != sorted(order):
+        rows = ([row[j] for j in order] for row in rows)
+    get = _SCALARS.get
+    for row in rows:
+        out(first % tuple([get(type(item), other)(item) for item in row]))
+        first = later
+    out(newline + "]")
+
+
 def dumps(obj):
     """The text of `json.dumps(obj, sort_keys=True, indent=2)`, byte for
     byte, for a tree of dicts, lists, tuples, str, int, float (NaN and
@@ -99,7 +147,8 @@ def dumps(obj):
     would write an int, float, bool or None key as a string, but this
     writer raises TypeError. Any other value (an np.int64, a set) raises
     TypeError, as json.dumps does, and float subclasses such as
-    np.float64 are written as floats, as json.dumps writes them.
+    np.float64 are written as floats, as json.dumps writes them. A
+    `Records` leaf is written as its list of dicts.
     """
     parts = []
     _encode(obj, "\n", parts.append, _Keys())

@@ -69,7 +69,7 @@ from typing import Optional
 import numpy as np
 
 from . import theory
-from ._jsontext import dumps
+from ._jsontext import Records, dumps
 from .dataset import tally
 from .groups import ALL, TRUTHFUL, WITHHELD, GroupId, GroupSpace
 # group_risk, metric_value and MarginTable stay importable from this
@@ -122,6 +122,16 @@ def _f(value):
     return float(value)
 
 
+class _Labels(dict):
+    """Report label of each group and comparator, made on first use:
+    `str(GroupId)` once per cell in one render, "generic" for
+    WITHHELD."""
+
+    def __missing__(self, group):
+        text = self[group] = "generic" if group is WITHHELD else str(group)
+        return text
+
+
 @dataclass(frozen=True)
 class MisreportMatrix:
     """All (true group, reported group) risks for one model and metric.
@@ -138,8 +148,9 @@ class MisreportMatrix:
     n: np.ndarray
     counts: Optional[np.ndarray] = None
 
-    def to_jsonable(self):
-        cells = [str(c) for c in self.space.cells()]
+    def to_jsonable(self, labels=None):
+        labels = _Labels() if labels is None else labels
+        cells = [labels[c] for c in self.space.cells()]
         return {"metric": self.metric.tag, "rows": [
             {"group": g, "n": n, "generic": _f(row[0]),
              "reported": dict(zip(cells, map(_f, row[1:])))}
@@ -190,21 +201,22 @@ class PointGains:
     rationality_gain_count: float
     envy_min_gain_count: float
 
-    def to_jsonable(self):
+    def to_jsonable(self, labels=None):
         def count(value):
             return value if isinstance(value, int) else _f(value)
 
+        labels = _Labels() if labels is None else labels
         return {
-            "group": str(self.group),
+            "group": labels[self.group],
             "n": self.n,
             "rationality_gain": _f(self.rationality_gain),
             "rationality_gain_count": count(self.rationality_gain_count),
-            "envy_gains": {str(g): _f(v)
+            "envy_gains": {labels[g]: _f(v)
                            for g, v in self.envy_gains.items()},
             "envy_min_gain": _f(self.envy_min_gain),
             "envy_min_gain_count": count(self.envy_min_gain_count),
             "envy_argmin": (None if self.envy_argmin is None
-                            else str(self.envy_argmin)),
+                            else labels[self.envy_argmin]),
         }
 
 
@@ -227,14 +239,15 @@ class PointSummary:
         """True when no point-estimate condition is violated."""
         return not self.rationality_violations and not self.envy_violations
 
-    def to_jsonable(self):
+    def to_jsonable(self, labels=None):
+        labels = _Labels() if labels is None else labels
         return {
             "metric": self.metric.tag,
-            "gains": [self.gains[g].to_jsonable() for g in sorted(
-                self.gains, key=str)],
-            "rationality_violations": [str(g) for g in
+            "gains": [self.gains[g].to_jsonable(labels) for g in sorted(
+                self.gains, key=labels.__getitem__)],
+            "rationality_violations": [labels[g] for g in
                                        self.rationality_violations],
-            "envy_violations": [[str(g), str(r)] for g, r in
+            "envy_violations": [[labels[g], labels[r]] for g, r in
                                 self.envy_violations],
             "fair": self.fair,
         }
@@ -315,24 +328,22 @@ class HypothesisResult:
         return "generic" if self.comparator is WITHHELD \
             else str(self.comparator)
 
-    def to_jsonable(self):
-        return {
-            "kind": self.kind,
-            "test": self.test,
-            "metric": self.metric,
-            "group": str(self.group),
-            "comparator": self.comparator_label,
-            "n": self.n,
-            "estimate": _f(self.estimate),
-            "p_violation": _f(self.p_violation),
-            "p_gain": _f(self.p_gain),
-            "p_raw": _f(self.p_raw),
-            "p_adjusted": _f(self.p_adjusted),
-            "family_size": self.family_size,
-            "alpha": self.alpha,
-            "verdict": self.verdict,
-            "detail": {k: self.detail[k] for k in sorted(self.detail)},
-        }
+    # The report's keys of a result, sorted; `row` gives their values.
+    KEYS = ("alpha", "comparator", "detail", "estimate", "family_size",
+            "group", "kind", "metric", "n", "p_adjusted", "p_gain", "p_raw",
+            "p_violation", "test", "verdict")
+
+    def row(self, labels):
+        """The values of KEYS, group and comparator read from `labels`."""
+        return (self.alpha, labels[self.comparator], self.detail,
+                _f(self.estimate), self.family_size, labels[self.group],
+                self.kind, self.metric, self.n, _f(self.p_adjusted),
+                _f(self.p_gain), _f(self.p_raw), _f(self.p_violation),
+                self.test, self.verdict)
+
+    def to_jsonable(self, labels=None):
+        return dict(zip(self.KEYS, self.row(
+            _Labels() if labels is None else labels)))
 
 
 # The fields a raw result leaves at HypothesisResult's defaults.
@@ -691,9 +702,11 @@ class PopulationRow:
     significant_envy_gains: int
     significant_envy_violations: int
 
-    def to_jsonable(self):
+    def to_jsonable(self, labels=None):
         def pair(p):
-            return None if p is None else [str(p[0]), _f(p[1])]
+            return None if p is None else [labels[p[0]], _f(p[1])]
+
+        labels = _Labels() if labels is None else labels
         return {
             "metric": self.metric.tag,
             "generic_risk": _f(self.generic_risk.value),
@@ -729,11 +742,13 @@ class GeneralizationRow:
     envy_min_gain: float
     envy: Optional[object]
 
-    def to_jsonable(self):
+    def to_jsonable(self, labels=None):
         def verdict(v):
             return None if v is None else v.to_jsonable()
+
+        labels = _Labels() if labels is None else labels
         return {
-            "group": str(self.group),
+            "group": labels[self.group],
             "n_train": self.n_train,
             "vc": self.vc,
             "delta": self.delta,
@@ -801,6 +816,25 @@ class FairUseReport:
                      if r.verdict == SIGNIFICANT_VIOLATION)
 
     def to_jsonable(self):
+        labels = _Labels()
+        return self._tree(labels, [r.to_jsonable(labels)
+                                   for r in self.results])
+
+    def to_json_str(self):
+        """Canonical JSON text; identical inputs give identical bytes.
+
+        The bytes are those of `json.dumps(self.to_jsonable(),
+        sort_keys=True, indent=2)`, written by `_jsontext.dumps`, which
+        skips json's pure-Python encoder. The results go to it as one
+        `Records` leaf, not as a dict each.
+        """
+        labels = _Labels()
+        return dumps(self._tree(labels, Records(
+            HypothesisResult.KEYS, [r.row(labels) for r in self.results])))
+
+    def _tree(self, labels, results):
+        """The report as a JSON tree holding `results`, its other group
+        labels read from `labels`."""
         return {
             "strategy": self.strategy.value,
             "attributes": [[name, list(dom)]
@@ -812,29 +846,21 @@ class FairUseReport:
             "train_tally": self.train_tally.to_jsonable(),
             "test_tally": self.test_tally.to_jsonable(),
             "train_equals_test": self.train_equals_test,
-            "matrices": {t: m.to_jsonable()
+            "matrices": {t: m.to_jsonable(labels)
                          for t, m in self.matrices.items()},
-            "points": {t: p.to_jsonable() for t, p in self.points.items()},
-            "populations": {t: p.to_jsonable()
+            "points": {t: p.to_jsonable(labels)
+                       for t, p in self.points.items()},
+            "populations": {t: p.to_jsonable(labels)
                             for t, p in self.populations.items()},
-            "results": [r.to_jsonable() for r in self.results],
-            "generalization": [g.to_jsonable()
+            "results": results,
+            "generalization": [g.to_jsonable(labels)
                                for g in self.generalization],
-            "identical_prediction_pairs": [[str(a), str(b)] for a, b in
-                                           self.identical_pairs],
+            "identical_prediction_pairs": [[labels[a], labels[b]] for a, b
+                                           in self.identical_pairs],
             "suggestions": [s.to_jsonable() for s in self.suggestions],
             "has_significant_violation": self.has_significant_violation,
             "has_point_violation": self.has_point_violation,
         }
-
-    def to_json_str(self):
-        """Canonical JSON text; identical inputs give identical bytes.
-
-        The bytes are those of `json.dumps(self.to_jsonable(),
-        sort_keys=True, indent=2)`, written by `_jsontext.dumps`, which
-        skips json's pure-Python encoder.
-        """
-        return dumps(self.to_jsonable())
 
     def to_markdown(self):
         return render_markdown(self)
@@ -843,10 +869,11 @@ class FairUseReport:
         """Hypothesis results as CSV rows (one line per test)."""
         lines = ["metric,test,kind,group,comparator,n,estimate,p_raw,"
                  "p_adjusted,family_size,verdict"]
+        labels = _Labels()
         for r in self.results:
             lines.append(",".join([
-                r.metric, r.test, r.kind, _csv_quoted(str(r.group)),
-                _csv_quoted(r.comparator_label), str(r.n),
+                r.metric, r.test, r.kind, _csv_quoted(labels[r.group]),
+                _csv_quoted(labels[r.comparator]), str(r.n),
                 _csv_num(r.estimate), _csv_num(r.p_raw),
                 _csv_num(r.p_adjusted), str(r.family_size), r.verdict]))
         return "\n".join(lines) + "\n"
@@ -874,6 +901,8 @@ def render_markdown(report):
     cfg = report.config
     tc = cfg.train_config
     cells = report.space.cells()
+    labels = _Labels()
+    names = [labels[c] for c in cells]
     lines = ["# Fair use audit", ""]
     lines.append(f"- strategy: {report.strategy.value}")
     lines.append(f"- alpha: {cfg.alpha}, bootstrap_reps: "
@@ -903,7 +932,8 @@ def render_markdown(report):
         lines.append("|---|---|---|---|---|---|---|---|")
 
         def pair(p):
-            return "-" if p is None else f"{_fmt(p[1], True)} ({p[0]})"
+            return ("-" if p is None
+                    else f"{_fmt(p[1], True)} ({labels[p[0]]})")
 
         lines.append(
             f"| Population | {_fmt(pop.generic_risk.value)} | "
@@ -921,33 +951,34 @@ def render_markdown(report):
             f"{pop.significant_envy_violations} |")
         lines += ["", f"### Misreport matrix ({tag})", ""]
         header = "| true group | n | generic |" + "".join(
-            f" {c} |" for c in cells)
+            f" {name} |" for name in names)
         lines.append(header)
         lines.append("|---" * (3 + len(cells)) + "|")
-        for g, n, row in zip(cells, matrix.n.tolist(),
-                             matrix.values.tolist()):
+        for name, n, row in zip(names, matrix.n.tolist(),
+                                matrix.values.tolist()):
             vals = "".join(f" {_fmt(v)} |" for v in row[1:])
-            lines.append(f"| {g} | {n} | {_fmt(row[0])} |{vals}")
+            lines.append(f"| {name} | {n} | {_fmt(row[0])} |{vals}")
         lines += ["", f"### Point gains ({tag})", ""]
         lines.append("| group | n | rationality gain | min envy gain | "
                      "envied group |")
         lines.append("|---|---|---|---|---|")
-        for g in cells:
+        for g, name in zip(cells, names):
             pg = point.gains[g]
-            envied = "-" if pg.envy_argmin is None else str(pg.envy_argmin)
-            lines.append(f"| {g} | {pg.n} | "
+            envied = ("-" if pg.envy_argmin is None
+                      else labels[pg.envy_argmin])
+            lines.append(f"| {name} | {pg.n} | "
                          f"{_fmt(pg.rationality_gain, True)} | "
                          f"{_fmt(pg.envy_min_gain, True)} | {envied} |")
-    tested = [r for r in report.results]
-    if tested:
+    if report.results:
         lines += ["", "## Hypothesis tests", ""]
         lines.append("| metric | test | kind | group | comparator | n | "
                      "estimate | p_raw | p_adjusted | family | verdict |")
         lines.append("|---" * 11 + "|")
-        for r in tested:
+        for r in report.results:
             lines.append(
-                f"| {r.metric} | {r.test} | {r.kind} | {r.group} | "
-                f"{r.comparator_label} | {r.n} | {_fmt(r.estimate, True)} |"
+                f"| {r.metric} | {r.test} | {r.kind} | {labels[r.group]} | "
+                f"{labels[r.comparator]} | {r.n} | "
+                f"{_fmt(r.estimate, True)} |"
                 f" {_fmt(r.p_raw)} | {_fmt(r.p_adjusted)} | "
                 f"{r.family_size} | {r.verdict} |")
     if report.generalization:
@@ -964,13 +995,14 @@ def render_markdown(report):
                 return (f"{_fmt(gain_value, True)} | "
                         f"{verdict.required_n} | {holds} ")
             lines.append(
-                f"| {row.group} | {row.n_train} | {row.vc} | "
+                f"| {labels[row.group]} | {row.n_train} | {row.vc} | "
                 f"{bound_cols(row.rationality_gain, row.rationality)}| "
                 f"{bound_cols(row.envy_min_gain, row.envy)}|")
     if report.identical_pairs:
         lines += ["", "## Identical prediction pairs", ""]
         for a, b in report.identical_pairs:
-            lines.append(f"- {a} and {b} receive identical predictions")
+            lines.append(f"- {labels[a]} and {labels[b]} receive "
+                         "identical predictions")
     if report.suggestions:
         lines += ["", "## Data-minimization advice", ""]
         for s in report.suggestions:
@@ -1011,7 +1043,7 @@ def _population_row(metric, point, results, table):
     point_envy_gain = int(np.count_nonzero(gains[:, 1:] > 0))
 
     def subjects(kind, verdict):
-        return len({(r.group, r.comparator_label) for r in results
+        return len({(r.group, r.comparator) for r in results
                     if r.metric == metric.tag and r.kind == kind
                     and r.verdict == verdict})
 

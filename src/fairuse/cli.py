@@ -160,13 +160,17 @@ def _audit_config(args):
         train_config=TrainConfig(loss=args.loss, l2_penalty=args.l2))
 
 
-def _write(text, out):
+def _write(out, *texts):
+    """Write `texts` one after another to the file `out`, or to stdout,
+    without joining them into one more copy."""
     if out:
         with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            for text in texts:
+                fh.write(text)
         print(f"wrote {out}")
     else:
-        sys.stdout.write(text)
+        for text in texts:
+            sys.stdout.write(text)
 
 
 def _cmd_audit(args):
@@ -176,12 +180,11 @@ def _cmd_audit(args):
     report = audit(train, test, as_strategy(args.encoding), metrics,
                    _audit_config(args))
     if args.format == "json":
-        text = report.to_json_str() + "\n"
+        _write(args.out, report.to_json_str(), "\n")
     elif args.format == "csv":
-        text = report.to_csv()
+        _write(args.out, report.to_csv())
     else:
-        text = report.to_markdown()
-    _write(text, args.out)
+        _write(args.out, report.to_markdown())
     if args.mode == "point":
         return _VIOLATION_EXIT if report.has_point_violation else 0
     return _VIOLATION_EXIT if report.has_significant_violation else 0
@@ -246,7 +249,7 @@ def _cmd_intervene(args):
         decoupled = train_personalized(core, Strategy.DECOUPLED,
                                        cfg.train_config)
         plan = assign_best_of_three(report, decoupled, validation)
-    _write(plan.to_json_str() + "\n", args.out)
+    _write(args.out, plan.to_json_str(), "\n")
     return 0
 
 

@@ -21,14 +21,16 @@ from fairuse.audit import (_IDENTICAL_PREFIX_ROWS, BOOTSTRAP, ENVY,
                            check_fair_use_point,
                            identical_prediction_pairs, mcnemar_test,
                            misreport_matrix)
+from fairuse._jsontext import dumps
 from fairuse.dataset import Dataset, split
-from fairuse.groups import ALL, WITHHELD, GroupSpace
+from fairuse.groups import ALL, WITHHELD, GroupId, GroupSpace
 from fairuse.metrics import (AUC, ECE, ERROR_RATE, metric_from_name,
                              metric_value)
 from fairuse.models import (LinearModel, PersonalizedModel, Strategy,
                             TrainConfig, build_feature_map,
                             train_personalized, train_zero_one_exhaustive)
-from fairuse.synth import gen_group_specific_effects, gen_misspecification
+from fairuse.synth import (gen_exchangeable_null, gen_group_specific_effects,
+                           gen_misspecification)
 
 from oracles import (binom_tail, bonferroni_by_replace, mcnemar_counts,
                      point_gains_by_loops)
@@ -820,3 +822,34 @@ def test_report_markdown_and_csv_shape():
     assert len(lines) == 1 + len(rep.results)
     json_text = rep.to_json_str()
     assert '"has_point_violation": true' in json_text
+
+
+def test_render_labels_each_cell_once(monkeypatch):
+    ds = gen_exchangeable_null(m=16, n_per_group=30, seed=0)
+    rep = audit(ds, ds, Strategy.ONEHOT, (ERROR_RATE,),
+                AuditConfig(seed=0, bootstrap_reps=100))
+    m = len(ds.space.cells())
+    assert len(rep.results) == 2 * m * m
+    calls = []
+    real = GroupId.__str__
+
+    def counted(gid):
+        calls.append(gid)
+        return real(gid)
+
+    monkeypatch.setattr(GroupId, "__str__", counted)
+    for render in (rep.to_json_str, rep.to_csv, rep.to_markdown):
+        calls.clear()
+        render()
+        assert len(calls) <= 2 * m, render.__name__
+
+
+def test_result_frame_and_dicts_write_the_same_report():
+    ds = gen_misspecification()
+    rep = audit(ds, ds, Strategy.ONEHOT, (ERROR_RATE, AUC), small_cfg())
+    tree = rep.to_jsonable()
+    assert tree["results"] == [r.to_jsonable() for r in rep.results]
+    assert rep.to_json_str() == dumps(tree)
+    first = tree["results"][0]
+    assert list(first) == list(HypothesisResult.KEYS) == sorted(first)
+    assert first["comparator"] == "generic"

@@ -7,6 +7,7 @@ import json
 import numpy as np
 import pytest
 
+from fairuse.audit import FairUseReport
 from fairuse.cli import main
 from fairuse.dataset import Dataset, load_csv, save_csv, split
 from fairuse.groups import GroupSpace
@@ -206,6 +207,55 @@ def test_audit_csv_report_round_trips_quotes_and_commas(tmp_path):
         rows = list(csv.DictReader(fh))
     assert {r["group"] for r in rows} == {'a"b', "c,d"}
     assert {r["comparator"] for r in rows} == {'a"b', "c,d", "generic"}
+
+
+def test_audit_csv_leaves_undefined_numbers_empty(tmp_path):
+    # Group "a" holds positives only, so its AUC is undefined and every
+    # test of a's rows is NotTestable, with no estimate or p-value.
+    space = GroupSpace((("g", ("a", "b")),))
+    rng = np.random.default_rng(2)
+    x = rng.normal(size=(80, 2))
+    groups = tuple(space.cells()[i % 2] for i in range(80))
+    y = np.where(x[:, 0] + rng.normal(size=80) >= 0.0, 1, -1)
+    y[::2] = 1
+    data = tmp_path / "one-label.csv"
+    save_csv(Dataset(x, y, groups, space), str(data))
+    out = tmp_path / "report.csv"
+    assert main(["audit", "--data", str(data), "--train-fraction", "1.0",
+                 "--metric", "auc", "--bootstrap", "100", "--format", "csv",
+                 "--out", str(out)]) in (0, 3)
+    with open(out, newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    header, body = rows[0], [dict(zip(rows[0], r)) for r in rows[1:]]
+    assert all(len(r) == len(header) for r in rows)
+    untestable = [r for r in body if r["group"] == "a"]
+    assert len(body) == 4 and len(untestable) == 2
+    for r in untestable:
+        assert r["verdict"] == "NotTestable"
+        assert r["estimate"] == r["p_raw"] == r["p_adjusted"] == ""
+    assert all(r["estimate"] != "" for r in body if r["group"] == "b")
+
+
+def test_audit_json_to_stdout_equals_the_written_file(mis_csv, tmp_path,
+                                                      capsys, monkeypatch):
+    renders = []
+    real = FairUseReport.to_json_str
+
+    def counted(report):
+        renders.append(report)
+        return real(report)
+
+    monkeypatch.setattr(FairUseReport, "to_json_str", counted)
+    argv = ["audit", "--data", mis_csv, "--train-fraction", "1.0",
+            "--bootstrap", "100", "--format", "json"]
+    main(argv)
+    printed = capsys.readouterr().out
+    out = tmp_path / "report.json"
+    main(argv + ["--out", str(out)])
+    capsys.readouterr()
+    assert printed.endswith("}\n")
+    assert printed.encode("utf-8") == out.read_bytes()
+    assert len(renders) == 2
 
 
 def test_audit_report_bytes_are_deterministic(mis_csv, tmp_path, capsys):
