@@ -13,13 +13,24 @@ results, can be passed as one `Records(keys, rows)` leaf instead of a
 list of dicts. `dumps` writes it as that list of dicts, but builds the
 text of one record, keys and indent included, once per call as a
 %-format frame, and fills it from each row's encoded values.
+
+`number` is the reports' one rule for a numeric member: NaN (an
+undefined value) is written as null.
 """
 
+import math
 from json.encoder import encode_basestring_ascii as _string
 
-__all__ = ["Records", "dumps"]
+__all__ = ["Records", "dumps", "number"]
 
 _NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def number(value):
+    """Float for JSON output; None and NaN become None."""
+    if value is None or (isinstance(value, float) and math.isnan(value)):
+        return None
+    return float(value)
 
 
 def _float(value):

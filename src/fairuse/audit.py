@@ -69,7 +69,7 @@ from typing import Optional
 import numpy as np
 
 from . import theory
-from ._jsontext import Records, dumps
+from ._jsontext import Records, dumps, number
 from .dataset import tally
 from .groups import ALL, TRUTHFUL, WITHHELD, GroupId, GroupSpace
 # group_risk, metric_value and MarginTable stay importable from this
@@ -115,13 +115,6 @@ _IDENTICAL_PREFIX_ROWS = 64
 _INDEX_CHUNK_ENTRIES = 1 << 19
 
 
-def _f(value):
-    """Float for JSON output; NaN becomes None."""
-    if value is None or (isinstance(value, float) and math.isnan(value)):
-        return None
-    return float(value)
-
-
 class _Labels(dict):
     """Report label of each group and comparator, made on first use:
     `str(GroupId)` once per cell in one render, "generic" for
@@ -152,8 +145,8 @@ class MisreportMatrix:
         labels = _Labels() if labels is None else labels
         cells = [labels[c] for c in self.space.cells()]
         return {"metric": self.metric.tag, "rows": [
-            {"group": g, "n": n, "generic": _f(row[0]),
-             "reported": dict(zip(cells, map(_f, row[1:])))}
+            {"group": g, "n": n, "generic": number(row[0]),
+             "reported": dict(zip(cells, map(number, row[1:])))}
             for g, n, row in zip(cells, self.n.tolist(),
                                  self.values.tolist())]}
 
@@ -203,17 +196,17 @@ class PointGains:
 
     def to_jsonable(self, labels=None):
         def count(value):
-            return value if isinstance(value, int) else _f(value)
+            return value if isinstance(value, int) else number(value)
 
         labels = _Labels() if labels is None else labels
         return {
             "group": labels[self.group],
             "n": self.n,
-            "rationality_gain": _f(self.rationality_gain),
+            "rationality_gain": number(self.rationality_gain),
             "rationality_gain_count": count(self.rationality_gain_count),
-            "envy_gains": {labels[g]: _f(v)
+            "envy_gains": {labels[g]: number(v)
                            for g, v in self.envy_gains.items()},
-            "envy_min_gain": _f(self.envy_min_gain),
+            "envy_min_gain": number(self.envy_min_gain),
             "envy_min_gain_count": count(self.envy_min_gain_count),
             "envy_argmin": (None if self.envy_argmin is None
                             else labels[self.envy_argmin]),
@@ -336,10 +329,10 @@ class HypothesisResult:
     def row(self, labels):
         """The values of KEYS, group and comparator read from `labels`."""
         return (self.alpha, labels[self.comparator], self.detail,
-                _f(self.estimate), self.family_size, labels[self.group],
-                self.kind, self.metric, self.n, _f(self.p_adjusted),
-                _f(self.p_gain), _f(self.p_raw), _f(self.p_violation),
-                self.test, self.verdict)
+                number(self.estimate), self.family_size, labels[self.group],
+                self.kind, self.metric, self.n, number(self.p_adjusted),
+                number(self.p_gain), number(self.p_raw),
+                number(self.p_violation), self.test, self.verdict)
 
     def to_jsonable(self, labels=None):
         return dict(zip(self.KEYS, self.row(
@@ -704,14 +697,14 @@ class PopulationRow:
 
     def to_jsonable(self, labels=None):
         def pair(p):
-            return None if p is None else [labels[p[0]], _f(p[1])]
+            return None if p is None else [labels[p[0]], number(p[1])]
 
         labels = _Labels() if labels is None else labels
         return {
             "metric": self.metric.tag,
-            "generic_risk": _f(self.generic_risk.value),
-            "personalized_risk": _f(self.personalized_risk.value),
-            "overall_gain": _f(self.overall_gain),
+            "generic_risk": number(self.generic_risk.value),
+            "personalized_risk": number(self.personalized_risk.value),
+            "overall_gain": number(self.overall_gain),
             "best_gain": pair(self.best_gain),
             "worst_gain": pair(self.worst_gain),
             "point_rationality_gains": self.point_rationality_gains,
@@ -752,9 +745,9 @@ class GeneralizationRow:
             "n_train": self.n_train,
             "vc": self.vc,
             "delta": self.delta,
-            "rationality_gain": _f(self.rationality_gain),
+            "rationality_gain": number(self.rationality_gain),
             "rationality": verdict(self.rationality),
-            "envy_min_gain": _f(self.envy_min_gain),
+            "envy_min_gain": number(self.envy_min_gain),
             "envy": verdict(self.envy),
         }
 
@@ -885,15 +878,25 @@ def _csv_quoted(text):
 
 
 def _csv_num(v):
-    if v is None or (isinstance(v, float) and math.isnan(v)):
+    if number(v) is None:
         return ""
     return f"{v:.10g}"
 
 
 def _fmt(v, signed=False):
-    if v is None or (isinstance(v, float) and math.isnan(v)):
+    if number(v) is None:
         return "-"
     return f"{v:+.4f}" if signed else f"{v:.4f}"
+
+
+def _md_table(header, rows):
+    """Lines of a markdown table: `header`, a `|---` rule, then `rows`.
+    Each row is a sequence of cells written by format(); a None cell is
+    left blank."""
+    def line(row):
+        return "|" + "".join(" |" if cell is None else f" {cell} |"
+                             for cell in row)
+    return [line(header), "|---" * len(header) + "|", *map(line, rows)]
 
 
 def render_markdown(report):
@@ -921,83 +924,68 @@ def render_markdown(report):
     flags = report.model.all_flags()
     if flags:
         lines.append(f"- training flags: {'; '.join(flags)}")
+
+    def pair(p):
+        return "-" if p is None else f"{_fmt(p[1], True)} ({labels[p[0]]})"
+
     for mk in report.metrics:
         tag = mk.tag
         pop = report.populations[tag]
         point = report.points[tag]
         matrix = report.matrices[tag]
         lines += ["", f"## Metric: {tag}", ""]
-        lines.append("| Row | Generic | Personalized | Gain | Best Gain | "
-                     "Worst Gain | Rat. Gains/Viols | EF Gains/Viols |")
-        lines.append("|---|---|---|---|---|---|---|---|")
-
-        def pair(p):
-            return ("-" if p is None
-                    else f"{_fmt(p[1], True)} ({labels[p[0]]})")
-
-        lines.append(
-            f"| Population | {_fmt(pop.generic_risk.value)} | "
-            f"{_fmt(pop.personalized_risk.value)} | "
-            f"{_fmt(pop.overall_gain, True)} | {pair(pop.best_gain)} | "
-            f"{pair(pop.worst_gain)} | "
-            f"{pop.point_rationality_gains}/"
-            f"{pop.point_rationality_violations} | "
-            f"{pop.point_envy_gains}/{pop.point_envy_violations} |")
-        lines.append(
-            f"| Significant | | | | | | "
-            f"{pop.significant_rationality_gains}/"
-            f"{pop.significant_rationality_violations} | "
-            f"{pop.significant_envy_gains}/"
-            f"{pop.significant_envy_violations} |")
+        lines += _md_table(
+            ["Row", "Generic", "Personalized", "Gain", "Best Gain",
+             "Worst Gain", "Rat. Gains/Viols", "EF Gains/Viols"],
+            [["Population", _fmt(pop.generic_risk.value),
+              _fmt(pop.personalized_risk.value),
+              _fmt(pop.overall_gain, True), pair(pop.best_gain),
+              pair(pop.worst_gain),
+              f"{pop.point_rationality_gains}/"
+              f"{pop.point_rationality_violations}",
+              f"{pop.point_envy_gains}/{pop.point_envy_violations}"],
+             ["Significant"] + [None] * 5 + [
+                 f"{pop.significant_rationality_gains}/"
+                 f"{pop.significant_rationality_violations}",
+                 f"{pop.significant_envy_gains}/"
+                 f"{pop.significant_envy_violations}"]])
         lines += ["", f"### Misreport matrix ({tag})", ""]
-        header = "| true group | n | generic |" + "".join(
-            f" {name} |" for name in names)
-        lines.append(header)
-        lines.append("|---" * (3 + len(cells)) + "|")
-        for name, n, row in zip(names, matrix.n.tolist(),
-                                matrix.values.tolist()):
-            vals = "".join(f" {_fmt(v)} |" for v in row[1:])
-            lines.append(f"| {name} | {n} | {_fmt(row[0])} |{vals}")
+        lines += _md_table(
+            ["true group", "n", "generic"] + names,
+            [[name, n] + [_fmt(v) for v in row] for name, n, row in
+             zip(names, matrix.n.tolist(), matrix.values.tolist())])
         lines += ["", f"### Point gains ({tag})", ""]
-        lines.append("| group | n | rationality gain | min envy gain | "
-                     "envied group |")
-        lines.append("|---|---|---|---|---|")
-        for g, name in zip(cells, names):
-            pg = point.gains[g]
-            envied = ("-" if pg.envy_argmin is None
-                      else labels[pg.envy_argmin])
-            lines.append(f"| {name} | {pg.n} | "
-                         f"{_fmt(pg.rationality_gain, True)} | "
-                         f"{_fmt(pg.envy_min_gain, True)} | {envied} |")
+        lines += _md_table(
+            ["group", "n", "rationality gain", "min envy gain",
+             "envied group"],
+            [[name, pg.n, _fmt(pg.rationality_gain, True),
+              _fmt(pg.envy_min_gain, True),
+              "-" if pg.envy_argmin is None else labels[pg.envy_argmin]]
+             for name, pg in zip(names, map(point.gains.get, cells))])
     if report.results:
         lines += ["", "## Hypothesis tests", ""]
-        lines.append("| metric | test | kind | group | comparator | n | "
-                     "estimate | p_raw | p_adjusted | family | verdict |")
-        lines.append("|---" * 11 + "|")
-        for r in report.results:
-            lines.append(
-                f"| {r.metric} | {r.test} | {r.kind} | {labels[r.group]} | "
-                f"{labels[r.comparator]} | {r.n} | "
-                f"{_fmt(r.estimate, True)} |"
-                f" {_fmt(r.p_raw)} | {_fmt(r.p_adjusted)} | "
-                f"{r.family_size} | {r.verdict} |")
+        lines += _md_table(
+            ["metric", "test", "kind", "group", "comparator", "n",
+             "estimate", "p_raw", "p_adjusted", "family", "verdict"],
+            [[r.metric, r.test, r.kind, labels[r.group],
+              labels[r.comparator], r.n, _fmt(r.estimate, True),
+              _fmt(r.p_raw), _fmt(r.p_adjusted), r.family_size, r.verdict]
+             for r in report.results])
     if report.generalization:
+        def bound(gain, verdict):
+            if verdict is None or not verdict.applicable:
+                return [_fmt(gain, True), "-", "-"]
+            return [_fmt(gain, True), verdict.required_n,
+                    "yes" if verdict.satisfied else "no"]
+
         lines += ["", "## Generalization bounds", ""]
-        lines.append("| group | n_train | vc | rationality gain | "
-                     "required n | holds | min envy gain | required n | "
-                     "holds |")
-        lines.append("|---" * 9 + "|")
-        for row in report.generalization:
-            def bound_cols(gain_value, verdict):
-                if verdict is None or not verdict.applicable:
-                    return f"{_fmt(gain_value, True)} | - | - "
-                holds = "yes" if verdict.satisfied else "no"
-                return (f"{_fmt(gain_value, True)} | "
-                        f"{verdict.required_n} | {holds} ")
-            lines.append(
-                f"| {labels[row.group]} | {row.n_train} | {row.vc} | "
-                f"{bound_cols(row.rationality_gain, row.rationality)}| "
-                f"{bound_cols(row.envy_min_gain, row.envy)}|")
+        lines += _md_table(
+            ["group", "n_train", "vc", "rationality gain", "required n",
+             "holds", "min envy gain", "required n", "holds"],
+            [[labels[row.group], row.n_train, row.vc,
+              *bound(row.rationality_gain, row.rationality),
+              *bound(row.envy_min_gain, row.envy)]
+             for row in report.generalization])
     if report.identical_pairs:
         lines += ["", "## Identical prediction pairs", ""]
         for a, b in report.identical_pairs:

@@ -20,7 +20,8 @@ All planning is deterministic given the report and tie rules.
 import math
 from dataclasses import dataclass
 
-from ._jsontext import dumps
+from ._jsontext import dumps, number
+from .audit import RATIONALITY, SIGNIFICANT_GAIN, SIGNIFICANT_VIOLATION
 from .groups import TRUTHFUL, WITHHELD
 # group_risk stays importable from this module for callers that look it
 # up here.
@@ -84,8 +85,7 @@ class AssignmentPlan:
 
     def to_jsonable(self):
         def risks(d):
-            return {str(g): (None if math.isnan(v) else float(v))
-                    for g, v in d.items()}
+            return {str(g): number(v) for g, v in d.items()}
         return {
             "metric": self.metric,
             "strictness": self.strictness,
@@ -96,9 +96,9 @@ class AssignmentPlan:
             "projected_group_risks": risks(self.projected_group_risks),
             "group_sizes": {str(g): n for g, n in
                             self.group_sizes.items()},
-            "baseline_population_risk": _num(
+            "baseline_population_risk": number(
                 self.baseline_population_risk),
-            "projected_population_risk": _num(
+            "projected_population_risk": number(
                 self.projected_population_risk),
             "resolved_violations": [list(v) for v in
                                     self.resolved_violations],
@@ -111,10 +111,6 @@ class AssignmentPlan:
         """The bytes of `json.dumps(self.to_jsonable(), sort_keys=True,
         indent=2)`, written by `_jsontext.dumps`."""
         return dumps(self.to_jsonable())
-
-
-def _num(v):
-    return None if (isinstance(v, float) and math.isnan(v)) else float(v)
 
 
 def _population(risks, sizes):
@@ -146,34 +142,38 @@ def _attribute_value_advice(space, assignments):
     return out
 
 
-def _point_violations(report, metric):
-    point = report.points[metric]
-    out = [("rationality", g, None) for g in
-           point.rationality_violations]
-    out += [("envy", g, other) for g, other in point.envy_violations]
-    return out
-
-
 def _violating_groups(report, metric, strictness):
     """Groups whose rationality check failed under the strictness rule."""
     if strictness == "point":
         return set(report.points[metric].rationality_violations)
-    from .audit import RATIONALITY, SIGNIFICANT_VIOLATION
     return {r.group for r in report.results
             if r.metric == metric and r.kind == RATIONALITY
             and r.verdict == SIGNIFICANT_VIOLATION}
 
 
-def _split_resolved(report, metric, assignments):
-    resolved = []
-    remaining = []
-    for kind, g, other in _point_violations(report, metric):
-        entry = (kind, str(g), "generic" if other is None else str(other))
-        if assignments.get(g) != PERSONALIZED:
-            resolved.append(entry)
-        else:
-            remaining.append(entry)
-    return tuple(resolved), tuple(remaining)
+def _plan(report, metric, strictness, basis, assignments, baseline,
+          projected, sizes):
+    """The plan of per-group `assignments`, baseline and projected risks
+    and sizes: a point violation is resolved when its group left the
+    personalized model."""
+    point = report.points[metric]
+    violations = ([("rationality", g, "generic")
+                   for g in point.rationality_violations]
+                  + [("envy", g, str(other))
+                     for g, other in point.envy_violations])
+    resolved, remaining = [], []
+    for kind, g, other in violations:
+        kept = assignments.get(g) == PERSONALIZED
+        (remaining if kept else resolved).append((kind, str(g), other))
+    return AssignmentPlan(
+        metric=metric, strictness=strictness, basis=basis,
+        assignments=assignments, baseline_group_risks=baseline,
+        projected_group_risks=projected, group_sizes=sizes,
+        baseline_population_risk=_population(baseline, sizes),
+        projected_population_risk=_population(projected, sizes),
+        resolved_violations=tuple(resolved),
+        remaining_violations=tuple(remaining),
+        advice=tuple(_attribute_value_advice(report.space, assignments)))
 
 
 def assign_generic_on_violation(report, strictness="point",
@@ -213,17 +213,8 @@ def assign_generic_on_violation(report, strictness="point",
             assert not rationality[gi] > 0, f"reassignment worsened group {g}"
             assert not (strictness == "point" and rationality[gi] >= 0), (
                 f"reassigned group {g} saw no strict improvement")
-    resolved, remaining = _split_resolved(report, metric, assignments)
-    plan = AssignmentPlan(
-        metric=metric, strictness=strictness,
-        basis="audit test sample", assignments=assignments,
-        baseline_group_risks=baseline, projected_group_risks=projected,
-        group_sizes=sizes,
-        baseline_population_risk=_population(baseline, sizes),
-        projected_population_risk=_population(projected, sizes),
-        resolved_violations=resolved, remaining_violations=remaining,
-        advice=tuple(_attribute_value_advice(space, assignments)))
-    return plan
+    return _plan(report, metric, strictness, "audit test sample",
+                 assignments, baseline, projected, sizes)
 
 
 def assign_best_of_three(report, decoupled, validation,
@@ -274,16 +265,8 @@ def assign_best_of_three(report, decoupled, validation,
             continue
         assert projected[g] <= baseline[g], (
             f"best-of-three worsened group {g} on validation")
-    resolved, remaining = _split_resolved(report, metric, assignments)
-    return AssignmentPlan(
-        metric=metric, strictness="point",
-        basis="held-out validation sample", assignments=assignments,
-        baseline_group_risks=baseline, projected_group_risks=projected,
-        group_sizes=sizes,
-        baseline_population_risk=_population(baseline, sizes),
-        projected_population_risk=_population(projected, sizes),
-        resolved_violations=resolved, remaining_violations=remaining,
-        advice=tuple(_attribute_value_advice(space, assignments)))
+    return _plan(report, metric, "point", "held-out validation sample",
+                 assignments, baseline, projected, sizes)
 
 
 def data_minimization(report, plan=None):
@@ -294,7 +277,6 @@ def data_minimization(report, plan=None):
     personalized model under `plan`, and (c) group pairs receiving
     identical predictions.
     """
-    from .audit import SIGNIFICANT_GAIN, SIGNIFICANT_VIOLATION
     advice = []
     if report.results:
         significant = {r.group for r in report.results

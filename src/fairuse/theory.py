@@ -23,6 +23,7 @@ from typing import Optional
 
 import numpy as np
 
+from ._jsontext import number
 from .groups import TRUTHFUL, WITHHELD
 from .metrics import MarginTable, error_rate_value, gain_matrix
 from .models import LinearModel, PersonalizedModel, Strategy, TrainConfig, \
@@ -76,11 +77,10 @@ class BoundVerdict:
     applicable: bool = True
 
     def to_jsonable(self):
-        rhs = None if math.isnan(self.rhs_at_n) else float(self.rhs_at_n)
         return {
             "satisfied": self.satisfied,
             "required_n": self.required_n,
-            "rhs_at_n": rhs,
+            "rhs_at_n": number(self.rhs_at_n),
             "applicable": self.applicable,
         }
 
