@@ -55,9 +55,10 @@ undefined. Its error rates count each group's (m+1, n_g) bit matrix in
 the table along the rows, over n; the pattern draw reads that matrix
 whole and McNemar two of its rows. The point check computes gains from
 the array in one expression (`metrics.gain_matrix`) and keeps them in
-its `PointSummary` for the population row and the planner. An audit's m^2 McNemar
-tests meet far fewer distinct (b + c, k) splits, and each tail is summed
-once per table, in its `tails` memo, which lives as long as the audit.
+its `PointSummary` for the population row and the planner. An audit's
+m^2 McNemar tests meet far fewer distinct (b + c, k) splits, and each
+tail is summed once per table, in its `tails` memo, which lives as long
+as the audit.
 Raw and adjusted results are built by `_result` in one dict update each.
 """
 
@@ -115,13 +116,17 @@ _IDENTICAL_PREFIX_ROWS = 64
 _INDEX_CHUNK_ENTRIES = 1 << 19
 
 
+def _label(group):
+    """Report label of a group or comparator: "generic" for WITHHELD."""
+    return "generic" if group is WITHHELD else str(group)
+
+
 class _Labels(dict):
-    """Report label of each group and comparator, made on first use:
-    `str(GroupId)` once per cell in one render, "generic" for
-    WITHHELD."""
+    """`_label` of each group and comparator, made on first use, so
+    `str(GroupId)` runs once per cell in one render."""
 
     def __missing__(self, group):
-        text = self[group] = "generic" if group is WITHHELD else str(group)
+        text = self[group] = _label(group)
         return text
 
 
@@ -318,8 +323,7 @@ class HypothesisResult:
 
     @property
     def comparator_label(self):
-        return "generic" if self.comparator is WITHHELD \
-            else str(self.comparator)
+        return _label(self.comparator)
 
     # The report's keys of a result, sorted; `row` gives their values.
     KEYS = ("alpha", "comparator", "detail", "estimate", "family_size",
@@ -962,30 +966,31 @@ def render_markdown(report):
               _fmt(pg.envy_min_gain, True),
               "-" if pg.envy_argmin is None else labels[pg.envy_argmin]]
              for name, pg in zip(names, map(point.gains.get, cells))])
-    if report.results:
-        lines += ["", "## Hypothesis tests", ""]
-        lines += _md_table(
-            ["metric", "test", "kind", "group", "comparator", "n",
-             "estimate", "p_raw", "p_adjusted", "family", "verdict"],
-            [[r.metric, r.test, r.kind, labels[r.group],
-              labels[r.comparator], r.n, _fmt(r.estimate, True),
-              _fmt(r.p_raw), _fmt(r.p_adjusted), r.family_size, r.verdict]
-             for r in report.results])
-    if report.generalization:
-        def bound(gain, verdict):
-            if verdict is None or not verdict.applicable:
-                return [_fmt(gain, True), "-", "-"]
-            return [_fmt(gain, True), verdict.required_n,
-                    "yes" if verdict.satisfied else "no"]
+    # An audit tests every group against the generic model, and bounds
+    # every group, so neither table is ever empty.
+    lines += ["", "## Hypothesis tests", ""]
+    lines += _md_table(
+        ["metric", "test", "kind", "group", "comparator", "n", "estimate",
+         "p_raw", "p_adjusted", "family", "verdict"],
+        [[r.metric, r.test, r.kind, labels[r.group], labels[r.comparator],
+          r.n, _fmt(r.estimate, True), _fmt(r.p_raw), _fmt(r.p_adjusted),
+          r.family_size, r.verdict]
+         for r in report.results])
 
-        lines += ["", "## Generalization bounds", ""]
-        lines += _md_table(
-            ["group", "n_train", "vc", "rationality gain", "required n",
-             "holds", "min envy gain", "required n", "holds"],
-            [[labels[row.group], row.n_train, row.vc,
-              *bound(row.rationality_gain, row.rationality),
-              *bound(row.envy_min_gain, row.envy)]
-             for row in report.generalization])
+    def bound(gain, verdict):
+        if verdict is None or not verdict.applicable:
+            return [_fmt(gain, True), "-", "-"]
+        return [_fmt(gain, True), verdict.required_n,
+                "yes" if verdict.satisfied else "no"]
+
+    lines += ["", "## Generalization bounds", ""]
+    lines += _md_table(
+        ["group", "n_train", "vc", "rationality gain", "required n",
+         "holds", "min envy gain", "required n", "holds"],
+        [[labels[row.group], row.n_train, row.vc,
+          *bound(row.rationality_gain, row.rationality),
+          *bound(row.envy_min_gain, row.envy)]
+         for row in report.generalization])
     if report.identical_pairs:
         lines += ["", "## Identical prediction pairs", ""]
         for a, b in report.identical_pairs:

@@ -1,10 +1,10 @@
 """Command-line surface: audit, synth, intervene, replicate-paper.
 
 Exit codes: 0 success (audit: no flagged violation), 1 usage or data
-error, 3 audit found a violation under the chosen mode, 4 reference-table
-mismatch from replicate-paper. Every randomized step derives from the
-single --seed flag, so identical invocations produce byte-identical
-outputs.
+error (a model fit that does not converge included), 3 audit found a
+violation under the chosen mode, 4 reference-table mismatch from
+replicate-paper. Every randomized step derives from the single --seed
+flag, so identical invocations produce byte-identical outputs.
 """
 
 import argparse
@@ -15,11 +15,11 @@ import sys
 from . import __version__
 from .audit import AuditConfig, audit
 from .dataset import load_csv, save_csv, split
-from .groups import DomainError
 from .interventions import assign_best_of_three, \
     assign_generic_on_violation
 from .metrics import metric_from_name
-from .models import Strategy, TrainConfig, as_strategy, train_personalized
+from .models import ConvergenceError, Strategy, TrainConfig, as_strategy, \
+    train_personalized
 from .replicate import replicate
 from .synth import EXPECTED_TABLES, GENERATORS, gen_exchangeable_null, \
     gen_planted_violation
@@ -285,10 +285,7 @@ def main(argv=None):
     }
     try:
         return handlers[args.command](args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return _USAGE_ERROR
-    except (OSError, ValueError, DomainError) as exc:
+    except (_UsageError, OSError, ValueError, ConvergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _USAGE_ERROR
 

@@ -853,3 +853,18 @@ def test_result_frame_and_dicts_write_the_same_report():
     first = tree["results"][0]
     assert list(first) == list(HypothesisResult.KEYS) == sorted(first)
     assert first["comparator"] == "generic"
+
+
+def test_split_auc_audit_of_one_class_test_rows_is_not_testable():
+    # Every test row is negative, so no AUC is defined on the test split:
+    # the population's overall gain is NaN (written as null) and no test
+    # can run.
+    ds = gen_exchangeable_null(m=2, n_per_group=60, seed=0)
+    test = ds.subset(np.flatnonzero(ds.labels == -1))
+    report = audit(ds, test, metrics=(AUC,),
+                   cfg=AuditConfig(bootstrap_reps=100))
+    population = report.populations[AUC.tag]
+    assert math.isnan(population.overall_gain)
+    assert population.to_jsonable()["overall_gain"] is None
+    assert report.results
+    assert all(r.verdict == NOT_TESTABLE for r in report.results)

@@ -3,6 +3,7 @@
 import copy
 import csv
 import json
+import runpy
 
 import numpy as np
 import pytest
@@ -137,6 +138,22 @@ def test_audit_zero_one_refuses_beyond_exact_size(tmp_path, capsys):
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("error: exact 0-1 training handles at most 14")
+
+
+def test_audit_reports_a_fit_that_does_not_converge(tmp_path, capsys):
+    # Features at 1e20 scale: the trainer's absolute gradient tolerance
+    # is out of reach, and the CLI says so in one line.
+    path = tmp_path / "planted.csv"
+    assert main(["synth", "planted", "--n-per-group", "50",
+                 "--out", str(path)]) == 0
+    ds = load_csv(str(path))
+    save_csv(Dataset(ds.features * 1e20, ds.labels, ds.groups, ds.space,
+                     ds.feature_names), str(path))
+    capsys.readouterr()
+    assert main(["audit", "--data", str(path), "--train-fraction", "1.0",
+                 "--bootstrap", "100"]) == 1
+    assert capsys.readouterr().err.startswith(
+        "error: logistic trainer stopped")
 
 
 def test_audit_point_mode_flags_reference_violation(mis_csv, capsys):
@@ -411,6 +428,33 @@ def test_replicate_paper_bundle(tmp_path, capsys):
     observed = json.loads((bundle / "observed.json").read_text())
     assert diff_tables(EXPECTED_TABLES, observed) == []
 
+
+
+def test_replicate_paper_mismatch_exits_4_and_lists_the_diff(
+        tmp_path, capsys, monkeypatch):
+    import fairuse.replicate as replicate_module
+    expected = copy.deepcopy(EXPECTED_TABLES)
+    expected["misspecification"]["generic_total"] += 1
+    monkeypatch.setattr(replicate_module, "EXPECTED_TABLES", expected)
+    assert main(["replicate-paper"]) == 4
+    assert "bundle written" not in capsys.readouterr().out
+    bundle = tmp_path / "bundle"
+    assert main(["replicate-paper", "--out", str(bundle)]) == 4
+    out = capsys.readouterr().out
+    assert "misspecification: MISMATCH" in out
+    diffs = (bundle / "diffs.txt").read_text().splitlines()
+    assert len(diffs) == 1
+    assert diffs[0].startswith("misspecification/generic_total: expected")
+    assert f"  {diffs[0]}" in out.splitlines()
+
+
+def test_module_runs_as_a_script(monkeypatch, capsys):
+    monkeypatch.setattr("sys.argv", ["fairuse", "--version"])
+    with pytest.warns(RuntimeWarning, match="fairuse.cli"):
+        with pytest.raises(SystemExit) as exit_:
+            runpy.run_module("fairuse.cli", run_name="__main__")
+    assert exit_.value.code == 0
+    assert capsys.readouterr().out.startswith("fairuse ")
 
 def test_diff_tables_names_the_failing_cell():
     expected = {"a": {"b": [1, 2]}, "c": 3}

@@ -223,6 +223,13 @@ def test_split_errors_and_singleton_warning():
     assert (test.labels == -1).sum() == 0
 
 
+def test_split_of_an_empty_dataset_gives_two_empty_parts():
+    empty = Dataset(np.zeros((0, 1)), np.zeros(0, dtype=int), (), SPACE)
+    train, test = split(empty, 0.5, seed=0)
+    assert train.n == test.n == 0
+    assert train.space == test.space == SPACE
+
+
 def test_load_csv_ignores_a_utf8_byte_order_mark(tmp_path):
     text = "x1,g:g,y\n0.5,a,1\n1.5,b,-1\n"
     plain, marked = tmp_path / "plain.csv", tmp_path / "bom.csv"

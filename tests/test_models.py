@@ -391,6 +391,23 @@ def test_decoupled_empty_cell_inherits_generic():
     assert any("no training rows" in f for f in model.all_flags())
 
 
+def test_decoupled_empty_cell_shares_its_generic_flag_once():
+    # Single-class data: the generic model and every fitted cell are
+    # flagged constants, and the empty cell c inherits the generic one.
+    space = GroupSpace((("g", ("a", "b", "c")),))
+    a, b, c = space.cells()
+    ds = Dataset(np.array([[-1.0], [1.0], [-2.0], [2.0]]),
+                 np.array([-1, -1, -1, -1]), (a, a, b, b), space)
+    with pytest.warns(UserWarning, match="single-class"):
+        model = train_personalized(ds, Strategy.DECOUPLED,
+                                   TrainConfig(l2_penalty=1e-3))
+    assert model.cells[c] is model.generic
+    assert model.all_flags() == (
+        model.flags + model.generic.flags + model.cells[a].flags
+        + model.cells[b].flags)
+    assert len(set(model.all_flags())) == 4
+
+
 def test_decoupled_single_class_cell_constant():
     feats = np.array([[-1.0], [1.0], [0.5], [2.0]])
     labels = np.array([-1, 1, 1, 1])
@@ -565,3 +582,56 @@ def test_unattainable_tolerance_fails_fast(monkeypatch):
                            TrainConfig(gradient_tolerance=1e-20))
     assert err.value.grad_norm > 1e-20
     assert calls[0] <= 50
+
+
+def _spy_on_newton_solves(monkeypatch):
+    """Record each Newton solve of the trainer: "singular" when it raises
+    LinAlgError, "non-finite" when its step is not finite, else "ok"."""
+    solve = np.linalg.solve
+    outcomes = []
+
+    def spy(a, b):
+        try:
+            step = solve(a, b)
+        except np.linalg.LinAlgError:
+            outcomes.append("singular")
+            raise
+        outcomes.append("ok" if np.all(np.isfinite(step)) else "non-finite")
+        return step
+
+    monkeypatch.setattr(optim.np.linalg, "solve", spy)
+    return outcomes
+
+
+def _two_cell_dataset(x, y):
+    return Dataset(x, y, tuple(AB.cells()[i % 2] for i in range(len(y))),
+                   AB)
+
+
+def test_singular_hessian_falls_back_to_a_gradient_step(monkeypatch):
+    # Two identical columns at 1e5 scale, no ridge and separable labels:
+    # the Hessian is singular past its 1e-10 diagonal, and only the
+    # gradient-step fallback reaches the tolerance.
+    x1 = np.random.default_rng(0).normal(size=40)
+    y = np.where(x1 > 0, 1, -1)
+    ds = _two_cell_dataset(np.column_stack([x1, x1]) * 1e5, y)
+    outcomes = _spy_on_newton_solves(monkeypatch)
+    # The trainer returns only weights that meet its gradient contract.
+    model = train_generic(ds, TrainConfig(l2_penalty=0.0))
+    assert "singular" in outcomes
+    assert np.all(np.sign(model.margins(ds.features, WITHHELD)) == y)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_overflowing_features_end_in_convergence_error(monkeypatch):
+    # At 1e155 the Hessian entries overflow, so the Newton step is not
+    # finite and the gradient stands in; no step length then lowers the
+    # overflowing objective, and the fit stops with ConvergenceError
+    # rather than running on.
+    rng = np.random.default_rng(0)
+    x = rng.normal(size=(40, 2)) * 1e155
+    y = np.where(rng.random(40) < 0.5, 1, -1)
+    outcomes = _spy_on_newton_solves(monkeypatch)
+    with pytest.raises(ConvergenceError, match="logistic trainer stopped"):
+        train_generic(_two_cell_dataset(x, y))
+    assert outcomes == ["non-finite"]

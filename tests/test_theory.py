@@ -156,6 +156,18 @@ def test_optout_detects_a_broken_witness():
     assert res.witness == "caller-supplied witness"
 
 
+
+def test_optout_replicates_a_given_generic_model():
+    # The given model fixes the base features; d is then not read.
+    generic = LinearModel(np.array([0.5, -1.0, 2.0, 0.25]),
+                          build_feature_map(Strategy.GENERIC, TWO_BY_TWO,
+                                            ("x1", "x2", "x3")))
+    for strategy in Strategy:
+        res = check_optout(strategy, TWO_BY_TWO, generic=generic, d=7)
+        assert res.compatible
+        assert res.max_gap <= 1e-12
+        assert res.checked == 100
+
 def test_optout_reports_missing_witness():
     res = check_optout(Strategy.ONEHOT, AB, d=2,
                        witness_builder=lambda generic, space: None)
@@ -255,6 +267,21 @@ def test_premise_skips_a_declared_group_without_rows():
     assert check.worst_violation == max([0.0] + gaps)
     assert check.to_jsonable()["premise"][str(c)] is True
 
+
+
+def test_premise_scores_the_loss_it_is_given():
+    ds = gen_misspecification()
+    onehot = train_zero_one_exhaustive(ds, Strategy.ONEHOT)
+    with pytest.warns(UserWarning, match="single-class"):
+        dec = train_zero_one_exhaustive(ds, Strategy.DECOUPLED)
+    default = check_prop2_premise(onehot, dec, ds)
+    given = check_prop2_premise(onehot, dec, ds, loss="hinge")
+    assert onehot.train_config.loss != "hinge"
+    assert np.array_equal(given.matrix,
+                          trained_loss_matrix(onehot, ds, "hinge"),
+                          equal_nan=True)
+    assert not np.array_equal(given.matrix, default.matrix,
+                              equal_nan=True)
 
 def test_premise_rejects_wrong_minimizer_strategy():
     ds = gen_misspecification()
