@@ -55,10 +55,9 @@ undefined. Its error rates count each group's (m+1, n_g) bit matrix in
 the table along the rows, over n; the pattern draw reads that matrix
 whole and McNemar two of its rows. The point check computes gains from
 the array in one expression (`metrics.gain_matrix`) and keeps them in
-its `PointSummary` for the population row and the planner. An audit's
-m^2 McNemar tests meet far fewer distinct (b + c, k) splits, and each
-tail is summed once per table, in its `tails` memo, which lives as long
-as the audit.
+its `PointSummary` for the population row and the planner. An audit's m^2 McNemar
+tests meet far fewer distinct (b + c, k) splits, and each tail is summed
+once per table, in its `tails` memo, which lives as long as the audit.
 Raw and adjusted results are built by `_result` in one dict update each.
 """
 
@@ -965,7 +964,7 @@ def render_markdown(report):
             [[name, pg.n, _fmt(pg.rationality_gain, True),
               _fmt(pg.envy_min_gain, True),
               "-" if pg.envy_argmin is None else labels[pg.envy_argmin]]
-             for name, pg in zip(names, map(point.gains.get, cells))])
+             for name, pg in zip(names, map(point.gains.__getitem__, cells))])
     # An audit tests every group against the generic model, and bounds
     # every group, so neither table is ever empty.
     lines += ["", "## Hypothesis tests", ""]
