@@ -37,14 +37,17 @@ def cell_margins(w, x, codes, cells):
     return x @ w[:d] + (cells @ w[d:]).take(codes)
 
 
-def _logistic_objective(w, x, codes, cells, y, lam):
-    m = y * cell_margins(w, x, codes, cells)
+def _logistic_objective(m, w, d, lam):
+    """Mean logistic loss at m = y * margins, plus lam * ||w[:d]||^2."""
     loss = float(np.mean(np.logaddexp(0.0, -m)))
-    return loss + lam * float(np.sum(w[:x.shape[1]] ** 2))
+    return loss + lam * float(np.sum(w[:d] ** 2))
 
 
-def _logistic_grad(w, x, codes, cells, y, lam):
-    m = y * cell_margins(w, x, codes, cells)
+def _logistic_grad(w, x, codes, cells, y, lam, m=None):
+    """Gradient of the penalized loss at w; m, y * margins at w, is taken
+    from the caller when it has it."""
+    if m is None:
+        m = y * cell_margins(w, x, codes, cells)
     # d/dm softplus(-m) = -sigmoid(-m); chain through m = y * margin.
     r = -y * expit(-m) / y.size
     return np.concatenate([x.T @ r + 2.0 * lam * w[:x.shape[1]],
@@ -79,14 +82,17 @@ def train_logistic(x, codes, cells, y, lam, tol, max_iter):
     # Aim well below the contracted tolerance so downstream near-equality
     # checks at 10 * tol have slack.
     target = tol / 100.0
-    obj = _logistic_objective(w, x, codes, cells, y, lam)
-    g = _logistic_grad(w, x, codes, cells, y, lam)
+    # y * margins at w, made once per iterate and read by the objective,
+    # the gradient and the Hessian.
+    m = y * cell_margins(w, x, codes, cells)
+    obj = _logistic_objective(m, w, d, lam)
+    g = _logistic_grad(w, x, codes, cells, y, lam, m)
     gnorm = float(np.abs(g).max())
     for _ in range(int(max_iter)):
         if gnorm <= target:
             break
         # sigma(m) * sigma(-m) computed stably from |m|.
-        s = expit(-np.abs(y * cell_margins(w, x, codes, cells)))
+        s = expit(-np.abs(m))
         curv = s * (1.0 - s) / n
         cx = x.T * curv
         # Per-cell sums of curv and curv * x stand in for cells[codes].
@@ -105,25 +111,27 @@ def train_logistic(x, codes, cells, y, lam, tol, max_iter):
         if obj - 1e-4 * float(g @ step) == obj:
             # Pure phase: the objective cannot rank steps; the gradient can.
             cand = w - step
-            cand_g = _logistic_grad(cand, x, codes, cells, y, lam)
+            cand_m = y * cell_margins(cand, x, codes, cells)
+            cand_g = _logistic_grad(cand, x, codes, cells, y, lam, cand_m)
             cand_norm = float(np.abs(cand_g).max())
             if not cand_norm < gnorm:
                 break
-            w, g, gnorm = cand, cand_g, cand_norm
-            obj = _logistic_objective(w, x, codes, cells, y, lam)
+            w, m, g, gnorm = cand, cand_m, cand_g, cand_norm
+            obj = _logistic_objective(m, w, d, lam)
             continue
         # Damped phase: backtrack on the objective (Armijo with c = 1e-4).
         t = 1.0
         for _ in range(30):
             cand = w - t * step
-            cand_obj = _logistic_objective(cand, x, codes, cells, y, lam)
+            cand_m = y * cell_margins(cand, x, codes, cells)
+            cand_obj = _logistic_objective(cand_m, cand, d, lam)
             if cand_obj <= obj - 1e-4 * t * float(g @ step):
                 break
             t *= 0.5
         else:
             break
-        w, obj = cand, cand_obj
-        g = _logistic_grad(w, x, codes, cells, y, lam)
+        w, m, obj = cand, cand_m, cand_obj
+        g = _logistic_grad(w, x, codes, cells, y, lam, m)
         gnorm = float(np.abs(g).max())
     if gnorm > tol:
         raise ConvergenceError(

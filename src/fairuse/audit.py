@@ -34,21 +34,25 @@ depends on a resample only through how many of its rows fall in each
 *pattern*, a row's wrong/right vector under every reported value. Summed
 within patterns, bootstrap row counts are Multinomial(n, n_p / n), so
 every group draws those counts, and its gains are their product with
-per-pattern loss differences over n. AUC and ECE draw a (reps, n)
-resample index instead, and each chunk of it becomes a count matrix
-(how often each row appears in each replicate): `metrics.resampled_values`
+per-pattern loss differences over n, gathered from the group's wrong-bit
+matrix with one index. AUC and ECE draw a (reps, n) resample index
+instead, and each chunk of it becomes a count matrix (how often each row
+appears in each replicate): one `metrics.resampled_block` call per chunk
 gives AUC (a count-weighted Mann-Whitney U read from running negative
-counts at each positive's tie bounds) and ECE (per-bin sums from one
-matrix product) for all its replicates at once. Both draws come in
-chunks of whole replicates, at most `_INDEX_CHUNK_ENTRIES` entries each,
-which continue the generator's stream and so reproduce the one-shot
-draw. A test's observed gain has the same form: the error rate's is the
-sum of those differences over n, (c - b) / n in McNemar's terms; AUC's
-and ECE's are the point values, the same kernel on one all-ones row. A
-replicate at twice the observed gain is then an exact tie and counts on
-both sides. `mcnemar_test` counts b and c on the table's kept `wrong`
-rows, the bits the bootstrap's patterns were made from: b rows wrong
-under g's truthful model and right under the comparator, c the converse.
+counts at each positive's tie bounds) or ECE (per-bin sums from one
+matrix product per score row) for all its replicates, under the group's
+own report and every comparator at once. Both draws come in chunks of
+whole replicates, at most `_INDEX_CHUNK_ENTRIES` entries each, which
+continue the generator's stream and so reproduce the one-shot draw. A
+test's observed gain has the same form: the error rate's is the sum of
+those differences over n, (c - b) / n in McNemar's terms; AUC's and
+ECE's are the point values, the same kernel on one all-ones row, which
+the misreport matrix makes for a group's whole row in one call
+(`MarginTable.risks`). A replicate at twice the observed gain is then an
+exact tie and counts on both sides. `mcnemar_test` counts b and c on the
+table's kept `wrong` rows, the bits the bootstrap's patterns were made
+from: b rows wrong under g's truthful model and right under the
+comparator, c the converse.
 
 A `MisreportMatrix` is one (m, m+1) array of risks, NaN where
 undefined. Its error rates count each group's (m+1, n_g) bit matrix in
@@ -77,7 +81,7 @@ from .groups import ALL, TRUTHFUL, WITHHELD, GroupId, GroupSpace
 from .metrics import (ERROR_RATE, ERROR_RATE_TAG, MarginTable,  # noqa: F401
                       MetricKind, RiskEstimate, gain_matrix, group_risk,
                       metric_value, orient, resample_counts,
-                      resampled_values)
+                      resampled_block)
 from .models import Strategy, TrainConfig, as_strategy, build_feature_map, \
     train_personalized
 
@@ -157,8 +161,8 @@ class MisreportMatrix:
 
 def misreport_matrix(table, metric):
     """Every (true group, reported) risk read from a MarginTable: error
-    rates count each group's `wrong_matrix` rows, AUC and ECE read the
-    table's risks."""
+    rates count each group's `wrong_matrix` rows, AUC and ECE read each
+    group's row of risks from `table.risks`, one kernel call per group."""
     space = table.data.space
     cells = space.cells()
     counts = None
@@ -166,8 +170,9 @@ def misreport_matrix(table, metric):
         counts = np.array([np.count_nonzero(table.wrong_matrix(g), axis=1)
                            for g in cells])
     else:
-        values = np.array([[table.risk(metric, g, r).value
-                            for r in (WITHHELD,) + cells] for g in cells])
+        values = np.array([[est.value for est in
+                            table.risks(metric, g, (WITHHELD,) + cells)]
+                           for g in cells])
     # n is read after the risks: on an unfilled table the first group's
     # risks compute every column, and other groups' row indices read
     # before them would add to that peak.
@@ -402,7 +407,8 @@ def bootstrap_replicates(table, g, comparators, metric, *, reps=2000,
         undefined, each equal bit for bit to a call with comparators[j]
         alone and the same seed. Both share one form: the error rate sums
         per-pattern differences over n (observed is McNemar's
-        (c - b) / n), AUC and ECE difference the count kernel (observed
+        (c - b) / n), AUC and ECE difference the count kernel, one call
+        per chunk over g's own report and every comparator (observed
         reads the table's point values, that kernel on one all-ones row).
         A group with fewer than 2 rows draws nothing: NaN observed, no
         rows.
@@ -420,37 +426,34 @@ def bootstrap_replicates(table, g, comparators, metric, *, reps=2000,
     if metric.tag == ERROR_RATE_TAG:
         # Patterns span every reported value, whatever the comparators,
         # so a one-comparator call makes the same draw.
-        first, n_p = _patterns(table.wrong_matrix(g))
+        wrong = table.wrong_matrix(g)
+        first, n_p = _patterns(wrong)
         # (patterns, k) error differences: 1.0 where comparators[j] is
         # wrong and g's truthful model right, -1.0 for the converse.
-        own = table.wrong(g, g)[first][:, None].astype(float)
-        diffs = np.stack([table.wrong(g, c)[first] for c in comparators],
-                         axis=1) - own
+        own = wrong[table.slot(g), first][:, None].astype(float)
+        slots = [table.slot(c) for c in comparators]
+        diffs = wrong[np.ix_(slots, first)].T - own
         step = max(1, _INDEX_CHUNK_ENTRIES // n_p.size)
         for start in range(0, reps, step):
             counts = rng.multinomial(n, n_p / n,
                                      size=min(step, reps - start))
             parts.append(counts @ diffs / n)  # exact integer sums over n
         return n_p @ diffs / n, np.concatenate(parts)
+    # Row 0 of the block is g's truthful model, row j + 1 comparators[j].
+    block = (g,) + tuple(comparators)
+    point = orient(metric, np.array([est.value for est in
+                                     table.risks(metric, g, block)]))
     y = table.data.labels[rows]
-    self_m = table.margins(g, g)
-    self_s = table.scores(g)[rows]
-    comp_m = [table.margins(g, c) for c in comparators]
-    comp_s = [table.scores(c)[rows] for c in comparators]
-    own = orient(metric, table.risk(metric, g, g).value)
-    observed = np.array([orient(metric, table.risk(metric, g, c).value)
-                         - own for c in comparators])
+    margins, scores = table.block(g, block)
     step = max(1, _INDEX_CHUNK_ENTRIES // n)
     for start in range(0, reps, step):
         counts = resample_counts(
             rng.integers(0, n, size=(min(step, reps - start), n)))
-        v_self = orient(metric, resampled_values(
-            metric, counts, self_s, self_m, y))
-        parts.append(np.stack(
-            [orient(metric, resampled_values(metric, counts, s, m, y))
-             - v_self for s, m in zip(comp_s, comp_m)], axis=1))
+        values = orient(metric, resampled_block(metric, counts, scores,
+                                                margins, y))
+        parts.append(values[:, 1:] - values[:, :1])
         del counts  # free this chunk's counts before the next draw
-    return observed, np.concatenate(parts)
+    return point[1:] - point[0], np.concatenate(parts)
 
 
 def bootstrap_test(table, g, comparator, metric, observed, gains, *,

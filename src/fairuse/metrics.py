@@ -16,12 +16,18 @@ audit's point checks and the training-loss premise check both use it.
 
 `resampled_values` is the count-weighted form of `metric_value`: one
 metric value per row of a (replicates, rows) count matrix, with no
-resample ever materialized. Bootstrap replicates are evaluated this way.
-AUC and ECE have one kernel each: `auc_value` and `ece_value` run it on
-one all-ones count row, so a point value is the replicate form exactly.
-The AUC kernel reads running sums of negative counts, in score order, at
-each positive row's tie bounds; the ECE kernel is one matrix product of
-the counts with per-bin indicators.
+resample ever materialized. `resampled_block` takes a (k, rows) block of
+score and margin rows over the same rows, say one group under k
+reported values, and returns (replicates, k) values whose column j
+equals the one-row call on row j exactly. AUC and ECE have one kernel
+each, and it takes a block: `resampled_values`, `auc_value` and
+`ece_value` are its k = 1 calls, the last two on one all-ones count row,
+so a point value is the replicate form exactly. The audit makes one
+kernel call per group for a row of point values (`MarginTable.risks`)
+and one per group and chunk of replicates. The AUC kernel reads running
+sums of negative counts, in score order, at each positive row's tie
+bounds; the ECE kernel makes one matrix product of the counts with each
+score row's per-bin indicators.
 """
 
 import math
@@ -36,6 +42,10 @@ ERROR_RATE_TAG = "error_rate"
 AUC_TAG = "auc"
 ECE_TAG = "ece"
 _LOWER_IS_BETTER = {ERROR_RATE_TAG: True, AUC_TAG: False, ECE_TAG: True}
+# Most entries of the per-bin sums that the ECE kernel lays a slice of
+# score rows' products out in: three float arrays of bins x replicates x
+# rows. Their terms take as many entries again while they are made.
+_BIN_SLICE_ENTRIES = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -130,13 +140,14 @@ def error_rate_value(margins, labels):
     return np.count_nonzero((margins >= 0.0) != (labels == 1)) / labels.size
 
 
+def _ones(labels):
+    """One all-ones count row over `labels`: the whole sample, once."""
+    return np.ones((1, labels.size), dtype=np.int64)
+
+
 def auc_value(scores, labels):
     """Mann-Whitney AUC with ties counted one half; NaN if single-class."""
-    n_pos = int((labels == 1).sum())
-    if n_pos == 0 or n_pos == labels.size:
-        return float("nan")
-    ones = np.ones((1, labels.size), dtype=np.int64)
-    return float(_auc_counts(ones, scores, labels)[0])
+    return float(_auc_counts(_ones(labels), scores[None], labels)[0, 0])
 
 
 def ece_value(scores, margins, labels, bins=10):
@@ -146,8 +157,8 @@ def ece_value(scores, margins, labels, bins=10):
     the bin whose hard label matches. Bin k covers ((k-1)/B, k/B], with the
     first bin closed at 0. Empty bins contribute nothing; no rows give NaN.
     """
-    ones = np.ones((1, labels.size), dtype=np.int64)
-    return float(_ece_counts(ones, scores, margins, labels, bins)[0])
+    return float(_ece_counts(_ones(labels), scores[None], margins[None],
+                             labels, bins)[0, 0])
 
 
 def metric_value(metric, scores, margins, labels):
@@ -178,66 +189,130 @@ def resampled_values(metric, counts, scores, margins, labels):
     value per replicate, NaN where the metric is undefined (no rows; AUC
     with one class absent). AUC equals `metric_value` on the materialized
     resample bit for bit; ECE agrees to float summation order. The audit
-    computes error-rate replicates from the counts itself.
+    computes error-rate replicates from the counts itself. This is
+    `resampled_block` on one score row.
     """
+    return resampled_block(metric, counts, scores[None], margins[None],
+                           labels)[:, 0]
+
+
+def resampled_block(metric, counts, scores, margins, labels):
+    """`resampled_values` of each row of a (k, n) block of scores and
+    margins over the same labels and counts: a (replicates, k) array whose
+    column j equals the one-row call on row j exactly."""
     if metric.tag == AUC_TAG:
         return _auc_counts(counts, scores, labels)
     return _ece_counts(counts, scores, margins, labels, metric.ece_bins)
 
 
 def _auc_counts(counts, scores, labels):
-    """Count-weighted Mann-Whitney AUC from cumulative negative counts.
+    """Count-weighted Mann-Whitney AUC of each row of a (k, n) score block,
+    one column per row.
 
-    The negative rows are sorted by score once, and each replicate's
-    negative counts are summed along that order, with a leading zero. A
-    positive row's tie bounds among the sorted negative scores, lo and
-    hi, then read how many negatives it beats (cum[lo]) and how many it
-    beats or ties (cum[hi]), so twice U, the sum of
-    pos * (cum[lo] + cum[hi]), is an exact integer. The rank-sum
-    formula's half-integer sums are exact too: both end in one division.
+    The positive rows' counts and both class totals are gathered once per
+    block. Per score row, the negative rows are sorted by score, and each
+    replicate's negative counts are summed along that order, with a
+    leading zero. A positive row's tie bounds among the sorted negative
+    scores, lo and hi, then read how many negatives it beats (cum[lo]) and
+    how many it beats or ties (cum[hi]), so twice U, the sum of
+    pos * (cum[lo] + cum[hi]), is an exact integer; when no positive ties
+    a negative, lo equals hi and one read, doubled, gives it. Twice U
+    reads the scores only through that order and those bounds, so score
+    rows that share them share it, and it is summed once for them: a
+    one-hot model's cells shift every margin alike, so they keep each
+    row's rank. The rank-sum formula's half-integer sums are exact too:
+    both end in one division.
     """
     pos = labels == 1
-    neg_rows = np.flatnonzero(~pos)
-    neg_rows = neg_rows[np.argsort(scores[neg_rows], kind="stable")]
     pos_rows = np.flatnonzero(pos)
-    ranked = scores[neg_rows]
-    lo = np.searchsorted(ranked, scores[pos_rows], "left")
-    hi = np.searchsorted(ranked, scores[pos_rows], "right")
-    cum = np.zeros((counts.shape[0], neg_rows.size + 1), dtype=np.int64)
-    np.cumsum(np.take(counts, neg_rows, axis=1), axis=1, out=cum[:, 1:])
-    c_pos = np.take(counts, pos_rows, axis=1)
-    twice_u = (np.einsum("ij,ij->i", c_pos, np.take(cum, lo, axis=1))
-               + np.einsum("ij,ij->i", c_pos, np.take(cum, hi, axis=1)))
-    n_pos = c_pos.sum(axis=1)
-    n_neg = cum[:, -1]
-    out = np.full(counts.shape[0], np.nan)
-    ok = (n_pos > 0) & (n_neg > 0)
-    out[ok] = (0.5 * twice_u[ok]) / (n_pos[ok] * n_neg[ok])
+    neg_rows = np.flatnonzero(~pos)
+    # Counts by row, each row's replicates contiguous, so the running
+    # sums and later gathers move whole rows.
+    c_pos = counts.T[pos_rows]
+    c_neg = counts.T[neg_rows]
+    n_pos = c_pos.sum(axis=0)
+    n_neg = c_neg.sum(axis=0)
+    twice_u = np.empty((counts.shape[0], len(scores)), dtype=np.int64)
+    cum = np.zeros((neg_rows.size + 1, counts.shape[0]), dtype=np.int64)
+    summed = {}
+    for j, row in enumerate(scores):
+        neg_scores, pos_scores = row[neg_rows], row[pos_rows]
+        order = np.argsort(neg_scores, kind="stable")
+        ranked = neg_scores[order]
+        lo = np.searchsorted(ranked, pos_scores, "left")
+        hi = np.searchsorted(ranked, pos_scores, "right")
+        key = (order.tobytes(), lo.tobytes(), hi.tobytes())
+        if key not in summed:
+            np.cumsum(c_neg[order], axis=0, out=cum[1:])
+            low = np.einsum("ij,ij->j", c_pos, cum[lo])
+            if np.array_equal(lo, hi):
+                summed[key] = 2 * low
+            else:
+                summed[key] = low + np.einsum("ij,ij->j", c_pos, cum[hi])
+        twice_u[:, j] = summed[key]
+    with np.errstate(invalid="ignore"):
+        out = (0.5 * twice_u) / (n_pos * n_neg)[:, None]
+    out[(n_pos == 0) | (n_neg == 0)] = np.nan
     return out
 
 
 def _ece_counts(counts, scores, margins, labels, bins):
-    """Count-weighted ECE: confidence bins are fixed per row, so each
-    replicate's bin count, hits and confidence sum are one matrix product."""
+    """Count-weighted ECE of each row of a (k, n) block of scores and
+    margins, one column per row.
+
+    Confidence bins are fixed per row, so a score row's bin counts, hits
+    and confidence sums over every replicate are one matrix product of
+    the counts with indicators of its nonempty bins. The last bits of
+    that product depend on its width, its row count and the memory order
+    of its operands, so each score row gets its own product, made as a
+    one-row call makes it. The products are then laid side by side, each
+    row's nonempty bins in order and padded with empty ones, every bin's
+    term is made for all of them at once, and the terms are added in bin
+    order; a padding bin adds an exact 0.0. Score rows go in slices, so
+    the side-by-side sums hold at most about `_BIN_SLICE_ENTRIES`
+    entries.
+    """
+    counts_f = counts.astype(float)
+    reps = counts.shape[0]
+    n = counts.sum(axis=1)[:, None]
     conf = np.maximum(scores, 1.0 - scores)
     correct = np.where(margins >= 0.0, 1, -1) == labels
-    masks = [(conf > (k - 1) / bins if k > 1 else conf >= 0.0)
-             & (conf <= k / bins) for k in range(1, bins + 1)]
-    masks = [mask for mask in masks if mask.any()]
-    if not masks:
-        return np.full(counts.shape[0], np.nan)
-    onehot = np.stack(masks, axis=1).astype(float)
-    sums = counts.astype(float) @ np.hstack(
-        [onehot, onehot * correct[:, None], onehot * conf[:, None]])
-    k = len(masks)
-    n = counts.sum(axis=1)
-    total = np.zeros(counts.shape[0])
-    with np.errstate(invalid="ignore", divide="ignore"):
-        for j in range(k):
-            cnt = sums[:, j]
-            gap = np.abs(sums[:, k + j] / cnt - sums[:, 2 * k + j] / cnt)
-            total += np.where(cnt > 0, (cnt / n) * gap, 0.0)
-    total[n == 0] = np.nan
+    # Each entry's bin, from 0: ((b - 1)/bins, b/bins] is bin b - 1, and
+    # bins marks none (NaN or above 1). A confidence is at least 0.5, so
+    # the first bin's closed end at 0 never matters.
+    which = np.searchsorted(np.arange(1, bins + 1) / bins, conf)
+    k, rows = scores.shape
+    nonempty = np.zeros((k, bins + 1), dtype=bool)
+    nonempty[np.arange(k)[:, None], which] = True
+    # Each row's (1, correct, confidence), the factors of its columns.
+    factors = np.stack([np.ones((k, rows)), correct, conf], axis=2)
+    total = np.zeros((reps, k))
+    step = max(1, _BIN_SLICE_ENTRIES // (3 * bins * reps))
+    for start in range(0, k, step):
+        stop = min(k, start + step)
+        present = [np.flatnonzero(nonempty[j, :bins])
+                   for j in range(start, stop)]
+        # (count, hits, confidence) x bin x replicate x score row.
+        sums = np.zeros((3, max(p.size for p in present), reps,
+                         stop - start))
+        for j, bins_j in zip(range(start, stop), present):
+            # C-ordered columns: the bin indicators, then times correct,
+            # then times confidence, each over the row's nonempty bins.
+            rhs = np.empty((rows, 3, bins_j.size))
+            np.multiply((which[j][:, None] == bins_j)[:, None, :],
+                        factors[j][:, :, None], out=rhs)
+            product = counts_f @ rhs.reshape(rows, 3 * bins_j.size)
+            sums[:, :bins_j.size, :, j - start] = product.T.reshape(
+                3, bins_j.size, reps)
+        cnt, hits, conf_sum = sums
+        with np.errstate(invalid="ignore", divide="ignore"):
+            terms = np.where(cnt > 0, (cnt / n) * np.abs(hits / cnt
+                                                         - conf_sum / cnt),
+                             0.0)
+        del sums, cnt, hits, conf_sum  # free them before the next slice
+        for term in terms:
+            total[:, start:stop] += term
+    total[n[:, 0] == 0] = np.nan
     return total
 
 
@@ -255,7 +330,9 @@ class MarginTable:
       bool matrix: row 0 under WITHHELD, row j+1 under cell j. Each row
       is filled once, by `wrong(g, reported)` from the margins and the
       group's labels, and the same array is returned on every read;
-    - `risk(metric, g, reported)`, a RiskEstimate;
+    - `risk(metric, g, reported)`, a RiskEstimate; `risks(metric, g,
+      reported)` makes those of AUC or ECE for many reported values at
+      once and keeps them under the same keys;
     - `tails`, a dict in which `audit.mcnemar_test` keeps each binomial
       tail it sums, so a table sums each (n, k) once.
 
@@ -309,10 +386,21 @@ class MarginTable:
         """Margins of group g's rows when they report `reported`."""
         return self.column(reported)[self.rows(g)]
 
+    def slot(self, reported):
+        """Row of `reported` (WITHHELD or a cell) in `wrong_matrix(g)`."""
+        return self._slots[reported]
+
+    def block(self, g, reported):
+        """(margins, scores) of group g's rows under each of `reported`,
+        two (len(reported), n_g) arrays."""
+        return (np.stack([self.margins(g, r) for r in reported]),
+                np.stack([self.scores(r)[self.rows(g)] for r in reported]))
+
     def risk(self, metric, g, reported):
         """RiskEstimate of `metric` on group g's rows under `reported`,
-        from the metric kernel. The misreport matrix counts its error
-        rates from `wrong_matrix` instead and does not come here."""
+        from the metric kernel. The misreport matrix does not come here:
+        it counts its error rates from `wrong_matrix` and reads AUC and
+        ECE from `risks`."""
         key = (metric, g, reported)
         est = self._risks.get(key)
         if est is None:
@@ -330,6 +418,25 @@ class MarginTable:
                 value, n, metric, g, reported,
                 defined=not math.isnan(value))
         return est
+
+    def risks(self, metric, g, reported):
+        """RiskEstimates of AUC or ECE on group g's rows under each of
+        `reported`, as `risk` returns them. Those not yet kept are made by
+        one kernel call, on one all-ones count row, over the block of
+        their score rows."""
+        keys = [(metric, g, r) for r in reported]
+        missing = [key[2] for key in keys if key not in self._risks]
+        if missing:
+            rows = self.rows(g)
+            labels = self.data.labels[rows]
+            margins, scores = self.block(g, missing)
+            values = resampled_block(metric, _ones(labels), scores, margins,
+                                     labels)[0].tolist()
+            for r, value in zip(missing, values):
+                self._risks[(metric, g, r)] = RiskEstimate(
+                    value, int(rows.size), metric, g, r,
+                    defined=not math.isnan(value))
+        return [self._risks[key] for key in keys]
 
     def wrong(self, g, reported):
         """Whether each of group g's rows is misclassified under

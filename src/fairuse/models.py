@@ -308,9 +308,10 @@ def _constant_model(sign, fmap, context):
 
 def _fit(x, codes, y, fmap, cfg, context):
     """Fit one linear model on base features and per-row cell codes."""
-    classes = np.unique(y)
-    if classes.size == 1:
-        return _constant_model(float(classes[0]), fmap, context)
+    # A single class gets the constant model; an empty y goes to the
+    # trainer.
+    if y.size and y.min() == y.max():
+        return _constant_model(float(y[0]), fmap, context)
     cells = _cell_design(fmap.space, fmap.strategy)
     if cfg.loss == "logistic":
         # Ridge covers base features only: indicators and intercept stay free.

@@ -101,6 +101,57 @@ def direct_ece(scores, margins, labels, bins=10):
     return total
 
 
+def auc_counts_reference(counts, scores, labels):
+    """Count-weighted AUC of one score row, one value per (replicates, n)
+    count row: the package's one-comparator kernel before it took a block
+    of score rows, kept as the reference its block form must equal
+    exactly."""
+    pos = labels == 1
+    neg_rows = np.flatnonzero(~pos)
+    neg_rows = neg_rows[np.argsort(scores[neg_rows], kind="stable")]
+    pos_rows = np.flatnonzero(pos)
+    ranked = scores[neg_rows]
+    lo = np.searchsorted(ranked, scores[pos_rows], "left")
+    hi = np.searchsorted(ranked, scores[pos_rows], "right")
+    cum = np.zeros((counts.shape[0], neg_rows.size + 1), dtype=np.int64)
+    np.cumsum(np.take(counts, neg_rows, axis=1), axis=1, out=cum[:, 1:])
+    c_pos = np.take(counts, pos_rows, axis=1)
+    twice_u = (np.einsum("ij,ij->i", c_pos, np.take(cum, lo, axis=1))
+               + np.einsum("ij,ij->i", c_pos, np.take(cum, hi, axis=1)))
+    n_pos = c_pos.sum(axis=1)
+    n_neg = cum[:, -1]
+    out = np.full(counts.shape[0], np.nan)
+    ok = (n_pos > 0) & (n_neg > 0)
+    out[ok] = (0.5 * twice_u[ok]) / (n_pos[ok] * n_neg[ok])
+    return out
+
+
+def ece_counts_reference(counts, scores, margins, labels, bins):
+    """Count-weighted ECE of one score row, the package's one-comparator
+    kernel before it took a block of rows: one matrix product of the
+    counts with per-bin indicators over the nonempty bins."""
+    conf = np.maximum(scores, 1.0 - scores)
+    correct = np.where(margins >= 0.0, 1, -1) == labels
+    masks = [(conf > (k - 1) / bins if k > 1 else conf >= 0.0)
+             & (conf <= k / bins) for k in range(1, bins + 1)]
+    masks = [mask for mask in masks if mask.any()]
+    if not masks:
+        return np.full(counts.shape[0], np.nan)
+    onehot = np.stack(masks, axis=1).astype(float)
+    sums = counts.astype(float) @ np.hstack(
+        [onehot, onehot * correct[:, None], onehot * conf[:, None]])
+    k = len(masks)
+    n = counts.sum(axis=1)
+    total = np.zeros(counts.shape[0])
+    with np.errstate(invalid="ignore", divide="ignore"):
+        for j in range(k):
+            cnt = sums[:, j]
+            gap = np.abs(sums[:, k + j] / cnt - sums[:, 2 * k + j] / cnt)
+            total += np.where(cnt > 0, (cnt / n) * gap, 0.0)
+    total[n == 0] = np.nan
+    return total
+
+
 def binom_tail(n, k):
     """Exact Pr[Binomial(n, 1/2) >= k] from a Pascal-triangle row."""
     if k <= 0:

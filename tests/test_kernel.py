@@ -6,6 +6,7 @@ import importlib
 import math
 import time
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -18,16 +19,19 @@ from fairuse.audit import (BOOTSTRAP, MCNEMAR, NOT_TESTABLE, AuditConfig,
                            MarginTable, _binom_tail_at_least, audit,
                            bootstrap_replicates, bootstrap_test)
 from fairuse.dataset import Dataset
-from fairuse.groups import TRUTHFUL, WITHHELD, GroupSpace
+from fairuse.groups import ALL, TRUTHFUL, WITHHELD, GroupSpace
 from fairuse.metrics import (AUC, ECE, ERROR_RATE, auc_value, ece_value,
                              metric_value, orient, resample_counts,
-                             resampled_values)
+                             resampled_block, resampled_values)
 from fairuse.models import Strategy, TrainConfig, train_personalized
 from fairuse.synth import gen_exchangeable_null, gen_planted_violation
-from oracles import pairwise_auc, rank_sum_auc
+from oracles import (auc_counts_reference, ece_counts_reference,
+                     pairwise_auc, rank_sum_auc)
 
-# The audit module itself, whose names the tests below patch.
+# The audit and metrics modules themselves, whose names the tests below
+# patch.
 audit_module = importlib.import_module("fairuse.audit")
+metrics_module = importlib.import_module("fairuse.metrics")
 AB = GroupSpace((("g", ("a", "b")),))
 SPACE_2X2 = GroupSpace((("s", ("f", "m")), ("t", ("x", "y"))))
 
@@ -97,6 +101,75 @@ def test_count_weighted_ece_matches_materialized_ece(case):
             assert math.isnan(got[b])
         else:
             assert got[b] == pytest.approx(want, abs=1e-12)
+
+
+@st.composite
+def score_blocks(draw):
+    """(margins, labels, counts, layout): a (k, n) block of margin rows
+    over n labelled rows and a few count rows. Margins come from a short
+    list, so scores tie, or from an interval, so they rarely do; a block
+    may be one class, no rows, or an all-ones count row."""
+    n = draw(st.integers(0, 12))
+    k = draw(st.integers(1, 5))
+    values = st.one_of(_MARGINS, st.floats(-4.0, 4.0)) \
+        if draw(st.booleans()) else _MARGINS
+    margins = np.array(draw(st.lists(
+        st.lists(values, min_size=n, max_size=n), min_size=k,
+        max_size=k)), dtype=float).reshape(k, n)
+    labels = np.array(draw(st.lists(st.sampled_from([-1, 1]), min_size=n,
+                                    max_size=n)), dtype=int)
+    reps = draw(st.integers(1, 6))
+    counts = np.array(draw(st.lists(
+        st.lists(st.integers(0, 3), min_size=n, max_size=n),
+        min_size=reps, max_size=reps)), dtype=np.int64).reshape(reps, n)
+    if draw(st.booleans()):
+        counts[0] = 1
+    return margins, labels, counts, draw(st.sampled_from(
+        ["C", "F", "strided"]))
+
+
+def _laid_out(block, layout):
+    """`block`'s values in C order, Fortran order, or as a strided view."""
+    if layout == "F":
+        return np.asfortranarray(block)
+    if layout == "strided":
+        return np.repeat(block, 2, axis=1)[:, ::2]
+    return block
+
+
+# Untied scores (lo == hi for every positive), ties across classes, one
+# class, and no rows.
+@example((np.array([[-1.0, 0.5, 2.0, -3.0], [40.0, 41.0, 0.0, 0.0]]),
+          np.array([1, -1, 1, -1]),
+          np.array([[1, 1, 1, 1], [2, 0, 1, 3]], dtype=np.int64), "F"))
+@example((np.array([[0.5, 1.5, -3.0]]), np.array([1, 1, 1]),
+          np.array([[1, 1, 1]], dtype=np.int64), "C"))
+@example((np.zeros((2, 0)), np.zeros(0, dtype=int),
+          np.zeros((2, 0), dtype=np.int64), "strided"))
+@given(score_blocks())
+def test_block_kernels_equal_one_row_calls_and_the_reference(case):
+    margins, labels, counts, layout = case
+    scores = _laid_out(expit(margins), layout)
+    margins = _laid_out(margins, layout)
+    # The whole draw, and the draw in two chunks of replicates.
+    cut = counts.shape[0] // 2
+    for part in (counts, counts[:cut], counts[cut:]):
+        if not part.shape[0]:
+            continue
+        auc = resampled_block(AUC, part, scores, margins, labels)
+        ece = resampled_block(ECE, part, scores, margins, labels)
+        assert auc.shape == ece.shape == (part.shape[0], len(scores))
+        for j in range(len(scores)):
+            for got, one, reference in (
+                    (auc[:, j], resampled_values(AUC, part, scores[j],
+                                                 margins[j], labels),
+                     auc_counts_reference(part, scores[j], labels)),
+                    (ece[:, j], resampled_values(ECE, part, scores[j],
+                                                 margins[j], labels),
+                     ece_counts_reference(part, scores[j], margins[j],
+                                          labels, 10))):
+                assert np.array_equal(got, one, equal_nan=True)
+                assert np.array_equal(got, reference, equal_nan=True)
 
 
 def test_resample_counts_tallies_each_replicate():
@@ -525,18 +598,33 @@ def test_audit_draws_once_per_group_and_metric(monkeypatch):
                      "bootstrap_test": 2 * m * m, "mcnemar_test": m * m}
 
 
+def _record_kernels(monkeypatch):
+    """(kernel name, counts shape, scores shape) of every AUC and ECE
+    count-kernel call, in call order."""
+    calls = []
+    for name in ("_auc_counts", "_ece_counts"):
+        real = getattr(metrics_module, name)
+
+        def counted(counts, scores, *args, _real=real, _name=name):
+            calls.append((_name, counts.shape, scores.shape))
+            return _real(counts, scores, *args)
+
+        monkeypatch.setattr(metrics_module, name, counted)
+    return calls
+
+
 def test_audit_evaluates_each_observed_risk_once(monkeypatch):
     # The misreport matrix, the bootstrap tests, the population row and the
     # in-sample generalization rows read one memoized risk per (metric,
-    # group, reported). AUC and ECE run the metric kernel on m * (m + 1)
-    # matrix entries plus two population risks, with no extra self
-    # evaluation per comparator. A cell's error rate counts its kept
-    # wrong bits, so only the two population error rates run the kernel,
-    # and each (group, reported) row of wrong bits is made once: its
-    # margins are sliced inside `wrong` exactly once, and every read
+    # group, reported), each made once. AUC and ECE fill a group's matrix
+    # row with one kernel call on one all-ones count row over all m + 1
+    # reports, plus the two population risks through `metric_value`, with
+    # no extra evaluation per comparator. A cell's error rate counts its
+    # kept wrong bits, so only the two population error rates run the
+    # kernel, and each (group, reported) row of wrong bits is made once:
+    # its margins are sliced inside `wrong` exactly once, and every read
     # returns the same array, a row of the group's wrong-bit matrix.
     ds = gen_planted_violation(m=4, n_per_group=30, seed=2)
-    metrics_module = importlib.import_module("fairuse.metrics")
     calls = []
     real = metrics_module.metric_value
 
@@ -544,8 +632,16 @@ def test_audit_evaluates_each_observed_risk_once(monkeypatch):
         calls.append(args[0])
         return real(*args, **kwargs)
 
-    bits = {}
+    kernels = _record_kernels(monkeypatch)
     made = []
+    real_estimate = metrics_module.RiskEstimate
+
+    def estimate(value, n, metric, g, reported, **kwargs):
+        made.append((metric, g, reported))
+        return real_estimate(value, n, metric, g, reported, **kwargs)
+
+    bits = {}
+    made_bits = []
     filling = []
     real_wrong = MarginTable.wrong
     real_margins = MarginTable.margins
@@ -561,23 +657,33 @@ def test_audit_evaluates_each_observed_risk_once(monkeypatch):
 
     def sliced(table, g, reported):
         if filling:
-            made.append((g, reported))
+            made_bits.append((g, reported))
         return real_margins(table, g, reported)
 
     monkeypatch.setattr(metrics_module, "metric_value", counted)
     monkeypatch.setattr(audit_module, "metric_value", counted)
+    monkeypatch.setattr(metrics_module, "RiskEstimate", estimate)
     monkeypatch.setattr(MarginTable, "wrong", kept)
     monkeypatch.setattr(MarginTable, "margins", sliced)
     m = ds.space.m
     cells = ds.space.cells()
+    n = ds.rows_for(cells[0]).size
     metrics = (ERROR_RATE, AUC, ECE)
     audit(ds, ds, Strategy.ONEHOT, metrics, AuditConfig(bootstrap_reps=100))
-    assert calls.count(ERROR_RATE) == 2
-    assert calls.count(AUC) == calls.count(ECE) == m * (m + 1) + 2
-    assert len(calls) == 2 + 2 * (m * (m + 1) + 2)
-    every = {(g, r) for g in cells for r in (WITHHELD,) + cells}
+    assert calls == [ERROR_RATE, ERROR_RATE, AUC, AUC, ECE, ECE]
+    for name in ("_auc_counts", "_ece_counts"):
+        point = [shapes for kernel, *shapes in kernels
+                 if kernel == name and shapes[0][0] == 1]
+        assert point == [[(1, n), (m + 1, n)]] * m + [[(1, ds.n),
+                                                       (1, ds.n)]] * 2
+    reports = (WITHHELD,) + cells
+    for metric in (AUC, ECE):
+        assert Counter((g, r) for mk, g, r in made if mk == metric) == \
+            Counter([(g, r) for g in cells for r in reports]
+                    + [(ALL, WITHHELD), (ALL, TRUTHFUL)])
+    every = {(g, r) for g in cells for r in reports}
     assert set(bits) == every
-    assert sorted(made, key=str) == sorted(every, key=str)
+    assert sorted(made_bits, key=str) == sorted(every, key=str)
     for arrays in bits.values():
         assert all(a is arrays[0] for a in arrays)
     for g in cells:
@@ -585,6 +691,26 @@ def test_audit_evaluates_each_observed_risk_once(monkeypatch):
         assert matrix.shape == (m + 1, matrix.shape[1])
         assert all(bits[(g, r)][0].base is matrix
                    for r in (WITHHELD,) + cells)
+
+
+def test_audit_draws_auc_and_ece_in_one_kernel_call_per_chunk(monkeypatch):
+    # Each group's replicates evaluate the group and all its comparators
+    # in one call of each count kernel per chunk of the draw, never one
+    # call per comparator.
+    ds = gen_exchangeable_null(m=8, n_per_group=30, seed=0)
+    m = ds.space.m
+    n = ds.rows_for(ds.space.cells()[0]).size
+    assert all(ds.rows_for(g).size == n for g in ds.space.cells())
+    kernels = _record_kernels(monkeypatch)
+    # 40 replicates per chunk: chunks of 40, 40 and 20.
+    monkeypatch.setattr(audit_module, "_INDEX_CHUNK_ENTRIES", 40 * n + 3)
+    audit(ds, ds, Strategy.ONEHOT, (AUC, ECE),
+          AuditConfig(bootstrap_reps=100))
+    draws = [call for call in kernels if call[1][0] > 1]
+    per_group = [((40, n), (m + 1, n)), ((40, n), (m + 1, n)),
+                 ((20, n), (m + 1, n))]
+    assert draws == [("_auc_counts", *shapes) for shapes in per_group] * m \
+        + [("_ece_counts", *shapes) for shapes in per_group] * m
 
 
 def test_margin_table_risk_is_memoized():
@@ -628,6 +754,30 @@ def test_shared_draw_memory_is_bounded_in_comparators():
         tracemalloc.stop()
     assert gains.shape == (2000, 32)
     assert peak < 64 * 2 ** 20
+
+
+def test_ece_draw_memory_is_bounded_in_comparators():
+    # 33 comparators at 2000 replicates over a 30-row group: spreading
+    # every comparator's per-bin sums at once would hold 16 MB.
+    space = GroupSpace((("g", tuple(f"c{i}" for i in range(33))),))
+    cells = space.cells()
+    n = 30
+    rng = np.random.default_rng(0)
+    y = np.where(rng.random(n) < 0.5, 1, -1)
+    ds = Dataset(np.zeros((n, 1)), y, (cells[0],) * n, space)
+    model = _StubModel({c: rng.normal(size=n)
+                        for c in cells + (WITHHELD,)})
+    table = MarginTable(model, ds)
+    comps = (WITHHELD,) + cells[1:]
+    tracemalloc.start()
+    try:
+        _, gains = bootstrap_replicates(table, cells[0], comps, ECE,
+                                        reps=2000, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert gains.shape == (2000, 33)
+    assert peak < 8 * 2 ** 20
 
 
 def test_auc_draw_of_a_2500_row_group_is_fast_and_small():

@@ -42,6 +42,21 @@ AUDITS = [
       "--format", "json"],
      ".json", 0,
      "f7c90b6012e8ee1385c77b64199bdd3611dd4462748caca0ce9fffc345d955e2"),
+    # AUC and ECE at full precision: the markdown above prints 4
+    # decimals, which would hide a last-bit change in a kernel's sums.
+    ("planted-m4-metrics-json",
+     PLANTED,
+     ["--metric", "error", "--metric", "auc", "--metric", "ece",
+      "--bootstrap", "200", "--format", "json"],
+     ".json", 3,
+     "9a9a39107579cf00f6632d1278881e16c375615a06650be8b2fcfaac588005d8"),
+    # In-sample m=8: nine comparators per group in each AUC/ECE draw.
+    ("exchangeable-m8-metrics-json",
+     ["exchangeable", "--m", "8", "--n-per-group", "60"],
+     ["--train-fraction", "1.0", "--metric", "auc", "--metric", "ece",
+      "--bootstrap", "200", "--format", "json"],
+     ".json", 0,
+     "a228dc8644bb9ff6eacca1380b924137169c9ff6713851338471f523abbaeb79"),
     # Identical prediction pairs: a group-blind model predicts alike for
     # every group.
     ("planted-m4-generic-markdown", PLANTED,
