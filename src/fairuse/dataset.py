@@ -382,10 +382,10 @@ def save_csv(ds, path, group_prefix="g:"):
 def split(ds, train_fraction, seed):
     """Deterministic stratified train/test split by (group, label).
 
-    Every nonempty cell must contain both labels; a stratum with a single
-    row goes to the training side with a warning. Declared-but-empty cells
-    are skipped. The two parts preserve original row order and partition
-    the input.
+    A cell whose rows all have one label splits as one stratum; a stratum
+    with a single row goes to the training side with a warning.
+    Declared-but-empty cells are skipped. The two parts preserve original
+    row order and partition the input.
     """
     if not 0.0 < train_fraction < 1.0:
         raise ValueError(
@@ -403,11 +403,6 @@ def split(ds, train_fraction, seed):
             continue
         for s, label in ((2 * ci, -1), (2 * ci + 1, 1)):
             stratum = order[starts[s]:ends[s]]
-            if stratum.size == 0:
-                raise ValueError(
-                    f"group {g} has no rows with label {label:+d}; every "
-                    "(group, label) stratum of a nonempty cell must be "
-                    "nonempty to split")
             if stratum.size == 1:
                 warnings.warn(
                     f"stratum (group {g}, label {label:+d}) has one row; "

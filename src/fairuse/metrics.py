@@ -26,8 +26,9 @@ so a point value is the replicate form exactly. The audit makes one
 kernel call per group for a row of point values (`MarginTable.risks`)
 and one per group and chunk of replicates. The AUC kernel reads running
 sums of negative counts, in score order, at each positive row's tie
-bounds; the ECE kernel makes one matrix product of the counts with each
-score row's per-bin indicators.
+bounds; the ECE kernel makes one matrix product of the counts with the
+per-bin indicators of a slice of score rows, whose sums are exact
+integers, so its values do not depend on the product's shape.
 """
 
 import math
@@ -42,9 +43,10 @@ ERROR_RATE_TAG = "error_rate"
 AUC_TAG = "auc"
 ECE_TAG = "ece"
 _LOWER_IS_BETTER = {ERROR_RATE_TAG: True, AUC_TAG: False, ECE_TAG: True}
-# Most entries of the per-bin sums that the ECE kernel lays a slice of
-# score rows' products out in: three float arrays of bins x replicates x
-# rows. Their terms take as many entries again while they are made.
+# Most entries of the operand the ECE kernel multiplies the counts with
+# for one slice of score rows, and of that product: four columns per bin
+# and score row, over rows or replicates, whichever are more. A slice
+# holds at least one score row, whose operand may be larger.
 _BIN_SLICE_ENTRIES = 1 << 18
 
 
@@ -187,10 +189,10 @@ def resampled_values(metric, counts, scores, margins, labels):
 
     counts is a (replicates, n) matrix of row multiplicities. Returns one
     value per replicate, NaN where the metric is undefined (no rows; AUC
-    with one class absent). AUC equals `metric_value` on the materialized
-    resample bit for bit; ECE agrees to float summation order. The audit
-    computes error-rate replicates from the counts itself. This is
-    `resampled_block` on one score row.
+    with one class absent). AUC, and ECE while a replicate has fewer than
+    2^26 rows, equal `metric_value` on the materialized resample bit for
+    bit. The audit computes error-rate replicates from the counts itself.
+    This is `resampled_block` on one score row.
     """
     return resampled_block(metric, counts, scores[None], margins[None],
                            labels)[:, 0]
@@ -260,58 +262,52 @@ def _ece_counts(counts, scores, margins, labels, bins):
     """Count-weighted ECE of each row of a (k, n) block of scores and
     margins, one column per row.
 
-    Confidence bins are fixed per row, so a score row's bin counts, hits
-    and confidence sums over every replicate are one matrix product of
-    the counts with indicators of its nonempty bins. The last bits of
-    that product depend on its width, its row count and the memory order
-    of its operands, so each score row gets its own product, made as a
-    one-row call makes it. The products are then laid side by side, each
-    row's nonempty bins in order and padded with empty ones, every bin's
-    term is made for all of them at once, and the terms are added in bin
-    order; a padding bin adds an exact 0.0. Score rows go in slices, so
-    the side-by-side sums hold at most about `_BIN_SLICE_ENTRIES`
-    entries.
+    A confidence max(s, 1 - s) lies in [0.5, 1], so it is an integer
+    multiple of 2^-53: conf * 2^53 = high * 2^26 + low, with high =
+    floor(conf * 2^27) and low below 2^26, both exact. While a replicate
+    has fewer than 2^26 rows, its per-bin counts, hits and sums of high
+    and of low are integers below 2^53, which a product sums exactly in
+    any order, and (high sum * 2^26 + low sum) / 2^53 is the bin's
+    confidence sum correctly rounded. So a slice of score rows' sums over
+    every replicate are one matrix product, whatever its shape or memory
+    order, of the counts with the (1, hit, high, low) factors times the
+    indicator of each (bin, score row) that some row fills. Each score
+    row's terms are added in bin order.
     """
+    reps, rows = counts.shape
     counts_f = counts.astype(float)
-    reps = counts.shape[0]
     n = counts.sum(axis=1)[:, None]
     conf = np.maximum(scores, 1.0 - scores)
+    high = np.floor(conf * 2.0 ** 27)
     correct = np.where(margins >= 0.0, 1, -1) == labels
+    factors = np.stack([np.ones_like(conf), correct, high,
+                        conf * 2.0 ** 53 - high * 2.0 ** 26], axis=2)
     # Each entry's bin, from 0: ((b - 1)/bins, b/bins] is bin b - 1, and
     # bins marks none (NaN or above 1). A confidence is at least 0.5, so
     # the first bin's closed end at 0 never matters.
     which = np.searchsorted(np.arange(1, bins + 1) / bins, conf)
-    k, rows = scores.shape
-    nonempty = np.zeros((k, bins + 1), dtype=bool)
-    nonempty[np.arange(k)[:, None], which] = True
-    # Each row's (1, correct, confidence), the factors of its columns.
-    factors = np.stack([np.ones((k, rows)), correct, conf], axis=2)
-    total = np.zeros((reps, k))
-    step = max(1, _BIN_SLICE_ENTRIES // (3 * bins * reps))
-    for start in range(0, k, step):
-        stop = min(k, start + step)
-        present = [np.flatnonzero(nonempty[j, :bins])
-                   for j in range(start, stop)]
-        # (count, hits, confidence) x bin x replicate x score row.
-        sums = np.zeros((3, max(p.size for p in present), reps,
-                         stop - start))
-        for j, bins_j in zip(range(start, stop), present):
-            # C-ordered columns: the bin indicators, then times correct,
-            # then times confidence, each over the row's nonempty bins.
-            rhs = np.empty((rows, 3, bins_j.size))
-            np.multiply((which[j][:, None] == bins_j)[:, None, :],
-                        factors[j][:, :, None], out=rhs)
-            product = counts_f @ rhs.reshape(rows, 3 * bins_j.size)
-            sums[:, :bins_j.size, :, j - start] = product.T.reshape(
-                3, bins_j.size, reps)
-        cnt, hits, conf_sum = sums
+    total = np.zeros((reps, len(scores)))
+    step = max(1, _BIN_SLICE_ENTRIES // (4 * bins * max(rows, reps)))
+    for start in range(0, len(scores), step):
+        width = min(step, len(scores) - start)
+        # Score row start + j's bin b is key b * width + j, so each bin's
+        # filled columns are contiguous.
+        j, i = np.nonzero(which[start:start + width] < bins)
+        key = which[start + j, i] * width + j
+        filled = np.flatnonzero(np.bincount(key, minlength=bins * width))
+        rhs = np.zeros((rows, 4, filled.size))
+        rhs[i, :, np.searchsorted(filled, key)] = factors[start + j, i]
+        cnt, hits, high_sum, low_sum = np.split(
+            counts_f @ rhs.reshape(rows, 4 * filled.size), 4, axis=1)
+        conf_sum = (high_sum * 2.0 ** 26 + low_sum) / 2.0 ** 53
         with np.errstate(invalid="ignore", divide="ignore"):
             terms = np.where(cnt > 0, (cnt / n) * np.abs(hits / cnt
                                                          - conf_sum / cnt),
                              0.0)
-        del sums, cnt, hits, conf_sum  # free them before the next slice
-        for term in terms:
-            total[:, start:stop] += term
+        edges = np.searchsorted(filled, width * np.arange(bins + 1))
+        for b in range(bins):
+            cols = slice(edges[b], edges[b + 1])
+            total[:, start + filled[cols] - b * width] += terms[:, cols]
     total[n[:, 0] == 0] = np.nan
     return total
 

@@ -127,29 +127,43 @@ def auc_counts_reference(counts, scores, labels):
 
 
 def ece_counts_reference(counts, scores, margins, labels, bins):
-    """Count-weighted ECE of one score row, the package's one-comparator
-    kernel before it took a block of rows: one matrix product of the
-    counts with per-bin indicators over the nonempty bins."""
-    conf = np.maximum(scores, 1.0 - scores)
-    correct = np.where(margins >= 0.0, 1, -1) == labels
-    masks = [(conf > (k - 1) / bins if k > 1 else conf >= 0.0)
-             & (conf <= k / bins) for k in range(1, bins + 1)]
-    masks = [mask for mask in masks if mask.any()]
-    if not masks:
-        return np.full(counts.shape[0], np.nan)
-    onehot = np.stack(masks, axis=1).astype(float)
-    sums = counts.astype(float) @ np.hstack(
-        [onehot, onehot * correct[:, None], onehot * conf[:, None]])
-    k = len(masks)
-    n = counts.sum(axis=1)
-    total = np.zeros(counts.shape[0])
-    with np.errstate(invalid="ignore", divide="ignore"):
-        for j in range(k):
-            cnt = sums[:, j]
-            gap = np.abs(sums[:, k + j] / cnt - sums[:, 2 * k + j] / cnt)
-            total += np.where(cnt > 0, (cnt / n) * gap, 0.0)
-    total[n == 0] = np.nan
-    return total
+    """Count-weighted ECE of one score row, one value per (replicates, n)
+    count row, from exact per-bin sums.
+
+    Each row goes in the smallest bin k with conf <= k/bins, as in
+    `direct_ece`. Per replicate, each bin's count, hits and confidence
+    sum are summed as Fractions and rounded once to the nearest float;
+    then (cnt / n) * |hits / cnt - conf_sum / cnt| of each bin with rows
+    is added to 0.0 in bin order.
+    """
+    which = []
+    for s, m, y in zip(scores, margins, labels):
+        conf = max(float(s), 1.0 - float(s))
+        k = 1
+        while k < bins and conf > k / bins:
+            k += 1
+        correct = (1 if m >= 0.0 else -1) == y
+        which.append((k, int(correct), Fraction(conf)))
+    out = []
+    for row in counts:
+        n = int(sum(int(c) for c in row))
+        if n == 0:
+            out.append(math.nan)
+            continue
+        sums = {}
+        for c, (k, correct, conf) in zip(row, which):
+            cnt, hits, conf_sum = sums.get(k, (0, 0, Fraction(0)))
+            sums[k] = (cnt + int(c), hits + int(c) * correct,
+                       conf_sum + int(c) * conf)
+        total = 0.0
+        for k in sorted(sums):
+            cnt, hits, conf_sum = sums[k]
+            if cnt:
+                cnt, hits, conf_sum = float(cnt), float(hits), \
+                    float(conf_sum)
+                total += (cnt / n) * abs(hits / cnt - conf_sum / cnt)
+        out.append(total)
+    return np.array(out)
 
 
 def binom_tail(n, k):

@@ -156,6 +156,19 @@ def test_audit_reports_a_fit_that_does_not_converge(tmp_path, capsys):
         "error: logistic trainer stopped")
 
 
+def test_audit_splits_a_cell_whose_rows_have_one_label(tmp_path, capsys):
+    # Planted data at 50 rows per group has a cell with no positive row;
+    # the default split keeps it as one stratum.
+    path = tmp_path / "planted.csv"
+    assert main(["synth", "planted", "--n-per-group", "50", "--seed", "0",
+                 "--out", str(path)]) == 0
+    ds = load_csv(str(path))
+    cell = ds.space.cells()[0]
+    assert set(ds.labels[ds.rows_for(cell)].tolist()) == {-1}
+    capsys.readouterr()
+    assert main(["audit", "--data", str(path), "--bootstrap", "100"]) == 0
+
+
 def test_audit_point_mode_flags_reference_violation(mis_csv, capsys):
     code = main(["audit", "--data", mis_csv, "--train-fraction", "1.0",
                  "--mode", "point", "--bootstrap", "200"])

@@ -211,10 +211,13 @@ def test_split_errors_and_singleton_warning():
     feats = np.zeros((4, 1))
     labels = np.array([1, 1, 1, -1])
     groups = (SPACE.group("a"),) * 4
-    one_sided = Dataset(np.zeros((2, 1)), np.array([1, 1]),
+    one_sided = Dataset(np.arange(2.0)[:, None], np.array([1, 1]),
                         (SPACE.group("a"), SPACE.group("a")), SPACE)
-    with pytest.raises(ValueError):
-        split(one_sided, 0.5, seed=0)
+    # A cell with one label splits as one stratum.
+    train, test = split(one_sided, 0.5, seed=0)
+    assert sorted(train.features[:, 0].tolist() + test.features[:, 0]
+                  .tolist()) == [0.0, 1.0]
+    assert test.n == 1
     lopsided = Dataset(feats, labels, groups, SPACE)
     with pytest.warns(UserWarning):
         train, test = split(lopsided, 0.5, seed=0)

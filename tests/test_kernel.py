@@ -100,7 +100,7 @@ def test_count_weighted_ece_matches_materialized_ece(case):
         if math.isnan(want):
             assert math.isnan(got[b])
         else:
-            assert got[b] == pytest.approx(want, abs=1e-12)
+            assert got[b] == want
 
 
 @st.composite
@@ -138,38 +138,45 @@ def _laid_out(block, layout):
 
 
 # Untied scores (lo == hi for every positive), ties across classes, one
-# class, and no rows.
+# class, and no rows; the first example's ECE score rows go in two
+# slices.
 @example((np.array([[-1.0, 0.5, 2.0, -3.0], [40.0, 41.0, 0.0, 0.0]]),
           np.array([1, -1, 1, -1]),
-          np.array([[1, 1, 1, 1], [2, 0, 1, 3]], dtype=np.int64), "F"))
+          np.array([[1, 1, 1, 1], [2, 0, 1, 3]], dtype=np.int64), "F"), 1)
 @example((np.array([[0.5, 1.5, -3.0]]), np.array([1, 1, 1]),
-          np.array([[1, 1, 1]], dtype=np.int64), "C"))
+          np.array([[1, 1, 1]], dtype=np.int64), "C"), 1 << 18)
 @example((np.zeros((2, 0)), np.zeros(0, dtype=int),
-          np.zeros((2, 0), dtype=np.int64), "strided"))
-@given(score_blocks())
-def test_block_kernels_equal_one_row_calls_and_the_reference(case):
+          np.zeros((2, 0), dtype=np.int64), "strided"), 1)
+@given(score_blocks(), st.sampled_from([1, 1000, 1 << 18]))
+def test_block_kernels_equal_one_row_calls_and_the_reference(case,
+                                                             entries):
     margins, labels, counts, layout = case
     scores = _laid_out(expit(margins), layout)
     margins = _laid_out(margins, layout)
-    # The whole draw, and the draw in two chunks of replicates.
+    counts = _laid_out(counts, layout)
+    # The whole draw, and the draw in two chunks of replicates; a small
+    # bound on the ECE kernel's slice makes it take the score rows one
+    # or a few at a time.
     cut = counts.shape[0] // 2
-    for part in (counts, counts[:cut], counts[cut:]):
-        if not part.shape[0]:
-            continue
-        auc = resampled_block(AUC, part, scores, margins, labels)
-        ece = resampled_block(ECE, part, scores, margins, labels)
-        assert auc.shape == ece.shape == (part.shape[0], len(scores))
-        for j in range(len(scores)):
-            for got, one, reference in (
-                    (auc[:, j], resampled_values(AUC, part, scores[j],
-                                                 margins[j], labels),
-                     auc_counts_reference(part, scores[j], labels)),
-                    (ece[:, j], resampled_values(ECE, part, scores[j],
-                                                 margins[j], labels),
-                     ece_counts_reference(part, scores[j], margins[j],
-                                          labels, 10))):
-                assert np.array_equal(got, one, equal_nan=True)
-                assert np.array_equal(got, reference, equal_nan=True)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(metrics_module, "_BIN_SLICE_ENTRIES", entries)
+        for part in (counts, counts[:cut], counts[cut:]):
+            if not part.shape[0]:
+                continue
+            auc = resampled_block(AUC, part, scores, margins, labels)
+            ece = resampled_block(ECE, part, scores, margins, labels)
+            assert auc.shape == ece.shape == (part.shape[0], len(scores))
+            for j in range(len(scores)):
+                for got, one, reference in (
+                        (auc[:, j], resampled_values(AUC, part, scores[j],
+                                                     margins[j], labels),
+                         auc_counts_reference(part, scores[j], labels)),
+                        (ece[:, j], resampled_values(ECE, part, scores[j],
+                                                     margins[j], labels),
+                         ece_counts_reference(part, scores[j], margins[j],
+                                              labels, 10))):
+                    assert np.array_equal(got, one, equal_nan=True)
+                    assert np.array_equal(got, reference, equal_nan=True)
 
 
 def test_resample_counts_tallies_each_replicate():

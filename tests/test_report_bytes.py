@@ -49,14 +49,14 @@ AUDITS = [
      ["--metric", "error", "--metric", "auc", "--metric", "ece",
       "--bootstrap", "200", "--format", "json"],
      ".json", 3,
-     "9a9a39107579cf00f6632d1278881e16c375615a06650be8b2fcfaac588005d8"),
+     "b5726d276c204462c81bd0f11ac984c979718cbc9ebc365f06c42cfd85498826"),
     # In-sample m=8: nine comparators per group in each AUC/ECE draw.
     ("exchangeable-m8-metrics-json",
      ["exchangeable", "--m", "8", "--n-per-group", "60"],
      ["--train-fraction", "1.0", "--metric", "auc", "--metric", "ece",
       "--bootstrap", "200", "--format", "json"],
      ".json", 0,
-     "a228dc8644bb9ff6eacca1380b924137169c9ff6713851338471f523abbaeb79"),
+     "f0e104eab69147f4c8b976d6c65e787d72527d21113b9dd06572fba20d112a9e"),
     # Identical prediction pairs: a group-blind model predicts alike for
     # every group.
     ("planted-m4-generic-markdown", PLANTED,
