@@ -68,12 +68,13 @@ Raw and adjusted results are built by `_result` in one dict update each.
 import math
 from collections import Counter
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Optional
 
 import numpy as np
 
 from . import theory
-from ._jsontext import Records, dumps, number
+from ._jsontext import Records, dumps, number, numbers
 from .dataset import tally
 from .groups import ALL, TRUTHFUL, WITHHELD, GroupId, GroupSpace
 # group_risk, metric_value and MarginTable stay importable from this
@@ -154,7 +155,7 @@ class MisreportMatrix:
         cells = [labels[c] for c in self.space.cells()]
         return {"metric": self.metric.tag, "rows": [
             {"group": g, "n": n, "generic": number(row[0]),
-             "reported": dict(zip(cells, map(number, row[1:])))}
+             "reported": dict(zip(cells, numbers(row[1:])))}
             for g, n, row in zip(cells, self.n.tolist(),
                                  self.values.tolist())]}
 
@@ -213,8 +214,8 @@ class PointGains:
             "n": self.n,
             "rationality_gain": number(self.rationality_gain),
             "rationality_gain_count": count(self.rationality_gain_count),
-            "envy_gains": {labels[g]: number(v)
-                           for g, v in self.envy_gains.items()},
+            "envy_gains": dict(zip(map(labels.__getitem__, self.envy_gains),
+                                   numbers(list(self.envy_gains.values())))),
             "envy_min_gain": number(self.envy_min_gain),
             "envy_min_gain_count": count(self.envy_min_gain_count),
             "envy_argmin": (None if self.envy_argmin is None
@@ -329,22 +330,38 @@ class HypothesisResult:
     def comparator_label(self):
         return _label(self.comparator)
 
-    # The report's keys of a result, sorted; `row` gives their values.
+    # The report's keys of a result, sorted, each the name of the field
+    # it writes: group and comparator as labels, the estimate and the
+    # p-values by the `number` rule, the rest as they are.
     KEYS = ("alpha", "comparator", "detail", "estimate", "family_size",
             "group", "kind", "metric", "n", "p_adjusted", "p_gain", "p_raw",
             "p_violation", "test", "verdict")
+    _LABEL_KEYS = ("comparator", "group")
+    _NUMBER_KEYS = ("estimate", "p_adjusted", "p_gain", "p_raw",
+                    "p_violation")
 
-    def row(self, labels):
-        """The values of KEYS, group and comparator read from `labels`."""
-        return (self.alpha, labels[self.comparator], self.detail,
-                number(self.estimate), self.family_size, labels[self.group],
-                self.kind, self.metric, self.n, number(self.p_adjusted),
-                number(self.p_gain), number(self.p_raw),
-                number(self.p_violation), self.test, self.verdict)
+    @classmethod
+    def columns(cls, results, labels):
+        """One list of report values per KEYS entry, one value per result,
+        group and comparator read from `labels`."""
+        columns = []
+        for key in cls.KEYS:
+            column = list(map(attrgetter(key), results))
+            if key in cls._LABEL_KEYS:
+                column = list(map(labels.__getitem__, column))
+            elif key in cls._NUMBER_KEYS:
+                column = numbers(column)
+            columns.append(column)
+        return columns
 
     def to_jsonable(self, labels=None):
-        return dict(zip(self.KEYS, self.row(
-            _Labels() if labels is None else labels)))
+        labels = _Labels() if labels is None else labels
+        out = dict(zip(self.KEYS, attrgetter(*self.KEYS)(self)))
+        for key in self._LABEL_KEYS:
+            out[key] = labels[out[key]]
+        for key in self._NUMBER_KEYS:
+            out[key] = number(out[key])
+        return out
 
 
 # The fields a raw result leaves at HypothesisResult's defaults.
@@ -825,11 +842,12 @@ class FairUseReport:
         The bytes are those of `json.dumps(self.to_jsonable(),
         sort_keys=True, indent=2)`, written by `_jsontext.dumps`, which
         skips json's pure-Python encoder. The results go to it as one
-        `Records` leaf, not as a dict each.
+        `Records` leaf of value columns, not as a dict each.
         """
         labels = _Labels()
         return dumps(self._tree(labels, Records(
-            HypothesisResult.KEYS, [r.row(labels) for r in self.results])))
+            HypothesisResult.KEYS,
+            HypothesisResult.columns(self.results, labels))))
 
     def _tree(self, labels, results):
         """The report as a JSON tree holding `results`, its other group

@@ -46,7 +46,8 @@ _LOWER_IS_BETTER = {ERROR_RATE_TAG: True, AUC_TAG: False, ECE_TAG: True}
 # Most entries of the operand the ECE kernel multiplies the counts with
 # for one slice of score rows, and of that product: four columns per bin
 # and score row, over rows or replicates, whichever are more. A slice
-# holds at least one score row, whose operand may be larger.
+# holds at least one score row; when that row's operand is larger, it is
+# multiplied in chunks of rows.
 _BIN_SLICE_ENTRIES = 1 << 18
 
 
@@ -271,8 +272,9 @@ def _ece_counts(counts, scores, margins, labels, bins):
     confidence sum correctly rounded. So a slice of score rows' sums over
     every replicate are one matrix product, whatever its shape or memory
     order, of the counts with the (1, hit, high, low) factors times the
-    indicator of each (bin, score row) that some row fills. Each score
-    row's terms are added in bin order.
+    indicator of each (bin, score row) that some row fills, and over a
+    slice of rows the sums of its products over consecutive row chunks.
+    Each score row's terms are added in bin order.
     """
     reps, rows = counts.shape
     counts_f = counts.astype(float)
@@ -280,8 +282,6 @@ def _ece_counts(counts, scores, margins, labels, bins):
     conf = np.maximum(scores, 1.0 - scores)
     high = np.floor(conf * 2.0 ** 27)
     correct = np.where(margins >= 0.0, 1, -1) == labels
-    factors = np.stack([np.ones_like(conf), correct, high,
-                        conf * 2.0 ** 53 - high * 2.0 ** 26], axis=2)
     # Each entry's bin, from 0: ((b - 1)/bins, b/bins] is bin b - 1, and
     # bins marks none (NaN or above 1). A confidence is at least 0.5, so
     # the first bin's closed end at 0 never matters.
@@ -291,14 +291,23 @@ def _ece_counts(counts, scores, margins, labels, bins):
     for start in range(0, len(scores), step):
         width = min(step, len(scores) - start)
         # Score row start + j's bin b is key b * width + j, so each bin's
-        # filled columns are contiguous.
-        j, i = np.nonzero(which[start:start + width] < bins)
-        key = which[start + j, i] * width + j
-        filled = np.flatnonzero(np.bincount(key, minlength=bins * width))
-        rhs = np.zeros((rows, 4, filled.size))
-        rhs[i, :, np.searchsorted(filled, key)] = factors[start + j, i]
-        cnt, hits, high_sum, low_sum = np.split(
-            counts_f @ rhs.reshape(rows, 4 * filled.size), 4, axis=1)
+        # filled columns are contiguous; an entry in no bin keys past them.
+        key = which[start:start + width] * width + np.arange(width)[:, None]
+        filled = np.flatnonzero(np.bincount(
+            key.ravel(), minlength=(bins + 1) * width)[:bins * width])
+        sums = np.zeros((reps, 4 * filled.size))
+        chunk = max(1, _BIN_SLICE_ENTRIES // (4 * bins * width))
+        for lo in range(0, rows, chunk):
+            hi = min(lo + chunk, rows)
+            j, i = np.nonzero(key[:, lo:hi] < bins * width)
+            s, r = start + j, lo + i
+            rhs = np.zeros((hi - lo, 4, filled.size))
+            rhs[i, :, np.searchsorted(filled, key[j, r])] = np.stack(
+                [np.ones(j.size), correct[s, r], high[s, r],
+                 conf[s, r] * 2.0 ** 53 - high[s, r] * 2.0 ** 26], axis=1)
+            sums += counts_f[:, lo:hi] @ rhs.reshape(hi - lo,
+                                                     4 * filled.size)
+        cnt, hits, high_sum, low_sum = np.split(sums, 4, axis=1)
         conf_sum = (high_sum * 2.0 ** 26 + low_sum) / 2.0 ** 53
         with np.errstate(invalid="ignore", divide="ignore"):
             terms = np.where(cnt > 0, (cnt / n) * np.abs(hits / cnt

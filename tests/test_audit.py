@@ -36,6 +36,8 @@ from oracles import (binom_tail, bonferroni_by_replace, mcnemar_counts,
                      point_gains_by_loops)
 
 AB = GroupSpace((("g", ("a", "b")),))
+# The JSON writer module, whose float writer one test counts.
+jsontext_module = importlib.import_module("fairuse._jsontext")
 
 
 def grouped_dataset(n=60, seed=4):
@@ -842,6 +844,37 @@ def test_render_labels_each_cell_once(monkeypatch):
         calls.clear()
         render()
         assert len(calls) <= 2 * m, render.__name__
+    # Each result column's floats are written once per distinct value;
+    # a float zero is written each time, since -0.0 == 0.0.
+    tree = rep.to_jsonable()
+    results = tree.pop("results")
+    columns = [[v for r in results for v in _floats(r[key])]
+               for key in HypothesisResult.KEYS]
+    bound = (len(_floats(tree)) + sum(len(set(c)) for c in columns)
+             + sum(v == 0.0 for c in columns for v in c))
+    texts = []
+    real_float = jsontext_module._float
+
+    def counted_float(value):
+        texts.append(value)
+        return real_float(value)
+
+    monkeypatch.setattr(jsontext_module, "_float", counted_float)
+    assert rep.to_json_str() == dumps(rep.to_jsonable())
+    texts.clear()
+    rep.to_json_str()
+    assert len(texts) <= bound
+
+
+def _floats(tree):
+    """Every float in a JSON tree, in order."""
+    if isinstance(tree, float):
+        return [tree]
+    if isinstance(tree, dict):
+        tree = list(tree.values())
+    if isinstance(tree, (list, tuple)):
+        return [v for item in tree for v in _floats(item)]
+    return []
 
 
 def test_result_frame_and_dicts_write_the_same_report():

@@ -79,28 +79,38 @@ def test_writer_raises_type_error_where_json_dumps_does(tree):
     assert _outcome(dumps, tree) == _outcome(_reference, tree)
 
 
-@pytest.mark.parametrize("key", [1, 1.5, True, None])
+@pytest.mark.parametrize("key", [1, 1.5, 0.0, True, None])
 def test_writer_accepts_only_str_keys(key):
     with pytest.raises(TypeError):
         dumps({key: 0})
 
 
-# Records: a list of flat dicts with shared keys, written through one frame.
+# Records: a list of flat dicts with shared keys, held as one value list
+# per key and written column by column.
 RECORD_KEYS = st.lists(st.one_of(STRINGS, st.sampled_from(["%", "%s", "%%"])),
                        unique=True, max_size=6)
 DETAILS = st.one_of(st.just({}),
                     st.dictionaries(STRINGS, st.integers(), max_size=3),
-                    st.dictionaries(STRINGS, STRINGS, max_size=3))
+                    st.dictionaries(STRINGS, STRINGS, max_size=3),
+                    st.dictionaries(STRINGS, FLOATS, max_size=3),
+                    st.dictionaries(STRINGS, SCALARS, max_size=3),
+                    st.dictionaries(STRINGS, st.lists(SCALARS, max_size=2),
+                                    max_size=2))
 RECORD_VALUES = st.one_of(
-    SCALARS, DETAILS,
+    SCALARS, DETAILS, st.lists(SCALARS, max_size=2),
     st.sampled_from([1, 1.0, True, 0, 0.0, -0.0, False, None, float("nan"),
                      float("inf"), -float("inf")]))
+# A column's values drawn from one of these pools, so that a memo meets
+# equal values: scalars, details, or anything.
+POOLS = st.one_of(st.lists(SCALARS, min_size=1, max_size=3),
+                  st.lists(DETAILS, min_size=1, max_size=3),
+                  st.lists(RECORD_VALUES, min_size=1, max_size=3))
 
 
 def _as_dicts(tree):
     """The tree with every Records leaf replaced by its list of dicts."""
     if isinstance(tree, Records):
-        return [dict(zip(tree.keys, row)) for row in tree.rows]
+        return [dict(zip(tree.keys, row)) for row in zip(*tree.columns)]
     if isinstance(tree, dict):
         return {k: _as_dicts(v) for k, v in tree.items()}
     if isinstance(tree, (list, tuple)):
@@ -111,9 +121,10 @@ def _as_dicts(tree):
 @st.composite
 def record_trees(draw):
     keys = draw(RECORD_KEYS)
-    rows = draw(st.lists(st.tuples(*[RECORD_VALUES] * len(keys)),
-                         max_size=5))
-    tree = Records(keys, rows)
+    rows = draw(st.integers(0, 6))
+    columns = [draw(st.lists(st.sampled_from(draw(POOLS)), min_size=rows,
+                             max_size=rows)) for _ in keys]
+    tree = Records(keys, columns)
     for _ in range(draw(st.integers(0, 3))):
         siblings = draw(st.lists(SCALARS, max_size=2))
         if draw(st.booleans()):
@@ -125,17 +136,42 @@ def record_trees(draw):
     return tree
 
 
+NAN = float("nan")
+
+
 @given(record_trees())
-@example(Records(["n"], [(1,), (1.0,), (True,), (0.0,), (-0.0,), (0,)]))
-@example({"results": Records(["b", "a"], [])})
-@example([Records([], [(), ()])])
+@example(Records(["n"], [[1, 1.0, True, 0.0, -0.0, 0]]))
+@example({"results": Records(["b", "a"], [[], []])})
+@example([Records([], [])])
 @example({"r": Records(['"q"', "é", "%s"],
-                       [(float("nan"), None, {}),
-                        (float("inf"), -0.0, {"reps": 3}),
-                        (-float("inf"), True, {"reason": "small"})])})
+                       [[NAN, float("inf"), -float("inf")],
+                        [None, -0.0, True], [{}, {"reps": 3}, {"re": "s"}]])})
 @example({"x": [0, {"y": Records(["detail", "p"],
-                                   [({"b": 1, "c": 2}, 1.0),
-                                    ({}, 1), ({"z": "\U0001F600"}, True),
-                                    ({"a": -1}, np.float64(-0.0))])}]})
+                                   [[{"b": 1, "c": 2}, {}, {"z": "\U0001F600"},
+                                     {"a": -1}],
+                                    [1.0, 1, True, np.float64(-0.0)]])}]})
+# Memo cases: one NaN object repeated; both zeros among equal floats; the
+# numbers 1 of every kind; np.str_ beside str; an unhashable value.
+@example(Records(["nan"], [[NAN, NAN, NAN]]))
+@example(Records(["z"], [[0.0, -0.0, np.float64(-0.0), 0.0, -0.0, 1.5, 1.5]]))
+@example(Records(["one", "int"], [[1, 1.0, True, Level.HIGH, 1, True],
+                                  [Level.LOW, -1, -1, Level.LOW, 2, 2]]))
+@example(Records(["s"], [[np.str_("a"), "a", "a", np.str_("a"), "b"]]))
+@example(Records(["list"], [[[1, 2], [1, 2], 3, [0.0], [-0.0]]]))
+# Details: 1, True and 1.0 in one column; the two zeros; an unhashable
+# value; and each kind on its own.
+@example(Records(["detail"], [[{"b": 1}, {"b": True}, {"b": 1.0}, {"b": 1},
+                               {"b": True}]]))
+@example(Records(["detail"], [[{"b": 0.0}, {"b": -0.0}, {"b": 0.0}]]))
+@example(Records(["detail"], [[{"b": [1]}, {"b": [1]}, {"b": 2}]]))
+@example(Records(["detail"], [[{"b": 2, "c": 3}, {"c": 3, "b": 2},
+                               {"b": 2, "c": 3}, {"reason": "small"}]]))
+@example(Records(["detail"], [[{"b": 1.5}, {"b": -0.5}, {"b": 1.5},
+                               {"b": NAN}, {"b": NAN}]]))
 def test_records_write_their_list_of_dicts(tree):
     assert dumps(tree) == _reference(_as_dicts(tree))
+
+
+def test_records_of_unequal_columns_are_refused():
+    with pytest.raises(ValueError):
+        dumps(Records(["a", "b"], [[1, 2], [1]]))

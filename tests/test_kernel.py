@@ -763,6 +763,31 @@ def test_shared_draw_memory_is_bounded_in_comparators():
     assert peak < 64 * 2 ** 20
 
 
+def test_ece_of_one_score_row_over_many_rows_is_bounded_in_rows():
+    # One score row over 100,000 rows, one all-ones count row: the rows'
+    # (1, hit, high, low) operand over the filled bins alone would hold
+    # 16 MB, so it is multiplied in chunks of rows. The sums are exact
+    # integers, so the chunks give the unsliced product's value.
+    rng = np.random.default_rng(0)
+    rows = 100_000
+    margins = rng.normal(scale=3.0, size=(1, rows))
+    scores = expit(margins)
+    labels = np.where(rng.random(rows) < 0.5, 1, -1)
+    counts = np.ones((1, rows), dtype=np.int64)
+    tracemalloc.start()
+    try:
+        sliced = resampled_block(ECE, counts, scores, margins, labels)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(metrics_module, "_BIN_SLICE_ENTRIES", 1 << 40)
+        whole = resampled_block(ECE, counts, scores, margins, labels)
+    assert peak <= 12 * 2 ** 20
+    assert np.array_equal(sliced, whole)
+    assert sliced[0, 0] == ece_value(scores[0], margins[0], labels)
+
+
 def test_ece_draw_memory_is_bounded_in_comparators():
     # 33 comparators at 2000 replicates over a 30-row group: spreading
     # every comparator's per-bin sums at once would hold 16 MB.
