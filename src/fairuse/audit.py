@@ -63,6 +63,13 @@ its `PointSummary` for the population row and the planner. An audit's m^2 McNema
 tests meet far fewer distinct (b + c, k) splits, and each tail is summed
 once per table, in its `tails` memo, which lives as long as the audit.
 Raw and adjusted results are built by `_result` in one dict update each.
+The population rows read their two risks through the same memoized
+`MarginTable.risks` as the matrix's AUC and ECE rows.
+
+Every render writes a group as the text its `GroupId` made once, and
+"generic" for WITHHELD (`_label`). A result's report values come from
+one place, `HypothesisResult.columns`: the JSON writer takes its columns
+whole, and a result's dict is its one row.
 """
 
 import math
@@ -121,17 +128,9 @@ _INDEX_CHUNK_ENTRIES = 1 << 19
 
 
 def _label(group):
-    """Report label of a group or comparator: "generic" for WITHHELD."""
-    return "generic" if group is WITHHELD else str(group)
-
-
-class _Labels(dict):
-    """`_label` of each group and comparator, made on first use, so
-    `str(GroupId)` runs once per cell in one render."""
-
-    def __missing__(self, group):
-        text = self[group] = _label(group)
-        return text
+    """Report label of a group or comparator: "generic" for WITHHELD, else
+    the text its GroupId made once."""
+    return "generic" if group is WITHHELD else group.text
 
 
 @dataclass(frozen=True)
@@ -150,9 +149,8 @@ class MisreportMatrix:
     n: np.ndarray
     counts: Optional[np.ndarray] = None
 
-    def to_jsonable(self, labels=None):
-        labels = _Labels() if labels is None else labels
-        cells = [labels[c] for c in self.space.cells()]
+    def to_jsonable(self):
+        cells = list(map(_label, self.space.cells()))
         return {"metric": self.metric.tag, "rows": [
             {"group": g, "n": n, "generic": number(row[0]),
              "reported": dict(zip(cells, numbers(row[1:])))}
@@ -204,22 +202,21 @@ class PointGains:
     rationality_gain_count: float
     envy_min_gain_count: float
 
-    def to_jsonable(self, labels=None):
+    def to_jsonable(self):
         def count(value):
             return value if isinstance(value, int) else number(value)
 
-        labels = _Labels() if labels is None else labels
         return {
-            "group": labels[self.group],
+            "group": _label(self.group),
             "n": self.n,
             "rationality_gain": number(self.rationality_gain),
             "rationality_gain_count": count(self.rationality_gain_count),
-            "envy_gains": dict(zip(map(labels.__getitem__, self.envy_gains),
+            "envy_gains": dict(zip(map(_label, self.envy_gains),
                                    numbers(list(self.envy_gains.values())))),
             "envy_min_gain": number(self.envy_min_gain),
             "envy_min_gain_count": count(self.envy_min_gain_count),
             "envy_argmin": (None if self.envy_argmin is None
-                            else labels[self.envy_argmin]),
+                            else _label(self.envy_argmin)),
         }
 
 
@@ -242,15 +239,14 @@ class PointSummary:
         """True when no point-estimate condition is violated."""
         return not self.rationality_violations and not self.envy_violations
 
-    def to_jsonable(self, labels=None):
-        labels = _Labels() if labels is None else labels
+    def to_jsonable(self):
         return {
             "metric": self.metric.tag,
-            "gains": [self.gains[g].to_jsonable(labels) for g in sorted(
-                self.gains, key=labels.__getitem__)],
-            "rationality_violations": [labels[g] for g in
-                                       self.rationality_violations],
-            "envy_violations": [[labels[g], labels[r]] for g, r in
+            "gains": [self.gains[g].to_jsonable()
+                      for g in sorted(self.gains, key=_label)],
+            "rationality_violations": list(map(
+                _label, self.rationality_violations)),
+            "envy_violations": [[_label(g), _label(r)] for g, r in
                                 self.envy_violations],
             "fair": self.fair,
         }
@@ -341,27 +337,21 @@ class HypothesisResult:
                     "p_violation")
 
     @classmethod
-    def columns(cls, results, labels):
-        """One list of report values per KEYS entry, one value per result,
-        group and comparator read from `labels`."""
+    def columns(cls, results):
+        """One list of report values per KEYS entry, one value per result."""
         columns = []
         for key in cls.KEYS:
             column = list(map(attrgetter(key), results))
             if key in cls._LABEL_KEYS:
-                column = list(map(labels.__getitem__, column))
+                column = list(map(_label, column))
             elif key in cls._NUMBER_KEYS:
                 column = numbers(column)
             columns.append(column)
         return columns
 
-    def to_jsonable(self, labels=None):
-        labels = _Labels() if labels is None else labels
-        out = dict(zip(self.KEYS, attrgetter(*self.KEYS)(self)))
-        for key in self._LABEL_KEYS:
-            out[key] = labels[out[key]]
-        for key in self._NUMBER_KEYS:
-            out[key] = number(out[key])
-        return out
+    def to_jsonable(self):
+        return {key: column[0] for key, column in
+                zip(self.KEYS, self.columns((self,)))}
 
 
 # The fields a raw result leaves at HypothesisResult's defaults.
@@ -718,11 +708,10 @@ class PopulationRow:
     significant_envy_gains: int
     significant_envy_violations: int
 
-    def to_jsonable(self, labels=None):
+    def to_jsonable(self):
         def pair(p):
-            return None if p is None else [labels[p[0]], number(p[1])]
+            return None if p is None else [_label(p[0]), number(p[1])]
 
-        labels = _Labels() if labels is None else labels
         return {
             "metric": self.metric.tag,
             "generic_risk": number(self.generic_risk.value),
@@ -758,13 +747,12 @@ class GeneralizationRow:
     envy_min_gain: float
     envy: Optional[object]
 
-    def to_jsonable(self, labels=None):
+    def to_jsonable(self):
         def verdict(v):
             return None if v is None else v.to_jsonable()
 
-        labels = _Labels() if labels is None else labels
         return {
-            "group": labels[self.group],
+            "group": _label(self.group),
             "n_train": self.n_train,
             "vc": self.vc,
             "delta": self.delta,
@@ -832,9 +820,8 @@ class FairUseReport:
                      if r.verdict == SIGNIFICANT_VIOLATION)
 
     def to_jsonable(self):
-        labels = _Labels()
-        return self._tree(labels, [r.to_jsonable(labels)
-                                   for r in self.results])
+        return self._tree([dict(zip(HypothesisResult.KEYS, row)) for row in
+                           zip(*HypothesisResult.columns(self.results))])
 
     def to_json_str(self):
         """Canonical JSON text; identical inputs give identical bytes.
@@ -844,14 +831,11 @@ class FairUseReport:
         skips json's pure-Python encoder. The results go to it as one
         `Records` leaf of value columns, not as a dict each.
         """
-        labels = _Labels()
-        return dumps(self._tree(labels, Records(
-            HypothesisResult.KEYS,
-            HypothesisResult.columns(self.results, labels))))
+        return dumps(self._tree(Records(
+            HypothesisResult.KEYS, HypothesisResult.columns(self.results))))
 
-    def _tree(self, labels, results):
-        """The report as a JSON tree holding `results`, its other group
-        labels read from `labels`."""
+    def _tree(self, results):
+        """The report as a JSON tree holding `results`."""
         return {
             "strategy": self.strategy.value,
             "attributes": [[name, list(dom)]
@@ -863,16 +847,14 @@ class FairUseReport:
             "train_tally": self.train_tally.to_jsonable(),
             "test_tally": self.test_tally.to_jsonable(),
             "train_equals_test": self.train_equals_test,
-            "matrices": {t: m.to_jsonable(labels)
+            "matrices": {t: m.to_jsonable()
                          for t, m in self.matrices.items()},
-            "points": {t: p.to_jsonable(labels)
-                       for t, p in self.points.items()},
-            "populations": {t: p.to_jsonable(labels)
+            "points": {t: p.to_jsonable() for t, p in self.points.items()},
+            "populations": {t: p.to_jsonable()
                             for t, p in self.populations.items()},
             "results": results,
-            "generalization": [g.to_jsonable(labels)
-                               for g in self.generalization],
-            "identical_prediction_pairs": [[labels[a], labels[b]] for a, b
+            "generalization": [g.to_jsonable() for g in self.generalization],
+            "identical_prediction_pairs": [[_label(a), _label(b)] for a, b
                                            in self.identical_pairs],
             "suggestions": [s.to_jsonable() for s in self.suggestions],
             "has_significant_violation": self.has_significant_violation,
@@ -886,11 +868,10 @@ class FairUseReport:
         """Hypothesis results as CSV rows (one line per test)."""
         lines = ["metric,test,kind,group,comparator,n,estimate,p_raw,"
                  "p_adjusted,family_size,verdict"]
-        labels = _Labels()
         for r in self.results:
             lines.append(",".join([
-                r.metric, r.test, r.kind, _csv_quoted(labels[r.group]),
-                _csv_quoted(labels[r.comparator]), str(r.n),
+                r.metric, r.test, r.kind, _csv_quoted(_label(r.group)),
+                _csv_quoted(_label(r.comparator)), str(r.n),
                 _csv_num(r.estimate), _csv_num(r.p_raw),
                 _csv_num(r.p_adjusted), str(r.family_size), r.verdict]))
         return "\n".join(lines) + "\n"
@@ -928,8 +909,7 @@ def render_markdown(report):
     cfg = report.config
     tc = cfg.train_config
     cells = report.space.cells()
-    labels = _Labels()
-    names = [labels[c] for c in cells]
+    names = list(map(_label, cells))
     lines = ["# Fair use audit", ""]
     lines.append(f"- strategy: {report.strategy.value}")
     lines.append(f"- alpha: {cfg.alpha}, bootstrap_reps: "
@@ -950,7 +930,7 @@ def render_markdown(report):
         lines.append(f"- training flags: {'; '.join(flags)}")
 
     def pair(p):
-        return "-" if p is None else f"{_fmt(p[1], True)} ({labels[p[0]]})"
+        return "-" if p is None else f"{_fmt(p[1], True)} ({_label(p[0])})"
 
     for mk in report.metrics:
         tag = mk.tag
@@ -984,7 +964,7 @@ def render_markdown(report):
              "envied group"],
             [[name, pg.n, _fmt(pg.rationality_gain, True),
               _fmt(pg.envy_min_gain, True),
-              "-" if pg.envy_argmin is None else labels[pg.envy_argmin]]
+              "-" if pg.envy_argmin is None else _label(pg.envy_argmin)]
              for name, pg in zip(names, map(point.gains.__getitem__, cells))])
     # An audit tests every group against the generic model, and bounds
     # every group, so neither table is ever empty.
@@ -992,7 +972,7 @@ def render_markdown(report):
     lines += _md_table(
         ["metric", "test", "kind", "group", "comparator", "n", "estimate",
          "p_raw", "p_adjusted", "family", "verdict"],
-        [[r.metric, r.test, r.kind, labels[r.group], labels[r.comparator],
+        [[r.metric, r.test, r.kind, _label(r.group), _label(r.comparator),
           r.n, _fmt(r.estimate, True), _fmt(r.p_raw), _fmt(r.p_adjusted),
           r.family_size, r.verdict]
          for r in report.results])
@@ -1007,14 +987,14 @@ def render_markdown(report):
     lines += _md_table(
         ["group", "n_train", "vc", "rationality gain", "required n",
          "holds", "min envy gain", "required n", "holds"],
-        [[labels[row.group], row.n_train, row.vc,
+        [[_label(row.group), row.n_train, row.vc,
           *bound(row.rationality_gain, row.rationality),
           *bound(row.envy_min_gain, row.envy)]
          for row in report.generalization])
     if report.identical_pairs:
         lines += ["", "## Identical prediction pairs", ""]
         for a, b in report.identical_pairs:
-            lines.append(f"- {labels[a]} and {labels[b]} receive "
+            lines.append(f"- {_label(a)} and {_label(b)} receive "
                          "identical predictions")
     if report.suggestions:
         lines += ["", "## Data-minimization advice", ""]

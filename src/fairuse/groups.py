@@ -41,15 +41,20 @@ TRUTHFUL = _Sentinel("TRUTHFUL")
 
 @dataclass(frozen=True)
 class GroupId:
-    """One intersectional group: one value per attribute, in space order."""
+    """One intersectional group: one value per attribute, in space order.
+
+    `text`, the values joined by commas, is made once at construction;
+    `str` returns it. It takes no part in equality, hash or repr."""
 
     values: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "values", tuple(str(v) for v in self.values))
+        values = tuple(str(v) for v in self.values)
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "text", ",".join(values))
 
     def __str__(self):
-        return ",".join(self.values)
+        return self.text
 
 
 @dataclass(frozen=True)

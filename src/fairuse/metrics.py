@@ -332,12 +332,13 @@ class MarginTable:
 
     - `scores(reported)`, a column's sigmoid, for AUC and ECE;
     - `wrong_matrix(g)`, group g's misclassification bits, one (m+1, n_g)
-      bool matrix: row 0 under WITHHELD, row j+1 under cell j. Each row
-      is filled once, by `wrong(g, reported)` from the margins and the
-      group's labels, and the same array is returned on every read;
-    - `risk(metric, g, reported)`, a RiskEstimate; `risks(metric, g,
-      reported)` makes those of AUC or ECE for many reported values at
-      once and keeps them under the same keys;
+      bool matrix: row 0 under WITHHELD, row j+1 under cell j, made in
+      one comparison of the group's stacked margin rows with its labels.
+      `wrong(g, reported)` reads its row once it is made; before that it
+      computes the one row and keeps nothing;
+    - `risks(metric, g, reported)`, a RiskEstimate per reported value,
+      those not yet kept made at once (one kernel call for AUC and ECE);
+      `risk(metric, g, reported)` is its one-report call;
     - `tails`, a dict in which `audit.mcnemar_test` keeps each binomial
       tail it sums, so a table sums each (n, k) once.
 
@@ -402,41 +403,29 @@ class MarginTable:
                 np.stack([self.scores(r)[self.rows(g)] for r in reported]))
 
     def risk(self, metric, g, reported):
-        """RiskEstimate of `metric` on group g's rows under `reported`,
-        from the metric kernel. The misreport matrix does not come here:
-        it counts its error rates from `wrong_matrix` and reads AUC and
-        ECE from `risks`."""
-        key = (metric, g, reported)
-        est = self._risks.get(key)
-        if est is None:
-            rows = self.rows(g)
-            n = int(rows.size)
-            if n == 0:
-                value = float("nan")
-            else:
-                scores = None if metric.tag == ERROR_RATE_TAG \
-                    else self.scores(reported)[rows]
-                value = metric_value(metric, scores,
-                                     self.margins(g, reported),
-                                     self.data.labels[rows])
-            est = self._risks[key] = RiskEstimate(
-                value, n, metric, g, reported,
-                defined=not math.isnan(value))
-        return est
+        """RiskEstimate of `metric` on group g's rows under `reported`."""
+        return self.risks(metric, g, (reported,))[0]
 
     def risks(self, metric, g, reported):
-        """RiskEstimates of AUC or ECE on group g's rows under each of
-        `reported`, as `risk` returns them. Those not yet kept are made by
-        one kernel call, on one all-ones count row, over the block of
-        their score rows."""
+        """RiskEstimates of `metric` on group g's rows under each of
+        `reported`, kept per (metric, g, reported). Those not yet kept are
+        made at once: the error rate by `error_rate_value` on each margin
+        row, AUC and ECE by one kernel call, on one all-ones count row,
+        over the block of their score rows. An empty group's are NaN."""
         keys = [(metric, g, r) for r in reported]
         missing = [key[2] for key in keys if key not in self._risks]
         if missing:
             rows = self.rows(g)
             labels = self.data.labels[rows]
-            margins, scores = self.block(g, missing)
-            values = resampled_block(metric, _ones(labels), scores, margins,
-                                     labels)[0].tolist()
+            if not rows.size:
+                values = [float("nan")] * len(missing)
+            elif metric.tag == ERROR_RATE_TAG:
+                values = [error_rate_value(self.margins(g, r), labels)
+                          for r in missing]
+            else:
+                margins, scores = self.block(g, missing)
+                values = resampled_block(metric, _ones(labels), scores,
+                                         margins, labels)[0].tolist()
             for r, value in zip(missing, values):
                 self._risks[(metric, g, r)] = RiskEstimate(
                     value, int(rows.size), metric, g, r,
@@ -445,28 +434,24 @@ class MarginTable:
 
     def wrong(self, g, reported):
         """Whether each of group g's rows is misclassified under
-        `reported` (WITHHELD or a cell): its row of `wrong_matrix(g)`,
-        filled on first use."""
-        bits = self._bits.get(g)
-        if bits is None:
-            rows = self.rows(g)
-            k = len(self._reported)
-            bits = self._bits[g] = (np.empty((k, rows.size), dtype=bool),
-                                    [None] * k, self.data.labels[rows] == 1)
-        matrix, views, positive = bits
-        i = self._slots[reported]
-        if views[i] is None:
-            views[i] = matrix[i]
-            np.not_equal(self.margins(g, reported) >= 0.0, positive,
-                         out=views[i])
-        return views[i]
+        `reported` (WITHHELD or a cell): its row of `wrong_matrix(g)` once
+        that is made, else computed from its margins and not kept."""
+        matrix = self._bits.get(g)
+        if matrix is not None:
+            return matrix[self._slots[reported]]
+        return ((self.margins(g, reported) >= 0.0)
+                != (self.data.labels[self.rows(g)] == 1))
 
     def wrong_matrix(self, g):
-        """Group g's (m+1, n_g) misclassification bits, every row filled:
-        row 0 under WITHHELD, row j+1 under cell j."""
-        for r in self._reported:
-            self.wrong(g, r)
-        return self._bits[g][0]
+        """Group g's (m+1, n_g) misclassification bits, made in one step
+        from its stacked margin rows and kept: row 0 under WITHHELD, row
+        j+1 under cell j."""
+        matrix = self._bits.get(g)
+        if matrix is None:
+            margins = np.stack([self.margins(g, r) for r in self._reported])
+            positive = self.data.labels[self.rows(g)] == 1
+            matrix = self._bits[g] = (margins >= 0.0) != positive
+        return matrix
 
     def fill(self):
         """Compute every cell and WITHHELD column and every group's rows."""

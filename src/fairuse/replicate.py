@@ -10,10 +10,9 @@ Any disagreement names the exact failing cell.
 import json
 import os
 
-import numpy as np
-
+from .audit import misreport_matrix
 from .dataset import save_csv, tally
-from .groups import WITHHELD
+from .metrics import ERROR_RATE, MarginTable
 from .models import Strategy, TrainConfig, train_personalized, \
     train_zero_one_exhaustive
 from .synth import (EXPECTED_TABLES, errors_by_cell, evaluate_rule,
@@ -30,21 +29,22 @@ def _tally_map(ds):
             for g in ds.space.cells()}
 
 
-def _generic_predictions(model, ds):
-    return np.where(model.margins(ds.features, WITHHELD) >= 0.0, 1, -1)
-
-
-def _truthful_predictions(model, ds):
-    margins = model.margins_truthful(ds.features, ds.cell_indices)
-    return np.where(margins >= 0.0, 1, -1)
+def _model_errors(model, ds):
+    """A trained model's misclassified rows per cell on ds, keyed by cell
+    string: (generic, truthful), read from its margin table's error-rate
+    misreport matrix, column 0 and the diagonal of columns 1..m."""
+    counts = misreport_matrix(MarginTable(model, ds), ERROR_RATE).counts
+    cells = [str(c) for c in ds.space.cells()]
+    return (dict(zip(cells, counts[:, 0].tolist())),
+            dict(zip(cells, counts.diagonal(1).tolist())))
 
 
 def _misspecification_observed():
     ds = gen_misspecification()
     generic = train_zero_one_exhaustive(ds, Strategy.GENERIC)
     onehot = train_zero_one_exhaustive(ds, Strategy.ONEHOT)
-    generic_errors = errors_by_cell(ds, _generic_predictions(generic, ds))
-    onehot_errors = errors_by_cell(ds, _truthful_predictions(onehot, ds))
+    generic_errors = _model_errors(generic, ds)[0]
+    onehot_errors = _model_errors(onehot, ds)[1]
     return ds, {
         "tally": _tally_map(ds),
         "generic_errors": generic_errors,
@@ -63,12 +63,9 @@ def _group_effects_observed():
     decoupled = train_zero_one_exhaustive(ds, Strategy.DECOUPLED)
     return ds, {
         "tally": _tally_map(ds),
-        "generic_errors": errors_by_cell(
-            ds, _generic_predictions(generic, ds)),
-        "onehot_errors": errors_by_cell(
-            ds, _truthful_predictions(onehot, ds)),
-        "decoupled_errors": errors_by_cell(
-            ds, _truthful_predictions(decoupled, ds)),
+        "generic_errors": _model_errors(generic, ds)[0],
+        "onehot_errors": _model_errors(onehot, ds)[1],
+        "decoupled_errors": _model_errors(decoupled, ds)[1],
     }
 
 
@@ -107,10 +104,8 @@ def _surrogate_observed():
     for name, generic, personalized in (
             ("zero_one", zo_generic, zo_decoupled),
             ("hinge", hg_generic, hg_decoupled)):
-        generic_errors = errors_by_cell(
-            ds, _generic_predictions(generic, ds))
-        decoupled_errors = errors_by_cell(
-            ds, _truthful_predictions(personalized, ds))
+        generic_errors = _model_errors(generic, ds)[0]
+        decoupled_errors = _model_errors(personalized, ds)[1]
         out[name] = {
             "generic_errors": generic_errors,
             "decoupled_errors": decoupled_errors,

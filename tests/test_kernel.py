@@ -625,20 +625,13 @@ def test_audit_evaluates_each_observed_risk_once(monkeypatch):
     # in-sample generalization rows read one memoized risk per (metric,
     # group, reported), each made once. AUC and ECE fill a group's matrix
     # row with one kernel call on one all-ones count row over all m + 1
-    # reports, plus the two population risks through `metric_value`, with
-    # no extra evaluation per comparator. A cell's error rate counts its
-    # kept wrong bits, so only the two population error rates run the
-    # kernel, and each (group, reported) row of wrong bits is made once:
-    # its margins are sliced inside `wrong` exactly once, and every read
-    # returns the same array, a row of the group's wrong-bit matrix.
+    # reports, plus one (1, n) call per population risk, with no extra
+    # evaluation per comparator. A cell's error rate counts its kept wrong
+    # bits, so only the two population error rates call
+    # `error_rate_value`, once each, and no risk goes through
+    # `metric_value`. Each group's bit matrix is made once, from its m + 1
+    # margin slices, and every `wrong` read is a row of that one matrix.
     ds = gen_planted_violation(m=4, n_per_group=30, seed=2)
-    calls = []
-    real = metrics_module.metric_value
-
-    def counted(*args, **kwargs):
-        calls.append(args[0])
-        return real(*args, **kwargs)
-
     kernels = _record_kernels(monkeypatch)
     made = []
     real_estimate = metrics_module.RiskEstimate
@@ -647,57 +640,80 @@ def test_audit_evaluates_each_observed_risk_once(monkeypatch):
         made.append((metric, g, reported))
         return real_estimate(value, n, metric, g, reported, **kwargs)
 
-    bits = {}
-    made_bits = []
-    filling = []
+    error_rates = []
+    real_error_rate = metrics_module.error_rate_value
+
+    def error_rate(margins, labels):
+        error_rates.append((margins.size, labels.size))
+        return real_error_rate(margins, labels)
+
+    def no_metric_value(*args, **kwargs):
+        raise AssertionError("a risk went through metric_value")
+
+    running = []
+    sliced = []
+    matrices = {}
+    reads = []
+    real_matrix = MarginTable.wrong_matrix
     real_wrong = MarginTable.wrong
     real_margins = MarginTable.margins
 
-    def kept(table, g, reported):
-        filling.append(True)
+    def matrix(table, g):
+        running.append("wrong_matrix")
+        try:
+            out = real_matrix(table, g)
+        finally:
+            running.pop()
+        matrices.setdefault(g, []).append(out)
+        return out
+
+    def wrong(table, g, reported):
+        running.append("wrong")
         try:
             out = real_wrong(table, g, reported)
         finally:
-            filling.pop()
-        bits.setdefault((g, reported), []).append(out)
+            running.pop()
+        reads.append((g, table.slot(reported), out))
         return out
 
-    def sliced(table, g, reported):
-        if filling:
-            made_bits.append((g, reported))
+    def margins(table, g, reported):
+        if running:
+            sliced.append((running[-1], g, reported))
         return real_margins(table, g, reported)
 
-    monkeypatch.setattr(metrics_module, "metric_value", counted)
-    monkeypatch.setattr(audit_module, "metric_value", counted)
     monkeypatch.setattr(metrics_module, "RiskEstimate", estimate)
-    monkeypatch.setattr(MarginTable, "wrong", kept)
-    monkeypatch.setattr(MarginTable, "margins", sliced)
+    monkeypatch.setattr(metrics_module, "error_rate_value", error_rate)
+    monkeypatch.setattr(metrics_module, "metric_value", no_metric_value)
+    monkeypatch.setattr(audit_module, "metric_value", no_metric_value)
+    monkeypatch.setattr(MarginTable, "wrong_matrix", matrix)
+    monkeypatch.setattr(MarginTable, "wrong", wrong)
+    monkeypatch.setattr(MarginTable, "margins", margins)
     m = ds.space.m
     cells = ds.space.cells()
     n = ds.rows_for(cells[0]).size
     metrics = (ERROR_RATE, AUC, ECE)
     audit(ds, ds, Strategy.ONEHOT, metrics, AuditConfig(bootstrap_reps=100))
-    assert calls == [ERROR_RATE, ERROR_RATE, AUC, AUC, ECE, ECE]
+    assert error_rates == [(ds.n, ds.n)] * 2
     for name in ("_auc_counts", "_ece_counts"):
         point = [shapes for kernel, *shapes in kernels
                  if kernel == name and shapes[0][0] == 1]
         assert point == [[(1, n), (m + 1, n)]] * m + [[(1, ds.n),
                                                        (1, ds.n)]] * 2
     reports = (WITHHELD,) + cells
-    for metric in (AUC, ECE):
-        assert Counter((g, r) for mk, g, r in made if mk == metric) == \
-            Counter([(g, r) for g in cells for r in reports]
-                    + [(ALL, WITHHELD), (ALL, TRUTHFUL)])
-    every = {(g, r) for g in cells for r in reports}
-    assert set(bits) == every
-    assert sorted(made_bits, key=str) == sorted(every, key=str)
-    for arrays in bits.values():
-        assert all(a is arrays[0] for a in arrays)
-    for g in cells:
-        matrix = bits[(g, g)][0].base
-        assert matrix.shape == (m + 1, matrix.shape[1])
-        assert all(bits[(g, r)][0].base is matrix
-                   for r in (WITHHELD,) + cells)
+    assert Counter(made) == Counter(
+        [(mk, g, r) for mk in (AUC, ECE) for g in cells for r in reports]
+        + [(mk, ALL, r) for mk in metrics for r in (WITHHELD, TRUTHFUL)])
+    assert Counter(sliced) == Counter(
+        ("wrong_matrix", g, r) for g in cells for r in reports)
+    assert set(matrices) == set(cells)
+    for g, made_matrices in matrices.items():
+        first = made_matrices[0]
+        assert first.shape == (m + 1, ds.rows_for(g).size)
+        assert all(a is first for a in made_matrices)
+    assert {g for g, _, _ in reads} == set(cells)
+    for g, slot, row in reads:
+        assert row.base is matrices[g][0]
+        assert row.ctypes.data == matrices[g][0][slot].ctypes.data
 
 
 def test_audit_draws_auc_and_ece_in_one_kernel_call_per_chunk(monkeypatch):
@@ -728,6 +744,69 @@ def test_margin_table_risk_is_memoized():
     first = table.risk(AUC, g, WITHHELD)
     assert table.risk(AUC, g, WITHHELD) is first
     assert table.risk(ERROR_RATE, g, WITHHELD) is not first
+
+
+def test_wrong_is_one_row_until_the_matrix_is_made():
+    # On a fresh table `wrong` computes its one row from the margins and
+    # keeps nothing; once the group's matrix is made, it reads the
+    # matrix's row, with the same bits.
+    ds = gen_planted_violation(m=4, n_per_group=30, seed=1)
+    model = train_personalized(ds, Strategy.ONEHOT,
+                               TrainConfig(l2_penalty=1e-3))
+    table = MarginTable(model, ds)
+    g = ds.space.cells()[2]
+    reports = (WITHHELD,) + ds.space.cells()
+    fresh = [table.wrong(g, r) for r in reports]
+    assert all(row.base is None for row in fresh)
+    assert table.wrong(g, g) is not table.wrong(g, g)
+    matrix = table.wrong_matrix(g)
+    assert matrix.shape == (len(reports), ds.rows_for(g).size)
+    assert table.wrong_matrix(g) is matrix
+    for r, row in zip(reports, fresh):
+        kept = table.wrong(g, r)
+        assert np.array_equal(row, matrix[table.slot(r)])
+        assert kept.base is matrix
+        assert kept.ctypes.data == matrix[table.slot(r)].ctypes.data
+
+
+class _TwoReports:
+    """Margins under two reported values; reading any other fails."""
+
+    def __init__(self, margins_by_reported):
+        self._margins = margins_by_reported
+
+    def margins(self, x, reported):
+        if reported not in self._margins:
+            raise AssertionError(f"margins under {reported!r} read")
+        return self._margins[reported][:x.shape[0]]
+
+
+def test_wrong_on_a_fresh_table_reads_only_its_own_column():
+    a = AB.group("a")
+    y = np.array([1, 1, -1, -1, 1, -1])
+    ds = Dataset(np.zeros((6, 1)), y, (a,) * 6, AB)
+    own = np.array([1.0, -1.0, -1.0, 1.0, 0.0, 0.0])
+    generic = np.array([-1.0, 1.0, 1.0, -1.0, -1.0, 1.0])
+    stub = _TwoReports({a: own, WITHHELD: generic})
+    table = MarginTable(stub, ds)
+    assert table.wrong(a, a).tolist() == [False, True, False, True,
+                                          False, True]
+    assert table.wrong(a, WITHHELD).tolist() == [True, False, True, False,
+                                                 True, True]
+    res = audit_module.mcnemar_test(table, a, WITHHELD)
+    assert res.detail == {"b": 2, "c": 3}
+    # The matrix reads every report's column; the rows above read none
+    # but their own.
+    with pytest.raises(AssertionError, match="margins under"):
+        table.wrong_matrix(a)
+    b = AB.group("b")
+    stub._margins[b] = -own
+    fresh = {r: table.wrong(a, r) for r in (WITHHELD, a)}
+    matrix = table.wrong_matrix(a)
+    assert matrix.shape == (3, 6)
+    for r, row in fresh.items():
+        assert np.array_equal(row, matrix[table.slot(r)])
+        assert table.wrong(a, r).base is matrix
 
 
 def test_resample_counts_offsets_the_index_in_place():
