@@ -1,9 +1,10 @@
 """Numerical trainers for linear classifiers.
 
-cell_margins is the one linear margin, x·w_base + cells[code]·w_cell, with
-one design row per group cell in `cells`. train_logistic fits it: it drives
-the max-norm of the penalized logistic gradient below a tolerance by
-damped, then pure, Newton steps, and raises ConvergenceError rather than
+cell_margins is the trainer's form of the linear margin, x·w_base +
+cells[code]·w_cell, with one design row per group cell in `cells` and one
+cell code per training row. train_logistic fits it: it drives the
+max-norm of the penalized logistic gradient below a tolerance by damped,
+then pure, Newton steps, and raises ConvergenceError rather than
 returning a silently unconverged fit.
 train_hinge solves the average-hinge-loss minimization exactly as a linear
 program. expit is the logistic sigmoid that the trainer and every score

@@ -18,13 +18,15 @@ counter-based seed splitting, so reports are byte-identical across runs.
 
 Margins are evaluated once per (model, dataset) into a `MarginTable`
 (defined in `metrics`, importable from here as well): one column per
-reported value (WITHHELD and every cell) over all rows, the truthful
-column, and the row indices of each group. `misreport_matrix`,
-`bootstrap_replicates`, `bootstrap_test`, `mcnemar_test` and
-`identical_prediction_pairs` take that table as their first argument
-and read the model and dataset from it; so do the population and
-generalization rows. A slice equals the margins computed on the group's
-rows alone.
+reported value (WITHHELD and every cell) over all rows, each the model's
+one linear form for that report, and the row indices of each group. A
+group's own report is its truthful one, so only the population row asks
+for the TRUTHFUL column, which the table gathers from those columns.
+`misreport_matrix`, `bootstrap_replicates`, `bootstrap_test`,
+`mcnemar_test` and `identical_prediction_pairs` take that table as their
+first argument and read the model and dataset from it; so do the
+population and generalization rows. A slice equals the margins computed
+on the group's rows alone.
 
 Bootstrap replicates are never materialized. Each (metric, group) draws
 its resamples once from its own seed, and all its comparators share
@@ -1115,7 +1117,7 @@ def audit(train, test, strategy=Strategy.ONEHOT, metrics=(ERROR_RATE,),
         raise ValueError("audit needs at least one metric")
     model = train_personalized(train, strategy, cfg.train_config)
     cells = train.space.cells()
-    table = MarginTable(model, test).fill()
+    table = MarginTable(model, test)
     matrices = {}
     points = {}
     raw_results = []

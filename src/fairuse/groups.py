@@ -63,6 +63,8 @@ class GroupSpace:
 
     attributes: tuple of (name, tuple_of_values). Every domain needs at least
     two values; names must be unique; values within a domain must be unique.
+    With two or more attributes no value may contain ",", so every cell's
+    label is its own.
     """
 
     attributes: tuple
@@ -84,6 +86,12 @@ class GroupSpace:
                     "some values are unobserved)")
             if len(set(values)) != len(values):
                 raise DomainError(f"attribute {name!r} has duplicate values")
+            joined = [v for v in values if "," in v]
+            if joined and len(attrs) > 1:
+                raise DomainError(
+                    f"value {joined[0]!r} of attribute {name!r} contains "
+                    "','; a group's label joins its values with ',', so "
+                    "two groups could share one")
 
     @property
     def names(self):

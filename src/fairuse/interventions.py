@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 from ._jsontext import dumps, number
 from .audit import RATIONALITY, SIGNIFICANT_GAIN, SIGNIFICANT_VIOLATION
-from .groups import TRUTHFUL, WITHHELD
+from .groups import WITHHELD
 # group_risk stays importable from this module for callers that look it
 # up here.
 from .metrics import ERROR_RATE, MarginTable, group_risk  # noqa: F401
@@ -217,8 +217,7 @@ def assign_generic_on_violation(report, strictness="point",
                  assignments, baseline, projected, sizes)
 
 
-def assign_best_of_three(report, decoupled, validation,
-                         metric="error_rate"):
+def assign_best_of_three(report, decoupled, validation):
     """Give each group the best of generic, personalized, or decoupled.
 
     Selection minimizes each group's validation error rate; ties prefer
@@ -229,8 +228,6 @@ def assign_best_of_three(report, decoupled, validation,
     """
     if decoupled.strategy is not Strategy.DECOUPLED:
         raise ValueError("assign_best_of_three needs a decoupled model")
-    if metric != ERROR_RATE.tag:
-        raise ValueError("best-of-three selection uses the error rate")
     space = report.space
     skip_cells = set(decoupled.empty_cells)
     personal = MarginTable(report.model, validation)
@@ -240,7 +237,7 @@ def assign_best_of_three(report, decoupled, validation,
     projected = {}
     sizes = {}
     for g in space.cells():
-        own = personal.risk(ERROR_RATE, g, TRUTHFUL)
+        own = personal.risk(ERROR_RATE, g, g)
         sizes[g] = own.n_effective
         baseline[g] = own.value if own.defined else float("nan")
         if not own.defined:
@@ -253,7 +250,7 @@ def assign_best_of_three(report, decoupled, validation,
         ]
         if g not in skip_cells:
             candidates.append(
-                (DECOUPLED_SOURCE, separate.risk(ERROR_RATE, g, TRUTHFUL)))
+                (DECOUPLED_SOURCE, separate.risk(ERROR_RATE, g, g)))
         usable = [(src, est.value) for src, est in candidates
                   if est.defined]
         best = min(v for _, v in usable)
@@ -265,8 +262,9 @@ def assign_best_of_three(report, decoupled, validation,
             continue
         assert projected[g] <= baseline[g], (
             f"best-of-three worsened group {g} on validation")
-    return _plan(report, metric, "point", "held-out validation sample",
-                 assignments, baseline, projected, sizes)
+    return _plan(report, ERROR_RATE.tag, "point",
+                 "held-out validation sample", assignments, baseline,
+                 projected, sizes)
 
 
 def data_minimization(report, plan=None):

@@ -324,29 +324,29 @@ def _ece_counts(counts, scores, margins, labels, bins):
 class MarginTable:
     """Margins of one model on every row of one dataset.
 
-    One column per reported value (a cell, WITHHELD or TRUTHFUL), each
-    computed over all rows on first use by `model.margins` (or
-    `model.margins_truthful`) and then kept, plus the row indices of each
-    true group. Everything below is made on first use of its key and then
-    kept:
+    One column per reported value (WITHHELD or a cell), computed over all
+    rows on first use by `model.margins` and then kept, plus the row
+    indices of each true group. The TRUTHFUL column is gathered group by
+    group from each group's own report column. Everything below is made
+    on first use of its key and then kept:
 
-    - `scores(reported)`, a column's sigmoid, for AUC and ECE;
     - `wrong_matrix(g)`, group g's misclassification bits, one (m+1, n_g)
       bool matrix: row 0 under WITHHELD, row j+1 under cell j, made in
       one comparison of the group's stacked margin rows with its labels.
       `wrong(g, reported)` reads its row once it is made; before that it
       computes the one row and keeps nothing;
     - `risks(metric, g, reported)`, a RiskEstimate per reported value,
-      those not yet kept made at once (one kernel call for AUC and ECE);
+      those not yet kept made at once (one kernel call for AUC and ECE,
+      on the sigmoid of the group's stacked margin rows from `block`);
       `risk(metric, g, reported)` is its one-report call;
     - `tails`, a dict in which `audit.mcnemar_test` keeps each binomial
       tail it sums, so a table sums each (n, k) once.
 
     Columns are kept whole, so a table holds one float per row and
-    reported value, two for AUC and ECE, and one bool per row and
-    reported value for the error rate. `audit` makes its tables per
-    call, so no memo outlives an audit. The audit's tests take a table as
-    their first argument and read `model` and `data` from it.
+    reported value, and one bool per row and reported value for the
+    error rate; no score is kept. `audit` makes its tables per call, so
+    no memo outlives an audit. The audit's tests take a table as their
+    first argument and read `model` and `data` from it.
     """
 
     def __init__(self, model, data):
@@ -354,7 +354,6 @@ class MarginTable:
         self.data = data
         self.tails = {}
         self._columns = {}
-        self._scores = {}
         self._rows = {}
         self._risks = {}
         self._bits = {}
@@ -367,18 +366,12 @@ class MarginTable:
         col = self._columns.get(reported)
         if col is None:
             if reported is TRUTHFUL:
-                col = self.model.margins_truthful(self.data.features,
-                                                  self.data.cell_indices)
+                col = np.empty(self.data.n)
+                for g in self.data.space.cells():
+                    col[self.rows(g)] = self.margins(g, g)
             else:
                 col = self.model.margins(self.data.features, reported)
             self._columns[reported] = col
-        return col
-
-    def scores(self, reported):
-        """Sigmoid of every row's margin when each reports `reported`."""
-        col = self._scores.get(reported)
-        if col is None:
-            col = self._scores[reported] = expit(self.column(reported))
         return col
 
     def rows(self, g):
@@ -398,9 +391,10 @@ class MarginTable:
 
     def block(self, g, reported):
         """(margins, scores) of group g's rows under each of `reported`,
-        two (len(reported), n_g) arrays."""
-        return (np.stack([self.margins(g, r) for r in reported]),
-                np.stack([self.scores(r)[self.rows(g)] for r in reported]))
+        two (len(reported), n_g) arrays; the scores are the margins'
+        sigmoid."""
+        margins = np.stack([self.margins(g, r) for r in reported])
+        return margins, expit(margins)
 
     def risk(self, metric, g, reported):
         """RiskEstimate of `metric` on group g's rows under `reported`."""
@@ -452,14 +446,6 @@ class MarginTable:
             positive = self.data.labels[self.rows(g)] == 1
             matrix = self._bits[g] = (margins >= 0.0) != positive
         return matrix
-
-    def fill(self):
-        """Compute every cell and WITHHELD column and every group's rows."""
-        for r in self._reported:
-            self.column(r)
-        for g in self.data.space.cells():
-            self.rows(g)
-        return self
 
 
 def group_risk(model, data, g, reported, metric):

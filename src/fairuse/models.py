@@ -10,15 +10,14 @@ group-aware predictor under one of four strategies:
     cell (the first cell in canonical order is the reference);
   * decoupled: a separate model per cell, trained on that cell's rows.
 
-Predictions depend only on (x, reported group); a WITHHELD report routes
-to the paired generic model. Every other report, one group for all rows
-(`margins`) or each row's own cell (`margins_truthful`), becomes one cell
-code per row for one kernel: a decoupled model applies each cell's model
-to the rows coded for it, and every other strategy computes
-x·w_base + cells[code]·w_cell, the form its logistic fit trains, from one
-design row per cell (its indicator block, then 1). Empty decoupled cells
-inherit the generic model and are flagged; single-class training data
-yields a flagged constant predictor.
+Predictions depend only on (x, reported group). Every report is one
+linear form, x @ w + b: a WITHHELD report uses the paired generic model's
+weights and intercept, a decoupled cell its own model's, and every other
+strategy the shared base weights plus that cell's offset, its design row
+(indicator block, then 1) times the cell weights, kept once per model.
+Each row's own report (`margins_truthful`) reads its entry of that
+report's margins. Empty decoupled cells inherit the generic model and are
+flagged; single-class training data yields a flagged constant predictor.
 """
 
 import enum
@@ -30,8 +29,7 @@ from typing import Optional
 import numpy as np
 
 from ._exhaustive import ExhaustiveSizeError, train_zero_one
-from ._optim import (ConvergenceError, cell_margins, expit, train_hinge,
-                     train_logistic)
+from ._optim import ConvergenceError, expit, train_hinge, train_logistic
 from .groups import GroupSpace, WITHHELD
 
 __all__ = [
@@ -169,13 +167,10 @@ def indicator_block(space, strategy, g):
     return np.zeros(0)
 
 
-@functools.lru_cache(maxsize=32)
 def _cell_design(space, strategy):
     """(m, n_indicators + 1) design rows: each cell's block, then 1."""
-    cells = np.stack([np.append(indicator_block(space, strategy, cell), 1.0)
-                      for cell in space.cells()])
-    cells.setflags(write=False)
-    return cells
+    return np.stack([np.append(indicator_block(space, strategy, cell), 1.0)
+                     for cell in space.cells()])
 
 
 @dataclass(frozen=True, eq=False)
@@ -233,41 +228,37 @@ class PersonalizedModel:
                              "linear model")
 
     @functools.cached_property
-    def _cell_models(self):
-        """Decoupled per-cell models, one per cell code."""
-        return tuple(self.cells[cell] for cell in self.space.cells())
-
-    def _margins(self, x, codes):
-        """Margins of 2-D x when row i reports the cell coded codes[i]."""
-        if self.strategy is Strategy.DECOUPLED:
-            models = self._cell_models
-            if codes.size and codes.min() == codes.max():  # one cell: no masks
-                return models[codes[0]].margins_encoded(x)
-            out = np.empty(x.shape[0])
-            for idx, lm in enumerate(models):
-                mask = codes == idx
-                if np.any(mask):
-                    out[mask] = lm.margins_encoded(x[mask])
-            return out
-        return cell_margins(self.model.weights, x, codes,
-                            _cell_design(self.space, self.strategy))
+    def _shared(self):
+        """A shared model's base weights, and each cell's offset: its
+        design row times the weights past the base features."""
+        d = len(self.model.feature_map.base_features)
+        w = self.model.weights
+        return w[:d], _cell_design(self.space, self.strategy) @ w[d:]
 
     def margins(self, x, reported):
-        """Margins for rows of x when every row reports `reported`."""
-        x = np.asarray(x, dtype=float)
-        squeeze = x.ndim == 1
-        x = np.atleast_2d(x)
-        if reported is WITHHELD:
-            out = self.generic.margins_encoded(x)
+        """Margins for rows of x when every row reports `reported`: one
+        linear form x @ w + b. A 1-D x gives a scalar."""
+        if reported is WITHHELD or self.strategy is Strategy.DECOUPLED:
+            lm = (self.generic if reported is WITHHELD
+                  else self.cells[self.space.validate(reported)])
+            w, b = lm.weights[:-1], lm.weights[-1]
         else:
-            out = self._margins(x, np.full(x.shape[0],
-                                           self.space.index_of(reported)))
-        return out[0] if squeeze else out
+            w, offsets = self._shared
+            b = offsets[self.space.index_of(reported)]
+        x = np.asarray(x, dtype=float)
+        out = np.atleast_2d(x) @ w + b
+        return out[0] if x.ndim == 1 else out
 
     def margins_truthful(self, x, cell_indices):
-        """Margins when each row reports its own cell (by cell index)."""
-        return self._margins(np.atleast_2d(np.asarray(x, dtype=float)),
-                             np.asarray(cell_indices))
+        """Margins when each row reports its own cell (by cell index):
+        each row's entry of its own report's margins."""
+        x = np.atleast_2d(np.asarray(x, dtype=float))
+        codes = np.asarray(cell_indices)
+        out = np.empty(x.shape[0])
+        for code in np.unique(codes):
+            mask = codes == code
+            out[mask] = self.margins(x, self.space.cells()[code])[mask]
+        return out
 
     def all_flags(self):
         seen = list(self.flags)
@@ -306,13 +297,13 @@ def _constant_model(sign, fmap, context):
     return LinearModel(w, fmap, flags=(flag,))
 
 
-def _fit(x, codes, y, fmap, cfg, context):
-    """Fit one linear model on base features and per-row cell codes."""
+def _fit(x, codes, cells, y, fmap, cfg, context):
+    """Fit one linear model on base features and per-row cell codes, with
+    one design row per cell in `cells`."""
     # A single class gets the constant model; an empty y goes to the
     # trainer.
     if y.size and y.min() == y.max():
         return _constant_model(float(y[0]), fmap, context)
-    cells = _cell_design(fmap.space, fmap.strategy)
     if cfg.loss == "logistic":
         # Ridge covers base features only: indicators and intercept stay free.
         w = train_logistic(x, codes, cells, y, cfg.l2_penalty,
@@ -330,8 +321,9 @@ def _fit(x, codes, y, fmap, cfg, context):
 def _fit_generic_linear(train, cfg):
     fmap = build_feature_map(Strategy.GENERIC, train.space,
                              train.feature_names)
-    return _fit(train.features, train.cell_indices, train.labels, fmap, cfg,
-                "the generic model")
+    return _fit(train.features, train.cell_indices,
+                _cell_design(train.space, Strategy.GENERIC), train.labels,
+                fmap, cfg, "the generic model")
 
 
 def train_generic(train, cfg=None):
@@ -363,6 +355,7 @@ def train_personalized(train, strategy, cfg=None):
     if strategy is Strategy.DECOUPLED:
         fmap = build_feature_map(strategy, space, train.feature_names)
         codes = train.cell_indices
+        design = _cell_design(space, strategy)
         cells = {}
         degenerate = []
         empty = []
@@ -375,8 +368,8 @@ def train_personalized(train, strategy, cfg=None):
                 flags.append(f"cell {cell} has no training rows; "
                              "inheriting the generic model")
                 continue
-            lm = _fit(train.features[rows], codes[rows], train.labels[rows],
-                      fmap, cfg, f"cell {cell}")
+            lm = _fit(train.features[rows], codes[rows], design,
+                      train.labels[rows], fmap, cfg, f"cell {cell}")
             cells[cell] = lm
             if lm.flags:
                 degenerate.append(cell)
@@ -385,7 +378,8 @@ def train_personalized(train, strategy, cfg=None):
             train_config=cfg, cells=cells, flags=tuple(flags),
             degenerate_cells=tuple(degenerate), empty_cells=tuple(empty))
     fmap = build_feature_map(strategy, space, train.feature_names)
-    lm = _fit(train.features, train.cell_indices, train.labels, fmap, cfg,
+    lm = _fit(train.features, train.cell_indices,
+              _cell_design(space, strategy), train.labels, fmap, cfg,
               f"the {strategy.value} model")
     return PersonalizedModel(
         strategy=strategy, space=space, generic=generic_lm,

@@ -24,7 +24,7 @@ from typing import Optional
 import numpy as np
 
 from ._jsontext import number
-from .groups import TRUTHFUL, WITHHELD
+from .groups import WITHHELD
 from .metrics import MarginTable, error_rate_value, gain_matrix
 from .models import LinearModel, PersonalizedModel, Strategy, TrainConfig, \
     as_strategy, build_feature_map
@@ -359,7 +359,7 @@ def check_prop2_premise(personalized, decoupled_minimizers, train,
         if rows.size == 0:
             premise[g] = True
             continue
-        dec = trained_loss(loss, decoupled.margins(g, TRUTHFUL),
+        dec = trained_loss(loss, decoupled.margins(g, g),
                            train.labels[rows])
         premise[g] = bool(abs(matrix[gi, gi + 1] - dec) <= tol)
     # An empty group's row is NaN throughout and is skipped; every other

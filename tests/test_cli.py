@@ -239,6 +239,26 @@ def test_audit_csv_report_round_trips_quotes_and_commas(tmp_path):
     assert {r["comparator"] for r in rows} == {'a"b', "c,d", "generic"}
 
 
+def test_audit_refuses_commas_in_values_of_two_attributes(tmp_path, capsys):
+    # Cells ("1", "2,3") and ("1,2", "3") would both be labelled "1,2,3",
+    # and the JSON report's per-row `reported` dicts would drop one.
+    rng = np.random.default_rng(0)
+    data = tmp_path / "commas.csv"
+    with open(data, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["x1", "x2", "g:a", "g:b", "y"])
+        for a in ("1", "1,2"):
+            for b in ("3", "2,3"):
+                for x in rng.normal(size=(60, 2)).tolist():
+                    writer.writerow(x + [a, b, 1 if x[0] >= 0 else -1])
+    out = tmp_path / "report.json"
+    assert main(["audit", "--data", str(data), "--train-fraction", "1.0",
+                 "--bootstrap", "100", "--format", "json",
+                 "--out", str(out)]) == 1
+    assert "value '1,2' of attribute 'a'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_audit_csv_leaves_undefined_numbers_empty(tmp_path):
     # Group "a" holds positives only, so its AUC is undefined and every
     # test of a's rows is NotTestable, with no estimate or p-value.

@@ -258,9 +258,3 @@ def test_best_of_three_input_validation(mis_report):
     onehot = report.model
     with pytest.raises(ValueError, match="decoupled"):
         assign_best_of_three(report, onehot, ds)
-    import warnings
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        dec = train_personalized(ds, Strategy.DECOUPLED, CFG.train_config)
-    with pytest.raises(ValueError, match="error rate"):
-        assign_best_of_three(report, dec, ds, metric="auc")

@@ -17,7 +17,8 @@ from hypothesis import strategies as st
 from fairuse._optim import expit
 from fairuse.audit import (BOOTSTRAP, MCNEMAR, NOT_TESTABLE, AuditConfig,
                            MarginTable, _binom_tail_at_least, audit,
-                           bootstrap_replicates, bootstrap_test)
+                           bootstrap_replicates, bootstrap_test,
+                           misreport_matrix)
 from fairuse.dataset import Dataset
 from fairuse.groups import ALL, TRUTHFUL, WITHHELD, GroupSpace
 from fairuse.metrics import (AUC, ECE, ERROR_RATE, auc_value, ece_value,
@@ -200,7 +201,7 @@ def _strategy_dataset(seed=3):
 def test_margin_table_slices_equal_per_group_margins(strategy):
     ds = _strategy_dataset()
     model = train_personalized(ds, strategy, TrainConfig(l2_penalty=1e-3))
-    table = MarginTable(model, ds).fill()
+    table = MarginTable(model, ds)
     for g in SPACE_2X2.cells():
         rows = ds.rows_for(g)
         assert np.array_equal(table.rows(g), rows)
@@ -211,8 +212,8 @@ def test_margin_table_slices_equal_per_group_margins(strategy):
         assert np.array_equal(
             table.margins(g, TRUTHFUL),
             model.margins_truthful(x, ds.cell_indices[rows]))
-        # assign_best_of_three and check_prop2_premise read each group's
-        # own report from the truthful column.
+        # The truthful column is each group's own report, which
+        # assign_best_of_three and check_prop2_premise read.
         assert np.array_equal(table.margins(g, TRUTHFUL),
                               model.margins(x, g))
 
@@ -517,7 +518,7 @@ def test_error_draw_of_a_million_row_group_is_fast():
     model = _StubModel({r: np.where(wrong ^ (rng.random(n) < 0.01), -y, y)
                         .astype(float) for r in (WITHHELD,) + cells})
     ds = Dataset(np.zeros((n, 1)), y, (cells[0],) * n, SPACE_4)
-    table = MarginTable(model, ds).fill()
+    table = MarginTable(model, ds)
     comps = (WITHHELD,) + cells[1:]
     times = []
     for _ in range(3):
@@ -931,12 +932,30 @@ def test_margin_table_fill_peaks_near_its_stored_columns():
     table = MarginTable(model, ds)
     tracemalloc.start()
     try:
-        table.fill()
+        for reported in (WITHHELD,) + ds.space.cells():
+            table.column(reported)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     stored = (ds.space.m + 1) * ds.n * 8
     assert peak < 1.5 * stored
+
+
+def test_auc_matrix_keeps_no_score_columns():
+    # A sigmoid column kept per report took this matrix's traced peak to
+    # 18.3 MB against 8.3 MB of margin columns.
+    ds = gen_exchangeable_null(m=64, n_per_group=250, seed=0)
+    model = train_personalized(ds, Strategy.ONEHOT,
+                               AuditConfig().train_config)
+    table = MarginTable(model, ds)
+    tracemalloc.start()
+    try:
+        misreport_matrix(table, AUC)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    columns = (ds.space.m + 1) * ds.n * 8
+    assert peak < columns + 3 * 2 ** 20
 
 
 def test_binom_tail_recurrence_equals_comb_sum():
