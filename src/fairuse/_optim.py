@@ -8,7 +8,9 @@ then pure, Newton steps, and raises ConvergenceError rather than
 returning a silently unconverged fit.
 train_hinge solves the average-hinge-loss minimization exactly as a linear
 program. expit is the logistic sigmoid that the trainer and every score
-use; it is numpy's, so an audit loads no scipy module.
+use, and softplus the logistic loss kernel that the trainer's objective
+and theory.trained_loss use; both are numpy's vectorized exp (and
+log1p), so an audit loads no scipy module.
 """
 
 import numpy as np
@@ -32,6 +34,16 @@ def expit(x):
         return 1.0 / (1.0 + np.exp(-x))
 
 
+def softplus(z):
+    """log(1 + exp(z)) as max(z, 0) + log1p(exp(-|z|)).
+
+    exp underflows quietly past about -745, leaving max(z, 0) exact; NaN
+    propagates and +-inf give inf and 0.
+    """
+    with np.errstate(under="ignore"):
+        return np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z)))
+
+
 def cell_margins(w, x, codes, cells):
     """x @ w[:d] + cells[codes] @ w[d:], summed per cell before the gather."""
     d = x.shape[1]
@@ -40,7 +52,7 @@ def cell_margins(w, x, codes, cells):
 
 def _logistic_objective(m, w, d, lam):
     """Mean logistic loss at m = y * margins, plus lam * ||w[:d]||^2."""
-    loss = float(np.mean(np.logaddexp(0.0, -m)))
+    loss = float(np.mean(softplus(-m)))
     return loss + lam * float(np.sum(w[:d] ** 2))
 
 
@@ -79,6 +91,11 @@ def train_logistic(x, codes, cells, y, lam, tol, max_iter):
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     n, d = x.shape
+    # Each Hessian's products curv * x.T run along the rows of a
+    # contiguous copy of x.T, into a buffer laid out as x.T * curv would
+    # be (column-major), so cx @ x stays the same BLAS call.
+    xt = np.ascontiguousarray(x.T)
+    cx = np.empty((d, n), order="F")
     w = np.zeros(d + cells.shape[1])
     # Aim well below the contracted tolerance so downstream near-equality
     # checks at 10 * tol have slack.
@@ -95,7 +112,7 @@ def train_logistic(x, codes, cells, y, lam, tol, max_iter):
         # sigma(m) * sigma(-m) computed stably from |m|.
         s = expit(-np.abs(m))
         curv = s * (1.0 - s) / n
-        cx = x.T * curv
+        np.multiply(xt, curv, out=cx)
         # Per-cell sums of curv and curv * x stand in for cells[codes].
         sums = np.array([np.bincount(codes, c, len(cells))
                          for c in (curv, *cx)])

@@ -22,10 +22,17 @@ subset, split and the synth generators hand codes in directly.
 
 load_csv reads the header with csv.reader and every data row in one
 ``np.loadtxt`` call, into one structured array with a float field per
-feature and for the label and an object field per group column; each
-group column is then mapped to codes through a dict of its values. If
-that call or the checks after it fail, the file is re-read row by row
-with csv.reader for the row-numbered error.
+feature and for the label. A file is read by path, in chunks, skipping
+the header's physical lines; text (loads_csv) is read line by line from
+a StringIO. Read by path, a line break inside a quoted value comes back
+as ``\n``, so a file whose group values hold one is read again by lines,
+which keep each break as written. A group column whose first data value
+is one character is an object field, mapped to codes through a dict of
+its values; a longer first value makes it an int field of ids, one per
+distinct value in order of first appearance (the values are kept once,
+not once per row), and the ids are then mapped to codes. If that call or
+the checks after it fail, the file is re-read row by row with csv.reader
+for the row-numbered error.
 """
 
 import csv
@@ -264,34 +271,53 @@ def _parse_label(raw, row_idx):
 def load_csv(path, schema=None):
     """Read a Dataset from a CSV file. See the module docstring for roles."""
     with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-        return _read(fh, schema or CsvSchema(),
+        return _read(fh, path, schema or CsvSchema(),
                      f"{path}: empty file, header required")
 
 
 def loads_csv(text, schema=None):
     """Read a Dataset from CSV text (same format as load_csv)."""
-    return _read(io.StringIO(text, newline=""), schema or CsvSchema(),
+    fh = io.StringIO(text, newline="")
+    return _read(fh, fh, schema or CsvSchema(),
                  "empty CSV text, header required")
 
 
-def _read(fh, schema, empty_message):
-    header = next(csv.reader(fh), None)
+class _Ids(dict):
+    """Value -> id, each new value taking the next id."""
+
+    def __missing__(self, value):
+        new = self[value] = len(self)
+        return new
+
+
+def _read(fh, source, schema, empty_message):
+    """Dataset of the CSV open as fh; np.loadtxt reads source, the file's
+    path or fh itself, from the start."""
+    rows = csv.reader(fh)
+    header = next(rows, None)
     if header is None:
         raise SchemaError(empty_message)
     label, feats, groups = _resolve_columns(header, schema)
-    dtype = [(f"c{i}", "O" if i in groups else "f8")
+    header_lines = rows.line_num
+    first = next(filter(None, rows), ())
+    ids = {i: _Ids() for i in groups if i < len(first) and len(first[i]) > 1}
+    dtype = [(f"c{i}", "i8" if i in ids else "O" if i in groups else "f8")
              for i in range(len(header))]
+    fh.seek(0)
     try:
         with warnings.catch_warnings():
             # A header-only file is read as zero rows.
             warnings.filterwarnings("ignore", "loadtxt: input contained no",
                                     UserWarning)
-            table = np.loadtxt(fh, dtype=dtype, delimiter=",", comments=None,
-                               quotechar='"', ndmin=1)
-        features = np.column_stack([table[f"c{i}"] for i in feats])
+            table = np.loadtxt(
+                source, dtype=dtype, delimiter=",", comments=None,
+                quotechar='"', ndmin=1, skiprows=header_lines,
+                encoding="utf-8-sig",
+                converters={i: v.__getitem__ for i, v in ids.items()})
         raw = table[f"c{label}"]
-        # np.isin would copy the strided label field.
-        if not (np.isfinite(features).all()
+        # Field by field: np.isin would copy the strided label field, and
+        # the feature matrix is stacked last, after the codes' temporaries.
+        if not (all(np.isfinite(table[f"c{i}"]).all() for i in feats)
                 and ((raw == -1) | (raw == 0) | (raw == 1)).all()):
             raise ValueError("non-finite feature or label out of range")
     except ValueError:
@@ -307,28 +333,39 @@ def _read(fh, schema, empty_message):
                 "labels mix 0 and -1; use one convention ({0,1} or {-1,+1})")
         labels[labels == 0] = -1
 
+    # Each group column's values: the object field itself, or the
+    # distinct values in id order.
+    values = {i: ids[i] if i in ids else table[f"c{i}"] for i in groups}
+    observed = {i: set(values[i]) for i in groups}
+    if source is not fh and any("\n" in v for seen in observed.values()
+                                for v in seen):
+        # Read by path, every quoted line break came back as \n; the
+        # file's own lines keep them as written.
+        fh.seek(0)
+        return _read(fh, fh, schema, empty_message)
     declared = dict(schema.domains or {})
     attrs = []
     for i in groups:
         name = header[i][len(schema.group_prefix):]
-        observed = set(table[f"c{i}"])
         if name in declared:
             domain = tuple(str(v) for v in declared[name])
-            extra = observed - set(domain)
+            extra = observed[i] - set(domain)
             if extra:
                 raise DomainError(
                     f"attribute {name!r}: observed values {sorted(extra)} "
                     f"outside declared domain {domain}")
         else:
-            domain = tuple(sorted(observed))
+            domain = tuple(sorted(observed[i]))
         attrs.append((name, domain))
     space = GroupSpace(tuple(attrs))
     codes = np.zeros(labels.size, dtype=int)
     for i, domain in zip(groups, space.domains):
         position = {v: k for k, v in enumerate(domain)}
         codes *= len(domain)
-        codes += np.fromiter(map(position.__getitem__, table[f"c{i}"]), int,
-                             labels.size)
+        found = np.fromiter(map(position.__getitem__, values[i]), int,
+                            len(values[i]))
+        codes += found.take(table[f"c{i}"]) if i in ids else found
+    features = np.column_stack([table[f"c{i}"] for i in feats])
     return Dataset._from_codes(features, labels, codes, space,
                                tuple(header[i] for i in feats))
 

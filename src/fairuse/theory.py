@@ -24,6 +24,7 @@ from typing import Optional
 import numpy as np
 
 from ._jsontext import number
+from ._optim import softplus
 from .groups import WITHHELD
 from .metrics import MarginTable, error_rate_value, gain_matrix
 from .models import LinearModel, PersonalizedModel, Strategy, TrainConfig, \
@@ -264,7 +265,7 @@ def trained_loss(loss, margins, labels):
         return error_rate_value(margins, labels)
     z = labels * margins
     if loss == "logistic":
-        return float(np.mean(np.logaddexp(0.0, -z)))
+        return float(np.mean(softplus(-z)))
     if loss == "hinge":
         return float(np.mean(np.maximum(0.0, 1.0 - z)))
     raise ValueError(f"unknown loss {loss!r}")

@@ -180,6 +180,26 @@ def test_sigmoid_limits_are_exact_and_silent():
     assert far == [(0.0, -1), (1.0, 1)]
 
 
+@pytest.mark.parametrize("scale", [1e-6, 1.0, 10.0, 100.0, 745.0])
+def test_softplus_is_within_4_ulp_of_logaddexp(scale):
+    z = np.random.default_rng(0).uniform(-scale, scale, size=10_000)
+    got, want = optim.softplus(z), np.logaddexp(0.0, z)
+    assert got.dtype == np.float64
+    # Both are positive, where the int64 view of a float64 counts ulps.
+    assert np.abs(got.view(np.int64) - want.view(np.int64)).max() <= 4
+
+
+def test_softplus_limits_are_exact_and_silent():
+    z = np.array([0.0, -0.0, np.inf, -np.inf, 800.0, -800.0, np.nan])
+    with np.errstate(all="raise"), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = optim.softplus(z)
+    assert got[:6].tolist() == [np.log(2.0), np.log(2.0), np.inf, 0.0,
+                                800.0, 0.0]
+    assert got[:6].tolist() == np.logaddexp(0.0, z[:6]).tolist()
+    assert np.isnan(got[6])
+
+
 @pytest.mark.parametrize("strategy", ["generic", "onehot", "intersectional"])
 def test_logistic_gradient_contract_and_scipy_crosscheck(strategy):
     # The trainer sums the cell part per cell; the checks below use the
