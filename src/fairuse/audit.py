@@ -61,12 +61,14 @@ undefined. Its error rates count each group's (m+1, n_g) bit matrix in
 the table along the rows, over n; the pattern draw reads that matrix
 whole and McNemar two of its rows. The point check computes gains from
 the array in one expression (`metrics.gain_matrix`) and keeps them in
-its `PointSummary` for the population row and the planner. An audit's m^2 McNemar
-tests meet far fewer distinct (b + c, k) splits, and each tail is summed
-once per table, in its `tails` memo, which lives as long as the audit.
-Raw and adjusted results are built by `_result` in one dict update each.
-The population rows read their two risks through the same memoized
-`MarginTable.risks` as the matrix's AUC and ECE rows.
+its `PointSummary` for the population row and the planner. An audit's
+m^2 McNemar tests meet far fewer distinct (b + c, k) splits, and each
+tail is summed once per table, in its `tails` memo, which lives as long
+as the audit. Each test makes one result, in one dict update (`_result`),
+and `audit()` sets its Bonferroni fields in place (`_adjust`), in a pass
+that also collects the significant (group, comparator) pairs the
+population rows count. Those rows read their two risks through the same
+memoized `MarginTable.risks` as the matrix's AUC and ECE rows.
 
 Every render writes a group as the text its `GroupId` made once, and
 "generic" for WITHHELD (`_label`). A result's report values come from
@@ -75,7 +77,7 @@ whole, and a result's dict is its one row.
 """
 
 import math
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from operator import attrgetter
 from typing import Optional
@@ -361,15 +363,12 @@ _UNADJUSTED = {"p_adjusted": None, "family_size": 0, "verdict": INCONCLUSIVE}
 
 
 def _result(base, **fields):
-    """HypothesisResult with `base`'s fields updated by `fields`.
-
-    It is made in one step, without __init__: the frozen dataclass's
-    keyword constructor sets its 15 fields one object.__setattr__ at a
-    time, several times the cost of one dict update, and an audit makes
-    m^2 raw and m^2 adjusted results per route. HypothesisResult has no
-    __post_init__ to skip. A raw result starts from `_UNADJUSTED` and
-    names every other field, `detail` included.
-    """
+    """HypothesisResult with `base`'s fields updated by `fields`, made in one
+    dict update without __init__ (it has no __post_init__ to skip): the
+    frozen dataclass's keyword constructor sets its 15 fields one
+    object.__setattr__ at a time, several times the cost, and an audit
+    makes m^2 results per route. A raw result starts from `_UNADJUSTED`
+    and names every other field, `detail` included."""
     res = object.__new__(HypothesisResult)
     res.__dict__.update(base, **fields)
     return res
@@ -612,8 +611,34 @@ def mcnemar_test(table, g, comparator, *, alpha=0.10):
         detail={"b": b, "c": c})
 
 
+def _adjust(results, alpha=None):
+    """`bonferroni` in place, one dict update per result. Returns the
+    distinct (group, comparator) pairs of each (metric, kind, verdict)
+    with a significant verdict, all routes together."""
+    sizes = Counter((r.metric, r.test, r.kind)
+                    for r in results if r.testable)
+    significant = defaultdict(set)
+    for r in results:
+        a = r.alpha if alpha is None else alpha
+        fs = sizes.get((r.metric, r.test, r.kind), 0)
+        if not r.testable:
+            r.__dict__.update(alpha=a, family_size=fs, verdict=NOT_TESTABLE)
+            continue
+        p_adj = min(1.0, fs * r.p_raw)
+        if r.estimate == 0 or p_adj > a:
+            verdict = INCONCLUSIVE
+        else:
+            verdict = (SIGNIFICANT_VIOLATION if r.estimate < 0
+                       else SIGNIFICANT_GAIN)
+            significant[r.metric, r.kind, verdict].add((r.group, r.comparator))
+        r.__dict__.update(alpha=a, family_size=fs, p_adjusted=p_adj,
+                          verdict=verdict)
+    return significant
+
+
 def bonferroni(results, alpha=None):
-    """Fill p_adjusted, family sizes, and verdicts on a batch of results.
+    """Copies of a batch of results with p_adjusted, family sizes, and
+    verdicts filled in; the inputs are left as they are.
 
     Results are grouped into families by (metric, test, kind), so each
     metric and test route corrects its rationality tests (nominally m) and
@@ -621,25 +646,8 @@ def bonferroni(results, alpha=None):
     testable results actually in the family; NotTestable entries keep
     p_adjusted = None and do not inflate the correction.
     """
-    sizes = Counter((r.metric, r.test, r.kind)
-                    for r in results if r.testable)
-    out = []
-    for r in results:
-        a = r.alpha if alpha is None else alpha
-        fs = sizes.get((r.metric, r.test, r.kind), 0)
-        if not r.testable:
-            out.append(_result(r.__dict__, alpha=a, family_size=fs,
-                               verdict=NOT_TESTABLE))
-            continue
-        p_adj = min(1.0, fs * r.p_raw)
-        if r.estimate == 0 or p_adj > a:
-            verdict = INCONCLUSIVE
-        elif r.estimate < 0:
-            verdict = SIGNIFICANT_VIOLATION
-        else:
-            verdict = SIGNIFICANT_GAIN
-        out.append(_result(r.__dict__, alpha=a, family_size=fs,
-                           p_adjusted=p_adj, verdict=verdict))
+    out = [_result(r.__dict__) for r in results]
+    _adjust(out, alpha)
     return out
 
 
@@ -1015,7 +1023,8 @@ def _datasets_equal(a, b):
             and np.array_equal(a.cell_indices, b.cell_indices))
 
 
-def _population_row(metric, point, results, table):
+def _population_row(metric, point, significant, table):
+    """One metric's summary; `significant` holds `_adjust`'s pairs."""
     generic = table.risk(metric, ALL, WITHHELD)
     personal = table.risk(metric, ALL, TRUTHFUL)
     if generic.defined and personal.defined:
@@ -1037,10 +1046,8 @@ def _population_row(metric, point, results, table):
     point_rat_gain = int(np.count_nonzero(gains[:, 0] > 0))
     point_envy_gain = int(np.count_nonzero(gains[:, 1:] > 0))
 
-    def subjects(kind, verdict):
-        return len({(r.group, r.comparator) for r in results
-                    if r.metric == metric.tag and r.kind == kind
-                    and r.verdict == verdict})
+    def pairs(kind, verdict):
+        return len(significant.get((metric.tag, kind, verdict), ()))
 
     return PopulationRow(
         metric=metric, generic_risk=generic, personalized_risk=personal,
@@ -1049,12 +1056,11 @@ def _population_row(metric, point, results, table):
         point_rationality_violations=len(point.rationality_violations),
         point_envy_gains=point_envy_gain,
         point_envy_violations=len(point.envy_violations),
-        significant_rationality_gains=subjects(RATIONALITY,
-                                               SIGNIFICANT_GAIN),
-        significant_rationality_violations=subjects(RATIONALITY,
-                                                    SIGNIFICANT_VIOLATION),
-        significant_envy_gains=subjects(ENVY, SIGNIFICANT_GAIN),
-        significant_envy_violations=subjects(ENVY, SIGNIFICANT_VIOLATION))
+        significant_rationality_gains=pairs(RATIONALITY, SIGNIFICANT_GAIN),
+        significant_rationality_violations=pairs(RATIONALITY,
+                                                 SIGNIFICANT_VIOLATION),
+        significant_envy_gains=pairs(ENVY, SIGNIFICANT_GAIN),
+        significant_envy_violations=pairs(ENVY, SIGNIFICANT_VIOLATION))
 
 
 def _generalization_rows(table, cfg, point=None):
@@ -1115,12 +1121,15 @@ def audit(train, test, strategy=Strategy.ONEHOT, metrics=(ERROR_RATE,),
         raise ValueError("train and test use different group spaces")
     if not metrics:
         raise ValueError("audit needs at least one metric")
+    (tag, times), = Counter(metric.tag for metric in metrics).most_common(1)
+    if times > 1:
+        raise ValueError(f"metric {tag!r} is given {times} times")
     model = train_personalized(train, strategy, cfg.train_config)
     cells = train.space.cells()
     table = MarginTable(model, test)
     matrices = {}
     points = {}
-    raw_results = []
+    results = []
     for mi, metric in enumerate(metrics):
         matrix = misreport_matrix(table, metric)
         matrices[metric.tag] = matrix
@@ -1141,8 +1150,9 @@ def audit(train, test, strategy=Strategy.ONEHOT, metrics=(ERROR_RATE,),
                           for comp in comps]
         # Each route lists every rationality test, then every envy test.
         for route in (boot, exact):
-            raw_results += sorted(route, key=lambda r: r.kind == ENVY)
-    results = tuple(bonferroni(raw_results, cfg.alpha))
+            results += sorted(route, key=lambda r: r.kind == ENVY)
+    # Every result carries cfg.alpha.
+    significant = _adjust(results)
     # An in-sample audit has already summarised the training table's
     # error rates if it audits them. A split audit reads its training
     # table only here, so its columns and bits are freed before the
@@ -1152,17 +1162,15 @@ def audit(train, test, strategy=Strategy.ONEHOT, metrics=(ERROR_RATE,),
             table, cfg, points.get(ERROR_RATE_TAG))
     else:
         generalization = _generalization_rows(MarginTable(model, train), cfg)
-    populations = {}
-    for metric in metrics:
-        populations[metric.tag] = _population_row(
-            metric, points[metric.tag], results, table)
+    populations = {metric.tag: _population_row(
+        metric, points[metric.tag], significant, table) for metric in metrics}
     report = FairUseReport(
         strategy=strategy, space=train.space, config=cfg,
         metrics=tuple(metrics), model=model, train_tally=tally(train),
         test_tally=tally(test),
         train_equals_test=_datasets_equal(train, test),
         matrices=matrices, points=points, populations=populations,
-        results=results,
+        results=tuple(results),
         generalization=generalization,
         identical_pairs=identical_prediction_pairs(table))
     from .interventions import data_minimization

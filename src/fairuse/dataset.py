@@ -26,13 +26,11 @@ feature and for the label. A file is read by path, in chunks, skipping
 the header's physical lines; text (loads_csv) is read line by line from
 a StringIO. Read by path, a line break inside a quoted value comes back
 as ``\n``, so a file whose group values hold one is read again by lines,
-which keep each break as written. A group column whose first data value
-is one character is an object field, mapped to codes through a dict of
-its values; a longer first value makes it an int field of ids, one per
-distinct value in order of first appearance (the values are kept once,
-not once per row), and the ids are then mapped to codes. If that call or
-the checks after it fail, the file is re-read row by row with csv.reader
-for the row-numbered error.
+which keep each break as written. Every group column is an int field of
+ids, one per distinct value in order of first appearance (the values are
+kept once, not once per row), and the ids are then mapped to codes. If
+that call or the checks after it fail, the file is re-read row by row
+with csv.reader for the row-numbered error.
 """
 
 import csv
@@ -298,10 +296,8 @@ def _read(fh, source, schema, empty_message):
     if header is None:
         raise SchemaError(empty_message)
     label, feats, groups = _resolve_columns(header, schema)
-    header_lines = rows.line_num
-    first = next(filter(None, rows), ())
-    ids = {i: _Ids() for i in groups if i < len(first) and len(first[i]) > 1}
-    dtype = [(f"c{i}", "i8" if i in ids else "O" if i in groups else "f8")
+    ids = {i: _Ids() for i in groups}
+    dtype = [(f"c{i}", "i8" if i in groups else "f8")
              for i in range(len(header))]
     fh.seek(0)
     try:
@@ -311,7 +307,7 @@ def _read(fh, source, schema, empty_message):
                                     UserWarning)
             table = np.loadtxt(
                 source, dtype=dtype, delimiter=",", comments=None,
-                quotechar='"', ndmin=1, skiprows=header_lines,
+                quotechar='"', ndmin=1, skiprows=rows.line_num,
                 encoding="utf-8-sig",
                 converters={i: v.__getitem__ for i, v in ids.items()})
         raw = table[f"c{label}"]
@@ -333,11 +329,7 @@ def _read(fh, source, schema, empty_message):
                 "labels mix 0 and -1; use one convention ({0,1} or {-1,+1})")
         labels[labels == 0] = -1
 
-    # Each group column's values: the object field itself, or the
-    # distinct values in id order.
-    values = {i: ids[i] if i in ids else table[f"c{i}"] for i in groups}
-    observed = {i: set(values[i]) for i in groups}
-    if source is not fh and any("\n" in v for seen in observed.values()
+    if source is not fh and any("\n" in v for seen in ids.values()
                                 for v in seen):
         # Read by path, every quoted line break came back as \n; the
         # file's own lines keep them as written.
@@ -349,22 +341,22 @@ def _read(fh, source, schema, empty_message):
         name = header[i][len(schema.group_prefix):]
         if name in declared:
             domain = tuple(str(v) for v in declared[name])
-            extra = observed[i] - set(domain)
+            extra = ids[i].keys() - set(domain)
             if extra:
                 raise DomainError(
                     f"attribute {name!r}: observed values {sorted(extra)} "
                     f"outside declared domain {domain}")
         else:
-            domain = tuple(sorted(observed[i]))
+            domain = tuple(sorted(ids[i]))
         attrs.append((name, domain))
     space = GroupSpace(tuple(attrs))
     codes = np.zeros(labels.size, dtype=int)
     for i, domain in zip(groups, space.domains):
         position = {v: k for k, v in enumerate(domain)}
         codes *= len(domain)
-        found = np.fromiter(map(position.__getitem__, values[i]), int,
-                            len(values[i]))
-        codes += found.take(table[f"c{i}"]) if i in ids else found
+        found = np.fromiter(map(position.__getitem__, ids[i]), int,
+                            len(ids[i]))
+        codes += found.take(table[f"c{i}"])
     features = np.column_stack([table[f"c{i}"] for i in feats])
     return Dataset._from_codes(features, labels, codes, space,
                                tuple(header[i] for i in feats))

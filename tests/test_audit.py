@@ -30,7 +30,7 @@ from fairuse.models import (LinearModel, PersonalizedModel, Strategy,
                             TrainConfig, build_feature_map,
                             train_personalized, train_zero_one_exhaustive)
 from fairuse.synth import (gen_exchangeable_null, gen_group_specific_effects,
-                           gen_misspecification)
+                           gen_misspecification, gen_planted_violation)
 
 from oracles import (binom_tail, bonferroni_by_replace, mcnemar_counts,
                      point_gains_by_loops)
@@ -642,6 +642,68 @@ def test_audit_input_validation():
         audit(ds, other, Strategy.ONEHOT, (ERROR_RATE,), small_cfg())
     with pytest.raises(ValueError, match="metric"):
         audit(ds, ds, Strategy.ONEHOT, (), small_cfg())
+
+
+@pytest.mark.parametrize("metrics,tag", [
+    ((ERROR_RATE, ERROR_RATE), "error_rate"),
+    ((metric_from_name("error"), AUC, metric_from_name("error_rate")),
+     "error_rate"),
+    # ECE at two bin counts: the report keys its matrices, point
+    # summaries and population rows by tag alone.
+    ((ECE, metric_from_name("ece", ece_bins=5)), "ece"),
+])
+def test_audit_refuses_a_repeated_metric_tag(metrics, tag):
+    # A second copy of a metric would double each of its Bonferroni
+    # families, and so every p_adjusted.
+    ds = grouped_dataset()
+    with pytest.raises(ValueError, match=f"metric '{tag}' is given 2 times"):
+        audit(ds, ds, Strategy.ONEHOT, metrics, small_cfg())
+
+
+def test_audit_makes_one_result_per_test(monkeypatch):
+    # Each test's result is made once and adjusted in place: no second,
+    # adjusted copy per test.
+    audit_module = importlib.import_module("fairuse.audit")
+    made = []
+    build = audit_module._result
+
+    def counted(base, **fields):
+        made.append(build(base, **fields))
+        return made[-1]
+
+    monkeypatch.setattr(audit_module, "_result", counted)
+    ds = gen_exchangeable_null(m=8, n_per_group=30, seed=0)
+    rep = audit(ds, ds, Strategy.ONEHOT, (ERROR_RATE,), small_cfg())
+    # Bootstrap and McNemar: 8 rationality and 56 envy tests each.
+    assert len(rep.results) == 2 * 64
+    assert len(made) == len(rep.results)
+    assert set(map(id, made)) == set(map(id, rep.results))
+    assert all(r.family_size in (8, 56) for r in rep.results)
+
+
+def test_population_counts_each_significant_pair_once():
+    # Planted m=4 at 300 rows per group: some envy pairs are significant
+    # on both routes, and the population row counts each pair once.
+    ds = gen_planted_violation(m=4, n_per_group=300, seed=0)
+    rep = audit(ds, ds, Strategy.ONEHOT, (ERROR_RATE, AUC), small_cfg())
+    for tag, pop in rep.populations.items():
+        def pairs(kind, verdict):
+            return len({(r.group, r.comparator) for r in rep.results
+                        if r.metric == tag and r.kind == kind
+                        and r.verdict == verdict})
+
+        assert (pop.significant_rationality_gains,
+                pop.significant_rationality_violations,
+                pop.significant_envy_gains,
+                pop.significant_envy_violations) == (
+            pairs(RATIONALITY, SIGNIFICANT_GAIN),
+            pairs(RATIONALITY, SIGNIFICANT_VIOLATION),
+            pairs(ENVY, SIGNIFICANT_GAIN),
+            pairs(ENVY, SIGNIFICANT_VIOLATION))
+    per_route = sum(r.metric == "error_rate" and r.kind == ENVY
+                    and r.verdict == SIGNIFICANT_GAIN for r in rep.results)
+    assert per_route > rep.populations["error_rate"].significant_envy_gains > 0
+    assert rep.populations["error_rate"].significant_envy_violations > 0
 
 
 def test_audit_out_of_sample_flag():

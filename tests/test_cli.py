@@ -120,6 +120,22 @@ def test_audit_rejects_bad_train_fraction(mis_csv, capsys):
     assert "(0, 1]" in capsys.readouterr().err
 
 
+def test_audit_refuses_a_repeated_metric(tmp_path, capsys):
+    # A repeated --metric would double each of its Bonferroni families,
+    # and so every p_adjusted, and list the metric twice in the report.
+    path = tmp_path / "planted.csv"
+    assert main(["synth", "planted", "--m", "4", "--n-per-group", "50",
+                 "--out", str(path)]) == 0
+    capsys.readouterr()
+    out = tmp_path / "report.json"
+    assert main(["audit", "--data", str(path), "--metric", "error",
+                 "--metric", "error", "--bootstrap", "100", "--format",
+                 "json", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == \
+        "error: metric 'error_rate' is given 2 times\n"
+    assert not out.exists()
+
+
 def test_bad_train_fraction_is_reported_before_reading_data(tmp_path,
                                                             capsys):
     missing = str(tmp_path / "nope.csv")
