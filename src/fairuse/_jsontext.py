@@ -16,13 +16,13 @@ A list of flat records with the same keys, such as a report's test
 results, can be passed as one `Records(keys, columns)` leaf instead of
 a list of dicts: one value list per key. `dumps` writes it as that list
 of dicts: it joins each record's text from the keys' text and the texts
-of its values, read column by column, and writes it. A column of one
-exact scalar type is read through that type's memo. A column of
-scalars that does not mix two of bool, int and float, such as np.str_
-beside str, keeps a memo of its own. A column of dicts whose values
+of its values, read column by column, and writes it. Memos are chosen
+by exact type. A column of one scalar type is read through that type's
+memo. Another column of exact str, None and at most one of bool, int
+and float keeps a memo of its own. A column of dicts whose values
 together pass the same test, such as the results' `detail`, keeps a
-memo keyed by each dict's items. Any other column is encoded value by
-value.
+memo keyed by each dict's items. Any other column, np.str_ included,
+is encoded value by value.
 
 `number` is the reports' one rule for a numeric member: NaN (an
 undefined value) is written as null.
@@ -151,36 +151,24 @@ def _encode(value, newline, out, keys, scalars):
                         f"is not JSON serializable")
 
 
-# The scalar kinds a memo may key: equal values of one kind write the
-# same text, save the float zeros.
-_KINDS = (bool, int, float, str, type(None))
-_NUMBERS = {bool, int, float}
-
-
-def _kind(cls):
-    """The first of _KINDS that `cls` is a subclass of, else None."""
-    return next((kind for kind in _KINDS if issubclass(cls, kind)), None)
-
-
-def _kinds(types):
-    """The kinds of values of `types` when a memo may key them, else
-    None: each is a scalar of _KINDS, and no two of bool, int and float
-    mix."""
-    kinds = set(map(_kind, types))
-    if None in kinds or len(kinds & _NUMBERS) > 1:
-        return None
-    return kinds
+def _memoable(types):
+    """Whether one memo may key values of exact `types`: str, None and at
+    most one of bool, int and float, so that equal values write the same
+    text, save the float zeros."""
+    numbers = types & {bool, int, float}
+    return len(numbers) < 2 and types - numbers <= {str, type(None)}
 
 
 def _column(column, field, keys, scalars):
     """An iterator over the text of each value of one `Records` column,
     nested lines starting with `field`.
 
-    A column of one exact scalar type is read through that type's
-    function in `scalars`. Another column of scalars that `_kinds`
-    accepts is read through a memo of its own. A column of dicts whose
-    values, taken together, `_kinds` accepts and hold no float zero, is
-    read through a memo keyed by each dict's items. Any other column is
+    A memo is chosen by the values' exact types. A column of one scalar
+    type is read through that type's function in `scalars`. Another
+    column that `_memoable` accepts is read through a memo of its own. A
+    column of dicts whose values, taken together, `_memoable` accepts and
+    hold no float zero, is read through a memo keyed by each dict's
+    items. Any other column, a subclass such as np.str_ included, is
     encoded value by value."""
 
     def encode(value):
@@ -196,11 +184,11 @@ def _column(column, field, keys, scalars):
         return map(scalars[types.pop()], column)
     if types == {dict}:
         values = list(chain.from_iterable(map(dict.values, column)))
-        kinds = _kinds(set(map(type, values)))
-        if kinds is not None and not (float in kinds and 0.0 in values):
+        kinds = set(map(type, values))
+        if _memoable(kinds) and not (float in kinds and 0.0 in values):
             texts = _Texts(lambda items: encode(dict(items)))
             return map(texts.__getitem__, map(tuple, map(dict.items, column)))
-    elif _kinds(types) is not None:
+    elif _memoable(types):
         return map(_Texts(encode).__getitem__, column)
     return map(encode, column)
 

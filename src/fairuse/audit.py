@@ -904,13 +904,19 @@ def _fmt(v, signed=False):
     return f"{v:+.4f}" if signed else f"{v:.4f}"
 
 
+def _one_line(text):
+    """text with each line break written as <br>, as markdown needs."""
+    return text.replace("\r\n", "\n").replace("\r", "\n").replace("\n", "<br>")
+
+
 def _md_table(header, rows):
     """Lines of a markdown table: `header`, a `|---` rule, then `rows`.
-    Each row is a sequence of cells written by format(); a None cell is
-    left blank."""
+    Each row is a sequence of cells written by format() with `|` escaped
+    and line breaks as <br>; a None cell is left blank."""
     def line(row):
-        return "|" + "".join(" |" if cell is None else f" {cell} |"
-                             for cell in row)
+        return _one_line("|" + "".join(
+            " |" if cell is None else
+            " " + format(cell).replace("|", "\\|") + " |" for cell in row))
     return [line(header), "|---" * len(header) + "|", *map(line, rows)]
 
 
@@ -927,9 +933,8 @@ def render_markdown(report):
                  f"{cfg.delta}")
     lines.append(f"- loss: {tc.loss}, l2_penalty: {tc.l2_penalty}, "
                  f"gradient_tolerance: {tc.gradient_tolerance}")
-    bins = {mk.ece_bins for mk in report.metrics if mk.tag == "ece"}
-    if bins:
-        lines.append(f"- ece_bins: {sorted(bins)[0]}")
+    lines += [f"- ece_bins: {mk.ece_bins}" for mk in report.metrics
+              if mk.tag == "ece"]
     lines.append(f"- train rows: {report.train_tally.total}, test rows: "
                  f"{report.test_tally.total}, groups: {len(cells)}")
     if report.train_equals_test:
@@ -937,7 +942,7 @@ def render_markdown(report):
                      "(in-sample audit)")
     flags = report.model.all_flags()
     if flags:
-        lines.append(f"- training flags: {'; '.join(flags)}")
+        lines.append(_one_line(f"- training flags: {'; '.join(flags)}"))
 
     def pair(p):
         return "-" if p is None else f"{_fmt(p[1], True)} ({_label(p[0])})"
@@ -1004,12 +1009,12 @@ def render_markdown(report):
     if report.identical_pairs:
         lines += ["", "## Identical prediction pairs", ""]
         for a, b in report.identical_pairs:
-            lines.append(f"- {_label(a)} and {_label(b)} receive "
-                         "identical predictions")
+            lines.append(_one_line(f"- {_label(a)} and {_label(b)} "
+                                   "receive identical predictions"))
     if report.suggestions:
         lines += ["", "## Data-minimization advice", ""]
         for s in report.suggestions:
-            lines.append(f"- [{s.kind}] {s.subject}: {s.rationale}")
+            lines.append(_one_line(f"- [{s.kind}] {s.subject}: {s.rationale}"))
     return "\n".join(lines) + "\n"
 
 

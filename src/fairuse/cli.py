@@ -193,17 +193,16 @@ def _cmd_audit(args):
 def _cmd_synth(args):
     kind = args.kind
     out = args.out or f"{kind}.csv"
+    # The generators own their default sizes.
+    sizes = ({} if args.n_per_group is None
+             else {"n_per_group": args.n_per_group})
     if kind == "planted":
-        n = args.n_per_group if args.n_per_group is not None else 500
-        result = gen_planted_violation(m=args.m, n_per_group=n,
-                                       gap=args.gap, seed=args.seed)
+        result = gen_planted_violation(m=args.m, gap=args.gap,
+                                       seed=args.seed, **sizes)
     elif kind == "exchangeable":
-        n = args.n_per_group if args.n_per_group is not None else 250
-        result = gen_exchangeable_null(m=args.m, n_per_group=n,
-                                       seed=args.seed)
+        result = gen_exchangeable_null(m=args.m, seed=args.seed, **sizes)
     else:
         result = GENERATORS[kind]()
-    sidecar = {}
     if kind == "feature-selection":
         ds, constraint = result
         save_csv(ds, out)

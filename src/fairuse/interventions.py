@@ -21,8 +21,8 @@ import math
 from dataclasses import dataclass
 
 from ._jsontext import dumps, number
-from .audit import RATIONALITY, SIGNIFICANT_GAIN, SIGNIFICANT_VIOLATION
-from .groups import WITHHELD
+from .audit import RATIONALITY, SIGNIFICANT_GAIN, SIGNIFICANT_VIOLATION, \
+    misreport_matrix
 # group_risk stays importable from this module for callers that look it
 # up here.
 from .metrics import ERROR_RATE, MarginTable, group_risk  # noqa: F401
@@ -220,7 +220,9 @@ def assign_generic_on_violation(report, strictness="point",
 def assign_best_of_three(report, decoupled, validation):
     """Give each group the best of generic, personalized, or decoupled.
 
-    Selection minimizes each group's validation error rate; ties prefer
+    Selection minimizes each group's validation error rate, read from
+    each model's error-rate misreport matrix on the validation split:
+    column 0 for generic, the group's own report otherwise. Ties prefer
     generic, then personalized, then decoupled (fewer solicited
     attributes, then fewer models). Decoupled cells that were empty at
     training time are skipped as candidates. Groups absent from the
@@ -230,37 +232,29 @@ def assign_best_of_three(report, decoupled, validation):
         raise ValueError("assign_best_of_three needs a decoupled model")
     space = report.space
     skip_cells = set(decoupled.empty_cells)
-    personal = MarginTable(report.model, validation)
-    separate = MarginTable(decoupled, validation)
+    personal = misreport_matrix(MarginTable(report.model, validation),
+                                ERROR_RATE)
+    separate = misreport_matrix(MarginTable(decoupled, validation),
+                                ERROR_RATE).values.diagonal(1)
     assignments = {}
     baseline = {}
     projected = {}
     sizes = {}
-    for g in space.cells():
-        own = personal.risk(ERROR_RATE, g, g)
-        sizes[g] = own.n_effective
-        baseline[g] = own.value if own.defined else float("nan")
-        if not own.defined:
-            assignments[g] = PERSONALIZED
-            projected[g] = float("nan")
+    for gi, (g, n, row, own) in enumerate(zip(
+            space.cells(), personal.n.tolist(), personal.values.tolist(),
+            separate.tolist())):
+        sizes[g] = n
+        baseline[g] = projected[g] = row[gi + 1]
+        assignments[g] = PERSONALIZED
+        if not n:
             continue
-        candidates = [
-            (GENERIC, personal.risk(ERROR_RATE, g, WITHHELD)),
-            (PERSONALIZED, own),
-        ]
+        candidates = [(GENERIC, row[0]), (PERSONALIZED, row[gi + 1])]
         if g not in skip_cells:
-            candidates.append(
-                (DECOUPLED_SOURCE, separate.risk(ERROR_RATE, g, g)))
-        usable = [(src, est.value) for src, est in candidates
-                  if est.defined]
-        best = min(v for _, v in usable)
-        source = next(src for src, v in usable if v == best)
-        assignments[g] = source
+            candidates.append((DECOUPLED_SOURCE, own))
+        best = min(v for _, v in candidates)
+        assignments[g] = next(src for src, v in candidates if v == best)
         projected[g] = best
-    for g in space.cells():
-        if math.isnan(baseline[g]) or math.isnan(projected[g]):
-            continue
-        assert projected[g] <= baseline[g], (
+        assert best <= baseline[g], (
             f"best-of-three worsened group {g} on validation")
     return _plan(report, ERROR_RATE.tag, "point",
                  "held-out validation sample", assignments, baseline,

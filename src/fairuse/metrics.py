@@ -14,21 +14,20 @@ re-exports it. `gain_matrix` turns an (m, m+1) risk matrix, generic
 column first, into every group's gains over its own truthful risk; the
 audit's point checks and the training-loss premise check both use it.
 
-`resampled_values` is the count-weighted form of `metric_value`: one
-metric value per row of a (replicates, rows) count matrix, with no
-resample ever materialized. `resampled_block` takes a (k, rows) block of
-score and margin rows over the same rows, say one group under k
-reported values, and returns (replicates, k) values whose column j
-equals the one-row call on row j exactly. AUC and ECE have one kernel
-each, and it takes a block: `resampled_values`, `auc_value` and
-`ece_value` are its k = 1 calls, the last two on one all-ones count row,
-so a point value is the replicate form exactly. The audit makes one
-kernel call per group for a row of point values (`MarginTable.risks`)
-and one per group and chunk of replicates. The AUC kernel reads running
-sums of negative counts, in score order, at each positive row's tie
-bounds; the ECE kernel makes one matrix product of the counts with the
-per-bin indicators of a slice of score rows, whose sums are exact
-integers, so its values do not depend on the product's shape.
+`resampled_block` is the count-weighted form of `metric_value` and the
+one replicate entry: for a (replicates, rows) count matrix and a
+(k, rows) block of score and margin rows over the same rows, say one
+group under k reported values, it returns (replicates, k) values with no
+resample ever materialized. AUC and ECE have one kernel each, and it
+takes a block: `auc_value` and `ece_value` are its k = 1 calls on one
+all-ones count row, so a point value is the replicate form exactly.
+The audit makes one kernel call per group for a row of point values
+(`MarginTable.risks`) and one per group and chunk of replicates. The
+AUC kernel reads running sums of negative counts, in score order, at
+each positive row's tie bounds; the ECE kernel makes one matrix product
+of the counts with the per-bin indicators of a slice of score rows,
+whose sums are exact integers, so its values do not depend on the
+product's shape.
 """
 
 import math
@@ -184,25 +183,13 @@ def resample_counts(idx):
     return np.bincount(idx.ravel(), minlength=reps * n).reshape(reps, n)
 
 
-def resampled_values(metric, counts, scores, margins, labels):
-    """AUC or ECE (`metric_value`) on each count-weighted resample of
-    aligned rows.
-
-    counts is a (replicates, n) matrix of row multiplicities. Returns one
-    value per replicate, NaN where the metric is undefined (no rows; AUC
-    with one class absent). AUC, and ECE while a replicate has fewer than
-    2^26 rows, equal `metric_value` on the materialized resample bit for
-    bit. The audit computes error-rate replicates from the counts itself.
-    This is `resampled_block` on one score row.
-    """
-    return resampled_block(metric, counts, scores[None], margins[None],
-                           labels)[:, 0]
-
-
 def resampled_block(metric, counts, scores, margins, labels):
-    """`resampled_values` of each row of a (k, n) block of scores and
-    margins over the same labels and counts: a (replicates, k) array whose
-    column j equals the one-row call on row j exactly."""
+    """AUC or ECE (`metric_value`) on each resample that a (replicates, n)
+    count matrix weights, for each row of a (k, n) block of scores and
+    margins over the same labels: a (replicates, k) array, NaN where the
+    metric is undefined (no rows; AUC with one class absent). AUC, and
+    ECE while a replicate has fewer than 2^26 rows, equal `metric_value`
+    on the materialized resample bit for bit."""
     if metric.tag == AUC_TAG:
         return _auc_counts(counts, scores, labels)
     return _ece_counts(counts, scores, margins, labels, metric.ece_bins)

@@ -190,12 +190,13 @@ def planted_rates(m, gap):
     return tuple(rates)
 
 
-def _draw_cells(space, n_per_group, rates, seed):
+def _draw_cells(space, n_per_group, seed, positive_rate):
+    """n_per_group rows per cell: features x ~ N(0, I), then labels +1
+    with probability `positive_rate(codes, x)`, each row's, in one draw."""
     rng = np.random.default_rng(seed)
     codes = np.repeat(np.arange(space.m), n_per_group)
     x = rng.normal(size=(codes.size, _PLANTED_FEATURE_DIM))
-    u = rng.random(codes.size)
-    labels = np.where(u < np.asarray(rates, dtype=float)[codes], 1, -1)
+    labels = np.where(rng.random(codes.size) < positive_rate(codes, x), 1, -1)
     return Dataset._from_codes(x, labels, codes, space, ("x1", "x2"))
 
 
@@ -223,8 +224,9 @@ def gen_planted_violation(m=4, n_per_group=500, gap=-0.15, seed=0):
         raise ValueError("n_per_group must be at least 1")
     if gap == 0.0:
         return gen_exchangeable_null(m, n_per_group, seed)
-    space = space_for_m(m)
-    return _draw_cells(space, n_per_group, planted_rates(m, gap), seed)
+    rates = np.asarray(planted_rates(m, gap), dtype=float)
+    return _draw_cells(space_for_m(m), n_per_group, seed,
+                       lambda codes, x: rates[codes])
 
 
 def gen_exchangeable_null(m=4, n_per_group=250, seed=0):
@@ -237,13 +239,8 @@ def gen_exchangeable_null(m=4, n_per_group=250, seed=0):
         raise ValueError("need at least 2 groups")
     if n_per_group < 1:
         raise ValueError("n_per_group must be at least 1")
-    space = space_for_m(m)
-    rng = np.random.default_rng(seed)
-    codes = np.repeat(np.arange(m), n_per_group)
-    x = rng.normal(size=(codes.size, _PLANTED_FEATURE_DIM))
-    p = 1.0 / (1.0 + np.exp(-2.0 * x[:, 0]))
-    labels = np.where(rng.random(codes.size) < p, 1, -1)
-    return Dataset._from_codes(x, labels, codes, space, ("x1", "x2"))
+    return _draw_cells(space_for_m(m), n_per_group, seed,
+                       lambda codes, x: 1.0 / (1.0 + np.exp(-2.0 * x[:, 0])))
 
 
 def evaluate_rule(rule, ds):

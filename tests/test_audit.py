@@ -4,6 +4,7 @@ import dataclasses
 import importlib
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from fairuse.audit import (_IDENTICAL_PREFIX_ROWS, BOOTSTRAP, ENVY,
                            identical_prediction_pairs, mcnemar_test,
                            misreport_matrix)
 from fairuse._jsontext import dumps
-from fairuse.dataset import Dataset, split
+from fairuse.dataset import Dataset, loads_csv, split
 from fairuse.groups import ALL, WITHHELD, GroupId, GroupSpace
 from fairuse.metrics import (AUC, ECE, ERROR_RATE, metric_from_name,
                              metric_value)
@@ -886,6 +887,35 @@ def test_report_markdown_and_csv_shape():
     assert len(lines) == 1 + len(rep.results)
     json_text = rep.to_json_str()
     assert '"has_point_violation": true' in json_text
+
+
+def test_markdown_keeps_pipes_and_line_breaks_inside_their_cells():
+    """Group values holding `|` or a line break, which a quoted CSV field
+    keeps as written, stay inside their table cell and bullet line."""
+    rng = np.random.default_rng(0)
+    values = ("a|b", '"c\nd"', '"e\r\nf"', '"g\rh"')
+    rows = [f"{rng.normal():.3f},{v},{rng.choice([-1, 1])}"
+            for v in values for _ in range(30)]
+    ds = loads_csv("x1,g:g,y\n" + "\n".join(rows) + "\n")
+    md = audit(ds, ds, Strategy.ONEHOT, (ERROR_RATE,),
+               AuditConfig(seed=0, bootstrap_reps=100)).to_markdown()
+    assert "\r" not in md
+    for label in ("a\\|b", "c<br>d", "e<br>f", "g<br>h"):
+        assert f"| {label} |" in md
+    lines = md.split("\n")
+    width = None
+    for previous, line in zip([""] + lines, lines):
+        if not line.startswith("|"):
+            # A table ends at a blank line; other lines are headings and
+            # bullets, each whole.
+            assert not (previous.startswith("|") and line), line
+            assert not line or line.startswith(("#", "- ")), line
+            continue
+        cells = len(re.split(r"(?<!\\)\|", line)) - 2
+        if not previous.startswith("|"):
+            width = cells
+        assert line.endswith(" |") or set(line) <= set("|-"), line
+        assert cells == width, line
 
 
 def test_render_labels_each_cell_once(monkeypatch):

@@ -87,6 +87,16 @@ def test_synth_randomized_kind_is_seeded(kind, tmp_path):
     assert not (tmp_path / "a.csv.expected.json").exists()
 
 
+# The generators' own defaults: 500 and 250 rows per group, four groups.
+@pytest.mark.parametrize("kind, rows", (("planted", 2000),
+                                        ("exchangeable", 1000)))
+def test_synth_randomized_kind_default_size(kind, rows, tmp_path, capsys):
+    out = tmp_path / "d.csv"
+    assert main(["synth", kind, "--out", str(out)]) == 0
+    assert f"({rows} rows)" in capsys.readouterr().out
+    assert load_csv(str(out)).n == rows
+
+
 def test_synth_default_output_name(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert main(["synth", "exchangeable", "--n-per-group", "20"]) == 0

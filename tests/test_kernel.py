@@ -23,7 +23,7 @@ from fairuse.dataset import Dataset
 from fairuse.groups import ALL, TRUTHFUL, WITHHELD, GroupSpace
 from fairuse.metrics import (AUC, ECE, ERROR_RATE, auc_value, ece_value,
                              metric_value, orient, resample_counts,
-                             resampled_block, resampled_values)
+                             resampled_block)
 from fairuse.models import Strategy, TrainConfig, train_personalized
 from fairuse.synth import gen_exchangeable_null, gen_planted_violation
 from oracles import (auc_counts_reference, ece_counts_reference,
@@ -73,7 +73,8 @@ def _materialized(counts_row, rng):
 def test_count_weighted_auc_equals_materialized_auc_bit_for_bit(case):
     margins, labels, counts = case
     scores = expit(margins)
-    got = resampled_values(AUC, counts, scores, margins, labels)
+    got = resampled_block(AUC, counts, scores[None], margins[None],
+                          labels)[:, 0]
     rng = np.random.default_rng(0)
     for b, row in enumerate(counts):
         take = _materialized(row, rng)
@@ -93,7 +94,8 @@ def test_count_weighted_auc_equals_materialized_auc_bit_for_bit(case):
 def test_count_weighted_ece_matches_materialized_ece(case):
     margins, labels, counts = case
     scores = expit(margins)
-    got = resampled_values(ECE, counts, scores, margins, labels)
+    got = resampled_block(ECE, counts, scores[None], margins[None],
+                          labels)[:, 0]
     rng = np.random.default_rng(0)
     for b, row in enumerate(counts):
         take = _materialized(row, rng)
@@ -168,12 +170,11 @@ def test_block_kernels_equal_one_row_calls_and_the_reference(case,
             ece = resampled_block(ECE, part, scores, margins, labels)
             assert auc.shape == ece.shape == (part.shape[0], len(scores))
             for j in range(len(scores)):
+                row = (part, scores[j:j + 1], margins[j:j + 1], labels)
                 for got, one, reference in (
-                        (auc[:, j], resampled_values(AUC, part, scores[j],
-                                                     margins[j], labels),
+                        (auc[:, j], resampled_block(AUC, *row)[:, 0],
                          auc_counts_reference(part, scores[j], labels)),
-                        (ece[:, j], resampled_values(ECE, part, scores[j],
-                                                     margins[j], labels),
+                        (ece[:, j], resampled_block(ECE, *row)[:, 0],
                          ece_counts_reference(part, scores[j], margins[j],
                                               labels, 10))):
                     assert np.array_equal(got, one, equal_nan=True)
@@ -576,8 +577,8 @@ def test_observed_gains_are_the_count_kernel_on_one_all_ones_row(metric):
 
     def value(reported):
         m = table.margins(g, reported)
-        return orient(metric, resampled_values(metric, ones, expit(m), m,
-                                               y))[0]
+        return orient(metric, resampled_block(metric, ones, expit(m)[None],
+                                              m[None], y))[0, 0]
 
     want = [value(c) - value(g) for c in comps]
     assert observed.tolist() == want
